@@ -5,7 +5,8 @@ bundle and report), sim (run a named scenario or preset), bode (chirp
 FRF comparison), reproduce (all presets plus a pass/fail summary).
 
 Exit codes: 0 success, 2 configuration or validation error, 3 numerical
-failure, 4 acceptance failure (reproduce only).
+failure, 4 acceptance failure (a preset check failed: sim PRESET, bode,
+reproduce), 5 output I/O error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .errors import NumericsError
 from .identify import loop_margins
 from .plant import build_plant
 from .polynomials import format_poly, roots
-from .presets import PRESET_NAMES, run_preset, run_reproduce
+from .presets import PRESET_NAMES, _reseed, run_preset, run_reproduce
 from .simulation import (
     ImpedanceScenario,
     simulate_impedance,
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_ACCEPTANCE = 4
+EXIT_IO = 5
 
 
 def _load(args) -> ProjectConfig:
@@ -152,16 +155,21 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _run_checked(name: str, cfg: ProjectConfig, out: str, seed) -> int:
+    """Run one preset, print its checks; EXIT_ACCEPTANCE if any failed."""
+    results = run_preset(name, cfg, os.path.join(out, name), seed=seed)
+    for r in results:
+        status = "pass" if r.passed else "FAIL"
+        print(f"[{status}] {r.preset}/{r.check}: {r.detail}")
+    return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPTANCE
+
+
 def cmd_sim(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
     name = args.scenario
     if name in PRESET_NAMES:
-        results = run_preset(name, cfg, os.path.join(out, name), seed=args.seed)
-        for r in results:
-            status = "pass" if r.passed else "FAIL"
-            print(f"[{status}] {r.preset}/{r.check}: {r.detail}")
-        return EXIT_OK
+        return _run_checked(name, cfg, out, args.seed)
     if name not in cfg.scenarios:
         known = sorted(cfg.scenarios) + list(PRESET_NAMES)
         print(
@@ -172,13 +180,16 @@ def cmd_sim(args) -> int:
     model = build_plant(cfg.plant)
     ctrl = h2_synthesize(model.P, cfg.weights)
     sc = cfg.scenarios[name].materialize(model, ctrl)
+    impedance = isinstance(sc, ImpedanceScenario)
     if args.seed is not None:
-        sc = _override_seed(sc, args.seed)
-    trace = (
-        simulate_impedance(sc)
-        if isinstance(sc, ImpedanceScenario)
-        else simulate_torque_loop(sc)
-    )
+        inner = sc.torque_scenario if impedance else sc
+        inner = replace(
+            inner,
+            noise=_reseed(inner.noise, args.seed),
+            disturbance=_reseed(inner.disturbance, args.seed),
+        )
+        sc = replace(sc, torque_scenario=inner) if impedance else inner
+    trace = simulate_impedance(sc) if impedance else simulate_torque_loop(sc)
     csv_path = os.path.join(out, f"trace_{name}.csv")
     trace_to_csv(trace, csv_path)
     plot_lines(
@@ -195,30 +206,11 @@ def cmd_sim(args) -> int:
     return EXIT_OK
 
 
-def _override_seed(sc, seed: int):
-    from dataclasses import replace
-
-    from .simulation import SignalSpec
-
-    def reseed(spec):
-        if spec.kind != "white_noise":
-            return spec
-        return SignalSpec.white_noise(spec.variance, seed)
-
-    if isinstance(sc, ImpedanceScenario):
-        return replace(sc, torque_scenario=_override_seed(sc.torque_scenario, seed))
-    return replace(sc, noise=reseed(sc.noise), disturbance=reseed(sc.disturbance))
-
-
 def cmd_bode(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
     name = "fig10_narrow" if args.narrow else "fig10"
-    results = run_preset(name, cfg, os.path.join(out, name), seed=args.seed)
-    for r in results:
-        status = "pass" if r.passed else "FAIL"
-        print(f"[{status}] {r.preset}/{r.check}: {r.detail}")
-    return EXIT_OK
+    return _run_checked(name, cfg, out, args.seed)
 
 
 def cmd_reproduce(args) -> int:
@@ -295,6 +287,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # config reads raise ConfigError; this is output
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

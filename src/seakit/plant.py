@@ -15,13 +15,16 @@ to the delivered torque tau_L [Nm] are
            / (J_A s^2 + (b_f + K_pv) s + (K_s + K_iv))
 
 P carries a free integrator (position is the integral of the commanded
-velocity), so torque control of P is type 1 by construction.
+velocity), so torque control of P is type 1 by construction.  Both paths
+run through the same actuator dynamics, den(P) = s den(G); ``SeaModel``
+enforces this, and the simulator realizes P and G as one block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .polynomials import Polynomial
 from .transfer import RationalTF
 
 __all__ = [
@@ -29,8 +32,6 @@ __all__ = [
     "SeaModel",
     "default_params",
     "build_plant",
-    "reflect_linear_stiffness",
-    "rigid_sea_tf",
 ]
 
 
@@ -73,11 +74,25 @@ class SeaParams:
 
 @dataclass(frozen=True)
 class SeaModel:
-    """Plant pair for one parameter set: drive path P and coupling path G."""
+    """Plant pair for one parameter set: drive path P and coupling path G.
+
+    Raises ValueError unless P is strictly proper and den(P) = s den(G)
+    coefficient for coefficient: the velocity-sourced actuator drives
+    both paths through the same dynamics, and its position integrates
+    the commanded velocity.
+    """
 
     P: RationalTF
     G: RationalTF
     params: SeaParams
+
+    def __post_init__(self):
+        if not self.P.is_strictly_proper():
+            raise ValueError("drive path P must be strictly proper")
+        if self.P.den != self.G.den * Polynomial([1.0, 0.0]):
+            raise ValueError(
+                "plant pair must share the actuator: den(P) = s den(G)"
+            )
 
 
 def default_params() -> SeaParams:
@@ -117,33 +132,3 @@ def build_plant(params: SeaParams) -> SeaModel:
         units="Nm per rad",
     )
     return SeaModel(P=p, G=g, params=params)
-
-
-def reflect_linear_stiffness(k_linear: float, r_winch: float) -> float:
-    """Rotational stiffness [Nm/rad] equivalent to a linear spring [N/m].
-
-    A cable spring of stiffness k_linear acting at the winch radius
-    contributes k_linear * r_winch^2 of rotational stiffness at the
-    winch shaft.  Provided for deriving parameter sets from cable-side
-    data sheets; the defaults are already rotational and do not pass
-    through this.
-    """
-    if k_linear <= 0.0 or r_winch <= 0.0:
-        raise ValueError("stiffness and radius must be strictly positive")
-    return k_linear * r_winch**2
-
-
-def rigid_sea_tf(params: SeaParams) -> RationalTF:
-    """Torque transmission of the torque-sourced (non-velocity) variant.
-
-    If the motor were driven as a torque source tau_A instead of through
-    the velocity loop, the delivered torque would follow
-
-        tau_L / tau_A = K_s / (J_A s^2 + b_f s + K_s)
-
-    Kept for comparison: DC gain is exactly 1 and the underdamped
-    resonance sqrt(K_s/J_A) is what the velocity-sourced design avoids
-    fighting directly.
-    """
-    j, bf, ks = params.j_a, params.b_f, params.k_s
-    return RationalTF([ks], [j, bf, ks], units="Nm per Nm")

@@ -18,7 +18,7 @@ a failure rather than widened; see the fig10 runner.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,9 +77,10 @@ def _design(cfg: ProjectConfig):
 
 
 def _reseed(spec: SignalSpec, seed: int | None) -> SignalSpec:
+    """spec with its noise seed replaced; everything else is kept."""
     if seed is None or spec.kind != "white_noise":
         return spec
-    return SignalSpec.white_noise(spec.variance, seed)
+    return replace(spec, seed=seed)
 
 
 def run_fig6(cfg: ProjectConfig, out_dir: str, seed: int | None = None):

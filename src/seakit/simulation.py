@@ -7,19 +7,22 @@ omega_d = clamp(u + d, +-sat), the plant responds with tau_L through P
 torque reference is tau_d = I_d (phi_ref - phi_L), optionally corrected by
 the load-motion compensator C_L.
 
-Every linear block is realized (controllable canonical form of its
-minimal form) and the blocks are assembled once into a single
-state-space system over the inputs [r, d, n, phi_L], with the load
-states when a load model is simulated.  The saturation is the only
-nonlinearity, applied to the scalar velocity command at every stage of
-a fixed-step classical Runge-Kutta integrator.  While all four stage
-commands of a step stay inside the limit the loop is linear, and the
-RK4 step is exactly x+ = Phi x + G0 w0 + Gh wh + G1 w1 with Phi the
-degree-4 Taylor polynomial of exp(hA); the input terms for all steps
-are one vectorized product.  A step whose stage commands would leave
-the limit is redone with the clamped stage function.  Deterministic
-inputs are sampled on the half-step grid the integrator needs; seeded
-noise is held constant across each step (zero-order hold).
+The linear blocks are realized in observable canonical form and
+assembled once into a single state-space system over the inputs
+[r, d, n, phi_L].  The state vector is, in order: the plant pair P and
+G as one 3-state block over their shared actuator denominator, driven
+by the clamped command and phi_L; C2; the load-motion compensator C_L
+when it is on; the load angle and rate when a load model is simulated;
+and C1.  The saturation is the only nonlinearity, applied to the scalar
+velocity command at every stage of a fixed-step classical Runge-Kutta
+integrator.  While all four stage commands of a step stay inside the
+limit the loop is linear, and the RK4 step is exactly
+x+ = Phi x + G0 w0 + Gh wh + G1 w1 with Phi the degree-4 Taylor
+polynomial of exp(hA); the input terms for all steps are one vectorized
+product.  A step whose stage commands would leave the limit is redone
+with the clamped stage function.  Deterministic inputs are sampled on
+the half-step grid the integrator needs; seeded noise is held constant
+across each step (zero-order hold).
 
 Everything is deterministic: same scenario, same trace, bit for bit.
 """
@@ -65,6 +68,9 @@ _KINDS = (
     "zero",
 )
 
+_NUMERIC_FIELDS = ("amplitude", "frequency_hz", "f0_hz", "f1_hz", "sweep_s",
+                   "offset", "start_s", "variance")
+
 
 @dataclass(frozen=True)
 class SignalSpec:
@@ -93,6 +99,11 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}")
+        for name in _NUMERIC_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not all(math.isfinite(x) for bp in self.breakpoints for x in bp):
+            raise ValueError("breakpoints must be finite")
         if self.kind == "sine" and not self.frequency_hz > 0.0:
             raise ValueError("sine requires frequency_hz > 0")
         if self.kind == "chirp":
@@ -275,6 +286,9 @@ class TorqueLoopScenario:
     duration_s: float = 10.0
 
     def __post_init__(self):
+        for name in ("dt_s", "duration_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.dt_s > 0.0:
             raise ValueError("dt_s must be positive")
         if self.duration_s < 10.0 * self.dt_s:
@@ -298,8 +312,10 @@ class ImpedanceScenario:
     phi_ref: SignalSpec = field(default_factory=SignalSpec.zero)
 
     def __post_init__(self):
-        if self.i_d < 0.0:
-            raise ValueError("virtual stiffness i_d must be nonnegative")
+        if not (math.isfinite(self.i_d) and self.i_d >= 0.0):
+            raise ValueError(
+                "virtual stiffness i_d must be finite and nonnegative"
+            )
         if self.torque_scenario.reference.kind != "zero":
             raise ValueError(
                 "impedance mode derives the torque reference from "
@@ -402,33 +418,33 @@ def _assemble(
 ) -> _LoopSystem:
     """Build the loop u = C1 re - C2 (tau_L + n) as one state-space system.
 
-    Each transfer function is realized in controllable canonical form of
-    its minimal form.  The state layout is P, G, C2, [C_L], [phi_L,
-    phi_L'], C1; the feedforward block comes last so its (identically
-    zero) states contribute only exact zeros when the reference path is
-    silent.  Every scalar signal of the loop is built as a row over
-    [x, v].
+    The plant pair is one observable canonical block over den(P) =
+    s den(G), driven by [w, phi_L]: tau_L = P w + (G s / s) phi_L.  The
+    controller blocks are realized from their minimal forms.  The state
+    layout is plant pair, C2, [C_L], [phi_L, phi_L'], C1.  Every scalar
+    signal of the loop is built as a row over [x, v].
     """
+    model = sc.model
     c1_tf, c2_tf = _controller_blocks(sc.controller)
-    p, g, c2, c1 = (
-        to_state_space(minimal_form(tf))
-        for tf in (sc.model.P, sc.model.G, c2_tf, c1_tf)
-    )
+    pg = to_state_space(model.P, model.G * RationalTF([1.0, 0.0], [1.0, 0.0]))
+    c2, c1 = (to_state_space(minimal_form(tf)) for tf in (c2_tf, c1_tf))
     comp = None
     if sc.compensator_on:
-        comp = to_state_space(
-            minimal_form(build_compensator(sc.model, (c1_tf, c2_tf)))
-        )
+        comp = to_state_space(build_compensator(model, (c1_tf, c2_tf)))
+    # C1 stays a block of its own, last: while the reference path is
+    # silent its states are exact zeros, so the d- and n-driven channels
+    # do not depend on C1 bit for bit.  Merging it into C2's block over
+    # their shared denominator changes those channels in the last bits,
+    # because the matvec then sums over another number of states.
     sizes = [
-        p.order,
-        g.order,
+        pg.order,
         c2.order,
         comp.order if comp is not None else 0,
         2 if load is not None else 0,
         c1.order,
     ]
     ends = np.cumsum(sizes)
-    s_p, s_g, s_2, s_c, s_l, s_1 = (slice(e - n, e) for e, n in zip(ends, sizes))
+    s_p, s_2, s_c, s_l, s_1 = (slice(e - n, e) for e, n in zip(ends, sizes))
     nx = int(ends[-1])
     nz = nx + _N_INPUTS
 
@@ -438,23 +454,23 @@ def _assemble(
         return e
 
     phi = row(s_l.start) if load is not None else row(nx + _PHI)
-    tau = row(s_p, p.C) + row(s_g, g.C) + g.D * phi
+    tau = row(s_p, pg.C) + pg.D[1] * phi  # P is strictly proper
     y = tau + row(nx + _N)
     re = row(nx + _R) - i_d_feedback * phi
     if comp is not None:
-        re = re - (row(s_c, comp.C) + comp.D * phi)
-    u = row(s_1, c1.C) + c1.D * re - (row(s_2, c2.C) + c2.D * y)
+        re = re - (row(s_c, comp.C) + comp.D[0] * phi)
+    u = row(s_1, c1.C) + c1.D[0] * re - (row(s_2, c2.C) + c2.D[0] * y)
     u_presat = u + row(nx + _D)
 
     F = np.zeros((nx, nz))  # dx/dt = F [x, v] + b_w w
-    F[s_p, s_p] = p.A
     b_w = np.zeros(nx)
-    b_w[s_p] = p.B  # the plant is driven by the clamped command w
-    for blk, s, drive in ((g, s_g, phi), (c2, s_2, y), (comp, s_c, phi),
-                          (c1, s_1, re)):
+    b_w[s_p] = pg.B[:, 0]  # the plant is driven by the clamped command w
+    F[s_p, s_p] = pg.A
+    F[s_p] += np.outer(pg.B[:, 1], phi)
+    for blk, s, drive in ((c2, s_2, y), (comp, s_c, phi), (c1, s_1, re)):
         if blk is not None:
             F[s, s] = blk.A
-            F[s] += np.outer(blk.B, drive)
+            F[s] += np.outer(blk.B[:, 0], drive)
     if load is not None:
         phid = row(s_l.start + 1)
         F[s_l.start] = phid

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NumericsError
 from .plant import SeaModel
 from .polynomials import Polynomial, gcd_degree, is_hurwitz, roots, spectral_factor
-from .transfer import RationalTF, is_stable, minimal_form, parallel, series
+from .transfer import RationalTF, is_stable, minimal_form, series
 
 __all__ = [
     "SynthesisWeights",
@@ -450,7 +450,7 @@ def closed_loop_maps(P: RationalTF, ctrl) -> ClosedLoopMaps:
     changes nothing in from_d / from_n, coefficient for coefficient.
     """
     c1, c2 = _controller_pair(ctrl)
-    ret_diff = parallel(RationalTF([1.0], [1.0]), series(P, c2))  # 1 + P C2
+    ret_diff = 1 + series(P, c2)
     r_u = c1 / ret_diff
     r_y = series(P, c1) / ret_diff
     from_r = SignalMaps(u=r_u, v=r_u, y=r_y, z=r_y)
@@ -475,24 +475,15 @@ def _torque_char(P: RationalTF, c2: RationalTF) -> Polynomial:
 def _motion_map(model: SeaModel, c2: RationalTF) -> RationalTF:
     """G / (1 + P C2) built at polynomial level.
 
-    The plant pair shares the actuator dynamics: den(P) = s * den(G), so
-    the quotient collapses exactly to num(G) s den(C2) / (a p2 + b n2)
-    with no pole/zero matching involved.  Composing the quotient
-    operator-style instead would duplicate the actuator factor and leave
-    root clusters that defeat numerical cancellation.  Falls back to
-    operator composition if a model ever lacks the shared structure.
+    The plant pair shares the actuator dynamics, den(P) = s den(G) (a
+    ``SeaModel`` invariant), so the quotient collapses exactly to
+    num(G) s den(C2) / (a p2 + b n2) with no pole/zero matching
+    involved.  Composing the quotient operator-style instead would
+    duplicate the actuator factor and leave root clusters that defeat
+    numerical cancellation.
     """
-    char = _torque_char(model.P, c2)
-    a, gd = model.P.den, model.G.den
-    shares_actuator = (
-        a.degree == gd.degree + 1
-        and a.coeffs[-1] == 0.0
-        and np.array_equal(a.coeffs[:-1], gd.coeffs)
-    )
-    if shares_actuator:
-        num = model.G.num * Polynomial([1.0, 0.0]) * c2.den
-        return minimal_form(RationalTF(num, char))
-    return minimal_form(model.G * RationalTF(a * c2.den, char))
+    num = model.G.num * Polynomial([1.0, 0.0]) * c2.den
+    return minimal_form(RationalTF(num, _torque_char(model.P, c2)))
 
 
 def build_compensator(model: SeaModel, ctrl) -> RationalTF:

@@ -2,7 +2,7 @@
 
 ``RationalTF`` is a thin pair of :class:`~seakit.polynomials.Polynomial`
 objects normalized to a monic denominator.  Composition operators
-(series, parallel, feedback, +, *, /) never cancel common factors:
+(series, feedback, +, *, /) never cancel common factors:
 uncontrollable or unobservable modes stay visible until an explicit
 ``minimal_form`` call, so internal-stability checks cannot be fooled by
 silent cancellation of an unstable factor.
@@ -23,7 +23,6 @@ __all__ = [
     "FrequencyResponse",
     "constant_tf",
     "series",
-    "parallel",
     "feedback",
     "evaluate",
     "minimal_form",
@@ -41,8 +40,10 @@ class RationalTF:
     Parameters
     ----------
     num, den : Polynomial or coefficient sequence
-        Highest degree first.  ``den`` must be nonzero; both are divided
-        by the leading denominator coefficient on construction.
+        Highest degree first.  ``den`` must be nonzero; both are scaled
+        by the reciprocal of the leading denominator coefficient on
+        construction, and the stored leading coefficient is exactly 1, so
+        constructing again from a stored pair changes no coefficient.
     units : str
         Descriptive metadata only (e.g. ``"Nm per rad"``); never touched
         by arithmetic, which returns results with empty units.
@@ -58,9 +59,11 @@ class RationalTF:
         if num.is_zero:
             # canonical zero: 0/1, so zero branches drop out of compositions
             den = Polynomial([1.0])
-        lead = float(den.coeffs[0])
-        self.num = num * (1.0 / lead)
-        self.den = den * (1.0 / lead)
+        inv = 1.0 / float(den.coeffs[0])
+        monic = den.coeffs * inv
+        monic[0] = 1.0  # lead * (1 / lead) can round to 1 - 2**-53
+        self.num = num * inv
+        self.den = Polynomial(monic)
         self.units = units
 
     # -- queries --------------------------------------------------------
@@ -154,11 +157,6 @@ def series(g: RationalTF, h: RationalTF) -> RationalTF:
     return g * h
 
 
-def parallel(g: RationalTF, h: RationalTF) -> RationalTF:
-    """Sum g + h on the common (product) denominator; no cancellation."""
-    return g + h
-
-
 def feedback(g: RationalTF, h: RationalTF) -> RationalTF:
     """Negative feedback g / (1 + g h) as one rational function.
 
@@ -229,57 +227,62 @@ def is_stable(tf: RationalTF, cancel_tol: float = 1e-7) -> bool:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Single-input single-output realization dx = Ax + Bu, y = Cx + Du."""
+    """Realization dx = Ax + Bu, y = Cx + D u with m inputs and one output.
+
+    A is (n, n), B is (n, m), C is (n,) and D is (m,): column j of B and
+    entry j of D belong to input j.
+    """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    D: float
+    D: np.ndarray
 
     @property
     def order(self) -> int:
         return self.A.shape[0]
 
-    def transfer_at(self, s: complex) -> complex:
-        """C (sI - A)^-1 B + D, for verification against the source TF."""
-        n = self.order
-        if n == 0:
-            return complex(self.D)
-        x = np.linalg.solve(s * np.eye(n) - self.A, self.B)
-        return complex(self.C @ x + self.D)
 
+def to_state_space(*tfs: RationalTF) -> StateSpace:
+    """Observable canonical realization of proper TFs over one denominator.
 
-def to_state_space(tf: RationalTF) -> StateSpace:
-    """Controllable canonical realization of a proper transfer function.
+    The transfer functions share the monic denominator s^n + a1 s^(n-1)
+    + ... + an and each drives the single output from its own input.
+    With the direct term D_j of tf j removed, its numerator residue
+    b_j1 s^(n-1) + ... + b_jn becomes column j of B:
 
-    With monic denominator s^n + a1 s^(n-1) + ... + an and numerator
-    residue c1 s^(n-1) + ... + cn after removing the direct term D:
+        A = [[-a1, 1, 0, ...], [-a2, 0, 1, ...], ..., [-an, 0, ..., 0]],
+        B[:, j] = [b_j1 ... b_jn],  C = e1.
 
-        A = [[-a1 ... -an], [1 0 ...], ..., [0 ... 1 0]],  B = e1,
-        C = [c1 ... cn].
+    The n states are shared by all inputs, so a pair like the actuator's
+    drive and coupling paths is realized without duplicated poles.  A
+    constant gain (n = 0) has no states.
 
-    Improper inputs raise ValueError.
+    Raises
+    ------
+    ValueError
+        If a transfer function is improper, or the denominators differ
+        in any coefficient.
     """
-    if not tf.is_proper():
-        raise ValueError("state-space realization requires a proper transfer function")
-    n = tf.den.degree
-    num_p = np.zeros(n + 1)
-    num_p[n + 1 - len(tf.num.coeffs):] = tf.num.coeffs
-    if tf.num.is_zero:
-        num_p[:] = 0.0
-    d = float(num_p[0])
-    if n == 0:
-        return StateSpace(
-            np.zeros((0, 0)), np.zeros(0), np.zeros(0), d
-        )
-    resid = num_p[1:] - d * tf.den.coeffs[1:]
-    A = np.zeros((n, n))
-    A[0, :] = -tf.den.coeffs[1:]
-    if n > 1:
-        A[1:, :-1] += np.eye(n - 1)
-    B = np.zeros(n)
-    B[0] = 1.0
-    return StateSpace(A, B, resid.copy(), d)
+    if not tfs:
+        raise ValueError("state-space realization needs a transfer function")
+    den = tfs[0].den
+    n = den.degree
+    nums = np.zeros((len(tfs), n + 1))
+    for j, tf in enumerate(tfs):
+        if not tf.is_proper():
+            raise ValueError(
+                "state-space realization requires a proper transfer function"
+            )
+        if tf.den != den:
+            raise ValueError("transfer functions must share one denominator")
+        nums[j, n + 1 - len(tf.num.coeffs):] = tf.num.coeffs
+    d = nums[:, 0].copy()
+    A = np.eye(n, k=1)
+    if n:
+        A[:, 0] = -den.coeffs[1:]
+    B = (nums[:, 1:] - np.outer(d, den.coeffs[1:])).T
+    return StateSpace(A, B, np.eye(1, n)[0], d)
 
 
 @dataclass(frozen=True)
@@ -367,8 +370,5 @@ def frequency_response(tf: RationalTF, freqs_hz) -> FrequencyResponse:
     d = np.angle(h[1:] / h[:-1]) if len(h) > 1 else np.zeros(0)
     for i in np.nonzero(np.abs(d) > np.pi / 2)[0]:
         d[i] = _phase_increment(tf, w[i], w[i + 1], h[i], h[i + 1])
-    phase = np.empty(len(w))
-    phase[0] = np.angle(h[0])
-    for i in range(1, len(w)):
-        phase[i] = phase[i - 1] + d[i - 1]
+    phase = np.cumsum(np.concatenate([[np.angle(h[0])], d]))
     return FrequencyResponse(freqs, mag_db, np.degrees(phase))

@@ -306,6 +306,56 @@ def test_cli_sim_seed_override(tmp_path):
     assert run(5, "c") != run(6, "d")
 
 
+def test_cli_sim_seed_keeps_noise_offset(tmp_path):
+    noise = {"kind": "white_noise", "variance": 1e-6, "seed": 9, "offset": 0.25}
+    quick = {"type": "torque_loop", "noise": noise, "dt_s": 1e-3,
+             "duration_s": 0.5}
+    cfg = _write_project(tmp_path, scenarios={"quick": quick})
+    out = tmp_path / "seeded"
+    assert main(["sim", "quick", "--config", cfg, "--out", str(out),
+                 "--seed", "7"]) == 0
+    data = np.loadtxt(out / "trace_quick.csv", delimiter=",", skiprows=1)
+    n = data[:, TRACE_CHANNELS.index("n")]
+    expected = 0.25 + 1e-3 * np.random.default_rng(7).standard_normal(len(n))
+    np.testing.assert_allclose(n, expected, rtol=1e-8, atol=0)
+
+
+def test_cli_output_error_has_its_own_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    assert main(["plant", "--out", str(blocker / "sub")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("output error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, preset",
+    [(["sim", "fig9"], "fig9"), (["bode"], "fig10"),
+     (["bode", "--narrow"], "fig10_narrow")],
+)
+def test_cli_preset_commands_exit_4_on_failed_check(
+    tmp_path, monkeypatch, capsys, argv, preset
+):
+    from seakit import CheckResult
+    import seakit.cli as cli
+
+    verdicts = []
+
+    def fake_run_preset(name, cfg, out_dir, seed=None):
+        assert name == preset
+        return [CheckResult(name, "first", True, "ok"),
+                CheckResult(name, "second", verdicts[-1], "-")]
+
+    monkeypatch.setattr(cli, "run_preset", fake_run_preset)
+    argv = argv + ["--out", str(tmp_path)]
+    verdicts.append(True)
+    assert main(argv) == 0
+    verdicts.append(False)
+    assert main(argv) == 4
+    assert f"[FAIL] {preset}/second" in capsys.readouterr().out
+
+
 def test_cli_sim_unknown_scenario(tmp_path, capsys):
     cfg = _write_project(tmp_path)
     assert main(["sim", "nope", "--config", cfg]) == 2

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from seakit import (
+    RationalTF,
+    SeaModel,
     SeaParams,
     build_plant,
     default_params,
-    reflect_linear_stiffness,
-    rigid_sea_tf,
+    to_state_space,
 )
 
 
@@ -52,21 +55,32 @@ def test_motion_coupling_high_frequency_gain():
     assert np.isclose(m.G(1e6j).real, -default_params().k_s, rtol=1e-4)
 
 
-def test_reflect_linear_stiffness():
-    # translational spring through the winch contributes k r^2
-    assert np.isclose(reflect_linear_stiffness(1000.0, 7.25e-3), 1000.0 * 7.25e-3**2)
-    with pytest.raises(ValueError):
-        reflect_linear_stiffness(1000.0, 0.0)
-
-
 def test_default_stiffness_is_double_spring():
     # two nominally identical springs act in parallel on the winch
     assert np.isclose(default_params().k_s, 2.0 * 0.0242)
 
 
-def test_rigid_sea_tf_dc_gain_unity():
-    g = rigid_sea_tf(default_params())
-    assert np.isclose(g(0.0), 1.0)
+def test_model_requires_shared_actuator_factor():
+    # build_plant meets den(P) = s den(G) coefficient for coefficient, also
+    # where j_a * (1 / j_a) rounds below 1, and the pair realizes as one block
+    for j_a in (6.9e-4, 5.61e-4):
+        m = build_plant(replace(default_params(), j_a=j_a))
+        SeaModel(P=m.P, G=m.G, params=m.params)
+        s_over_s = RationalTF([1.0, 0.0], [1.0, 0.0])
+        assert to_state_space(m.P, m.G * s_over_s).order == 3
+    m = build_plant(default_params())
+    # a G with its own dynamics, a P without the integrator, and a den(G)
+    # off by one ulp in one coefficient all break the shared factor
+    other_g = RationalTF(m.G.num, [1.0, 2.0, 3.0])
+    no_integrator = RationalTF(m.P.num, m.P.den.coeffs[:-1])
+    bumped = m.G.den.coeffs.copy()
+    bumped[1] = np.nextafter(bumped[1], np.inf)
+    for p, g in ((m.P, other_g), (no_integrator, m.G),
+                 (m.P, RationalTF(m.G.num, bumped))):
+        with pytest.raises(ValueError, match=r"den\(P\) = s den\(G\)"):
+            SeaModel(P=p, G=g, params=m.params)
+    with pytest.raises(ValueError, match="strictly proper"):
+        SeaModel(P=RationalTF(m.P.den, m.P.den), G=m.G, params=m.params)
 
 
 def test_invalid_parameters_rejected():

@@ -62,6 +62,15 @@ def test_signal_validation():
         SignalSpec.piecewise_linear([(0.0, 1.0), (0.0, 2.0)])
 
 
+def test_signal_rejects_non_finite_fields():
+    for field in ("amplitude", "frequency_hz", "offset", "variance"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SignalSpec(**{"kind": "sine", "frequency_hz": 1.0, field: bad})
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        SignalSpec.piecewise_linear([(0.0, 1.0), (1.0, float("nan"))])
+
+
 def test_generate_grid_and_formulas():
     dt = 1e-3
     x = generate(SignalSpec.sine(2.0, 5.0, offset=0.5), dt, 0.2)
@@ -128,6 +137,10 @@ def test_scenario_validation(model, ctrl):
         TorqueLoopScenario(model=model, controller=ctrl, dt_s=1e-2, duration_s=0.05)
     with pytest.raises(ValueError):
         TorqueLoopScenario(model=model, controller=ctrl, saturation_rad_s=0.0)
+    for field in ("duration_s", "dt_s"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TorqueLoopScenario(model=model, controller=ctrl,
+                               **{field: float("inf")})
     inner = TorqueLoopScenario(model=model, controller=ctrl,
                                reference=SignalSpec.constant(1.0))
     with pytest.raises(ValueError):
@@ -136,6 +149,11 @@ def test_scenario_validation(model, ctrl):
         ImpedanceScenario(
             torque_scenario=TorqueLoopScenario(model=model, controller=ctrl),
             i_d=-1.0,
+        )
+    with pytest.raises(ValueError, match="finite"):
+        ImpedanceScenario(
+            torque_scenario=TorqueLoopScenario(model=model, controller=ctrl),
+            i_d=float("nan"),
         )
 
 

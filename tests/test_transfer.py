@@ -13,7 +13,6 @@ from seakit import (
     frequency_response,
     is_stable,
     minimal_form,
-    parallel,
     poles,
     series,
     to_state_space,
@@ -55,7 +54,7 @@ def test_algebra_matches_pointwise():
     h = tf([2.0], [1.0, 5.0])
     for s in (0.3j, 1.0 + 0.5j, 2.0):
         assert np.isclose(series(g, h)(s), g(s) * h(s))
-        assert np.isclose(parallel(g, h)(s), g(s) + h(s))
+        assert np.isclose((g + h)(s), g(s) + h(s))
         assert np.isclose((g * h)(s), g(s) * h(s))
         assert np.isclose((g / h)(s), g(s) / h(s))
         assert np.isclose((g + 2.0)(s), g(s) + 2.0)
@@ -151,6 +150,40 @@ def test_state_space_constant():
     assert np.isclose(ss.D, 3.0)
 
 
+def test_state_space_shared_denominator_pair():
+    """One realization of several TFs: column j reproduces tf j."""
+    den = [1.0, 4.0, 6.0, 4.0]
+    tfs = (tf([2.0, 1.0, 3.0], den), tf([-1.0, 0.5, 0.0, 2.0], den))
+    ss = to_state_space(*tfs)
+    assert ss.A.shape == (3, 3)
+    assert ss.B.shape == (3, 2)
+    assert ss.C.shape == (3,)
+    assert ss.D.shape == (2,)
+    for s in (0.0, 0.5j, 2.0 + 1.0j, -3.0 + 7.0j):
+        resolvent = np.linalg.solve(s * np.eye(3) - ss.A, ss.B)
+        for j, g in enumerate(tfs):
+            assert np.isclose(ss.C @ resolvent[:, j] + ss.D[j], g(s))
+
+
+def test_state_space_rejects_differing_denominators():
+    with pytest.raises(ValueError, match="share one denominator"):
+        to_state_space(tf([1.0], [1.0, 2.0]), tf([1.0], [1.0, 3.0]))
+    with pytest.raises(ValueError, match="share one denominator"):
+        to_state_space(tf([1.0], [1.0, 2.0]), tf([1.0], [1.0, 2.0, 0.0]))
+    with pytest.raises(ValueError):
+        to_state_space(tf([1.0], [1.0, 2.0]), tf([1.0, 0.0, 0.0], [1.0, 2.0]))
+
+
+def test_denominator_stays_exactly_monic():
+    # 49 * (1 / 49) rounds to 1 - 2**-53; the stored lead is exactly 1, so
+    # constructing again from a stored pair changes no coefficient
+    g = tf([1.0, 2.0], [49.0, 3.0, 5.0])
+    assert g.den.coeffs[0] == 1.0
+    again = RationalTF(g.num, g.den)
+    np.testing.assert_array_equal(again.num.coeffs, g.num.coeffs)
+    np.testing.assert_array_equal(again.den.coeffs, g.den.coeffs)
+
+
 def test_frequency_response_values_and_unwrap():
     g = tf([1.0], [1.0, 1.0, 1.0])  # resonant second order
     f = np.logspace(-2, 1, 200)
@@ -162,6 +195,23 @@ def test_frequency_response_values_and_unwrap():
     # near -180 without wrapping back up
     assert fr.phase_deg[-1] < -150.0
     assert np.all(np.diff(fr.phase_deg) < 1.0)
+
+
+def test_frequency_response_phase_is_sequential_sum():
+    """The phase is the running sum of the per-step increments, in order."""
+    from seakit.transfer import _phase_increment
+
+    # lightly damped pair: the step across it needs bisection
+    g = tf([1.0, 0.5], [1.0, 0.02, 100.0])
+    f = np.linspace(0.0, 5.0, 301)
+    fr = frequency_response(g, f)
+    w = 2.0 * np.pi * f
+    h = g.num(1j * w) / g.den(1j * w)
+    ref = [np.angle(h[0])]
+    for k in range(1, len(w)):
+        ref.append(ref[-1] + _phase_increment(g, w[k - 1], w[k], h[k - 1], h[k]))
+    np.testing.assert_array_equal(fr.phase_deg, np.degrees(ref))
+    assert fr.phase_deg[-1] < -80.0  # crossed the resonance, no wrap
 
 
 def test_evaluate_at_omega():
