@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -179,16 +178,8 @@ def cmd_sim(args) -> int:
         return EXIT_CONFIG
     model = build_plant(cfg.plant)
     ctrl = h2_synthesize(model.P, cfg.weights)
-    sc = cfg.scenarios[name].materialize(model, ctrl)
+    sc = _reseed(cfg.scenarios[name].materialize(model, ctrl), args.seed)
     impedance = isinstance(sc, ImpedanceScenario)
-    if args.seed is not None:
-        inner = sc.torque_scenario if impedance else sc
-        inner = replace(
-            inner,
-            noise=_reseed(inner.noise, args.seed),
-            disturbance=_reseed(inner.disturbance, args.seed),
-        )
-        sc = replace(sc, torque_scenario=inner) if impedance else inner
     trace = simulate_impedance(sc) if impedance else simulate_torque_loop(sc)
     csv_path = os.path.join(out, f"trace_{name}.csv")
     trace_to_csv(trace, csv_path)

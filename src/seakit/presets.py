@@ -18,7 +18,7 @@ a failure rather than widened; see the fig10 runner.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .simulation import (
     PiController,
     SignalSpec,
     TorqueLoopScenario,
-    fit_sine,
     peak_envelope,
     rms_error,
     simulate_free_response,
@@ -41,7 +40,7 @@ from .simulation import (
 )
 from .svgplot import Curve, plot_bode, plot_lines
 from .synthesis import h2_synthesize, torque_loop_maps
-from .transfer import evaluate, frequency_response
+from .transfer import frequency_response
 
 __all__ = ["CheckResult", "PRESET_NAMES", "run_preset", "run_reproduce"]
 
@@ -76,11 +75,21 @@ def _design(cfg: ProjectConfig):
     return model, ctrl
 
 
-def _reseed(spec: SignalSpec, seed: int | None) -> SignalSpec:
-    """spec with its noise seed replaced; everything else is kept."""
-    if seed is None or spec.kind != "white_noise":
-        return spec
-    return replace(spec, seed=seed)
+def _reseed(obj, seed: int | None):
+    """obj with every white-noise seed replaced; everything else is kept.
+
+    obj is a SignalSpec or a scenario; a scenario's signals, and those of
+    its inner torque scenario, are reseeded field by field.
+    """
+    if seed is None:
+        return obj
+    if isinstance(obj, SignalSpec):
+        return replace(obj, seed=seed) if obj.kind == "white_noise" else obj
+    slots = (SignalSpec, TorqueLoopScenario)
+    return replace(obj, **{
+        f.name: _reseed(getattr(obj, f.name), seed)
+        for f in fields(obj) if isinstance(getattr(obj, f.name), slots)
+    })
 
 
 def run_fig6(cfg: ProjectConfig, out_dir: str, seed: int | None = None):
@@ -114,7 +123,7 @@ def run_fig6(cfg: ProjectConfig, out_dir: str, seed: int | None = None):
         # tau_L = G1 tau_d + H_phi phi with tau_d = -i_d phi, so the
         # relative error at the excitation frequency is bounded by
         # |(1 - G1) i_d + H_phi| / i_d (plus the sim-vs-oracle slack).
-        bound = abs((1.0 - evaluate(g1, s2)) * i_d + evaluate(h_phi, s2)) / i_d
+        bound = abs((1.0 - g1(s2)) * i_d + h_phi(s2)) / i_d
         limit = bound * 1.02 + 1e-4
         ok = rel <= limit
         results.append(
@@ -156,8 +165,7 @@ def run_fig9(cfg: ProjectConfig, out_dir: str, seed: int | None = None):
     Identical seeds; the 2-DOF steady-state RMS error must not exceed
     the PI controller's."""
     model, ctrl = _design(cfg)
-    noise = SignalSpec.white_noise(_NOISE_VAR, _NOISE_SEED)
-    noise = _reseed(noise, seed)
+    noise = _reseed(SignalSpec.white_noise(_NOISE_VAR, _NOISE_SEED), seed)
     reference = SignalSpec.sine(_SINE_AMP_NM, _SINE_HZ)
     rms = {}
     for label, controller in (("two_dof", ctrl), ("pi", PiController(204.0, 111.0))):

@@ -11,18 +11,20 @@ The linear blocks are realized in observable canonical form and
 assembled once into a single state-space system over the inputs
 [r, d, n, phi_L].  The state vector is, in order: the plant pair P and
 G as one 3-state block over their shared actuator denominator, driven
-by the clamped command and phi_L; C2; the load-motion compensator C_L
-when it is on; the load angle and rate when a load model is simulated;
-and C1.  The saturation is the only nonlinearity, applied to the scalar
+by the clamped command and phi_L; the controller pair C1, C2 as one
+block over their shared denominator p, u = (n1 r - q y) / p; C_L when
+it is on; the load angle and rate when a load model is simulated: 6
+states for the 2-DOF loop, 4 for PI, 12 with C_L, 14 with the load too.
+The saturation is the only nonlinearity, applied to the scalar
 velocity command at every stage of a fixed-step classical Runge-Kutta
-integrator.  While all four stage commands of a step stay inside the
-limit the loop is linear, and the RK4 step is exactly
-x+ = Phi x + G0 w0 + Gh wh + G1 w1 with Phi the degree-4 Taylor
-polynomial of exp(hA); the input terms for all steps are one vectorized
-product.  A step whose stage commands would leave the limit is redone
-with the clamped stage function.  Deterministic inputs are sampled on
-the half-step grid the integrator needs; seeded noise is held constant
-across each step (zero-order hold).
+integrator; a step too large for RK4 is rejected up front.  While all
+four stage commands of a step stay inside the limit the loop is
+linear, and the RK4 step is exactly x+ = Phi x + G0 w0 + Gh wh + G1 w1
+with Phi the degree-4 Taylor polynomial of exp(hA); the input terms
+for all steps are one vectorized product.  A step whose stage commands
+would leave the limit is redone with the clamped stage function.
+Deterministic inputs are sampled on the half-step grid the integrator
+needs; seeded noise is held constant across each step (zero-order hold).
 
 Everything is deterministic: same scenario, same trace, bit for bit.
 """
@@ -36,8 +38,8 @@ import numpy as np
 
 from .errors import NumericsError
 from .plant import SeaModel
-from .synthesis import TwoDofController, build_compensator, _controller_pair
-from .transfer import RationalTF, to_state_space, minimal_form
+from .synthesis import build_compensator, _controller_pair
+from .transfer import RationalTF, to_state_space
 
 __all__ = [
     "SignalSpec",
@@ -247,6 +249,12 @@ class PiController:
         return c, c
 
 
+def _controller_blocks(controller) -> tuple[RationalTF, RationalTF]:
+    if isinstance(controller, PiController):
+        return controller.as_pair()
+    return _controller_pair(controller)
+
+
 @dataclass(frozen=True)
 class LoadModel:
     """Inertia-damper load driven by the delivered torque.
@@ -295,6 +303,9 @@ class TorqueLoopScenario:
             raise ValueError("duration_s must cover at least 10 steps")
         if not self.saturation_rad_s > 0.0:
             raise ValueError("saturation_rad_s must be positive")
+        c1, c2 = _controller_blocks(self.controller)
+        if c1.den != c2.den:
+            raise ValueError("controller: C1 and C2 must share one denominator")
 
 
 @dataclass(frozen=True)
@@ -407,12 +418,6 @@ class _LoopSystem:
         return self.A @ x + self.B @ v + self.b_w * w
 
 
-def _controller_blocks(controller) -> tuple[RationalTF, RationalTF]:
-    if isinstance(controller, PiController):
-        return controller.as_pair()
-    return _controller_pair(controller)
-
-
 def _assemble(
     sc: TorqueLoopScenario, i_d_feedback: float, load: LoadModel | None
 ) -> _LoopSystem:
@@ -420,31 +425,26 @@ def _assemble(
 
     The plant pair is one observable canonical block over den(P) =
     s den(G), driven by [w, phi_L]: tau_L = P w + (G s / s) phi_L.  The
-    controller blocks are realized from their minimal forms.  The state
-    layout is plant pair, C2, [C_L], [phi_L, phi_L'], C1.  Every scalar
-    signal of the loop is built as a row over [x, v].
+    controller pair is one block over its shared denominator p, driven
+    by [re, y]: u = (n1 re - q y) / p.  The state layout is plant pair,
+    controller, [C_L], [phi_L, phi_L'].  Every scalar signal of the loop
+    is built as a row over [x, v].
     """
     model = sc.model
-    c1_tf, c2_tf = _controller_blocks(sc.controller)
+    c1, c2 = _controller_blocks(sc.controller)
     pg = to_state_space(model.P, model.G * RationalTF([1.0, 0.0], [1.0, 0.0]))
-    c2, c1 = (to_state_space(minimal_form(tf)) for tf in (c2_tf, c1_tf))
+    ctl = to_state_space(c1, -c2)
     comp = None
     if sc.compensator_on:
-        comp = to_state_space(build_compensator(model, (c1_tf, c2_tf)))
-    # C1 stays a block of its own, last: while the reference path is
-    # silent its states are exact zeros, so the d- and n-driven channels
-    # do not depend on C1 bit for bit.  Merging it into C2's block over
-    # their shared denominator changes those channels in the last bits,
-    # because the matvec then sums over another number of states.
+        comp = to_state_space(build_compensator(model, (c1, c2)))
     sizes = [
         pg.order,
-        c2.order,
+        ctl.order,
         comp.order if comp is not None else 0,
         2 if load is not None else 0,
-        c1.order,
     ]
     ends = np.cumsum(sizes)
-    s_p, s_2, s_c, s_l, s_1 = (slice(e - n, e) for e, n in zip(ends, sizes))
+    s_p, s_k, s_c, s_l = (slice(e - n, e) for e, n in zip(ends, sizes))
     nx = int(ends[-1])
     nz = nx + _N_INPUTS
 
@@ -459,7 +459,7 @@ def _assemble(
     re = row(nx + _R) - i_d_feedback * phi
     if comp is not None:
         re = re - (row(s_c, comp.C) + comp.D[0] * phi)
-    u = row(s_1, c1.C) + c1.D[0] * re - (row(s_2, c2.C) + c2.D[0] * y)
+    u = row(s_k, ctl.C) + ctl.D[0] * re + ctl.D[1] * y
     u_presat = u + row(nx + _D)
 
     F = np.zeros((nx, nz))  # dx/dt = F [x, v] + b_w w
@@ -467,10 +467,10 @@ def _assemble(
     b_w[s_p] = pg.B[:, 0]  # the plant is driven by the clamped command w
     F[s_p, s_p] = pg.A
     F[s_p] += np.outer(pg.B[:, 1], phi)
-    for blk, s, drive in ((c2, s_2, y), (comp, s_c, phi), (c1, s_1, re)):
+    for blk, s, drives in ((ctl, s_k, (re, y)), (comp, s_c, (phi,))):
         if blk is not None:
             F[s, s] = blk.A
-            F[s] += np.outer(blk.B[:, 0], drive)
+            F[s] += blk.B @ np.stack(drives)
     if load is not None:
         phid = row(s_l.start + 1)
         F[s_l.start] = phid
@@ -484,6 +484,22 @@ def _assemble(
         out_x=np.stack([tau[:nx], u[:nx], phi[:nx]]),
         out_v=np.stack([tau[nx:], u[nx:], phi[nx:]]),
     )
+
+
+def _check_step(loop: _LoopSystem, h: float) -> None:
+    """Reject h if RK4 grows a decaying mode of the unclamped loop.
+
+    RK4 scales a mode lambda by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+    z = h lambda, per step.
+    """
+    lam = np.linalg.eigvals(loop.A + np.outer(loop.b_w, loop.c_u))
+    z = h * lam[lam.real < 0.0]
+    amp = np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))
+    if amp.size and amp.max() > 1.0:
+        raise ValueError(
+            f"dt_s = {h:.6g} s is too large for RK4: a decaying loop mode "
+            f"grows by {amp.max():.3g} per step"
+        )
 
 
 def _rk4_step(f, x, v0, vh, v1, h):
@@ -599,6 +615,7 @@ def _simulate(
     dt = sc.dt_s
     nsteps = int(round(sc.duration_s / dt))
     loop = _assemble(sc, i_d_feedback, load)
+    _check_step(loop, dt)
 
     if r_series is None:
         r_in = _step_inputs(sc.reference, dt, nsteps)
@@ -656,7 +673,8 @@ def simulate_torque_loop(sc: TorqueLoopScenario) -> SimTrace:
     NumericsError
         On divergence, with the first non-finite sample index.
     ValueError
-        If any block is improper (not realizable).
+        If any block is improper (not realizable), or dt_s is too large
+        for RK4 on a decaying mode of the unclamped loop.
     """
     return _simulate(sc)
 

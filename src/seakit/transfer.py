@@ -2,10 +2,10 @@
 
 ``RationalTF`` is a thin pair of :class:`~seakit.polynomials.Polynomial`
 objects normalized to a monic denominator.  Composition operators
-(series, feedback, +, *, /) never cancel common factors:
-uncontrollable or unobservable modes stay visible until an explicit
-``minimal_form`` call, so internal-stability checks cannot be fooled by
-silent cancellation of an unstable factor.
+(series, +, *, /) never cancel common factors: uncontrollable or
+unobservable modes stay visible until an explicit ``minimal_form``
+call, so internal-stability checks cannot be fooled by silent
+cancellation of an unstable factor.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "FrequencyResponse",
     "constant_tf",
     "series",
-    "feedback",
-    "evaluate",
     "minimal_form",
     "to_state_space",
     "is_stable",
@@ -155,24 +153,6 @@ def constant_tf(value: float, units: str = "") -> RationalTF:
 def series(g: RationalTF, h: RationalTF) -> RationalTF:
     """Cascade g*h; no cancellation."""
     return g * h
-
-
-def feedback(g: RationalTF, h: RationalTF) -> RationalTF:
-    """Negative feedback g / (1 + g h) as one rational function.
-
-    Formed directly as num = g_num * h_den, den = g_den * h_den +
-    g_num * h_num; nothing is cancelled beyond that structural form.
-    """
-    num = g.num * h.den
-    den = g.den * h.den + g.num * h.num
-    if den.is_zero:
-        raise ValueError("algebraic loop: 1 + g h is identically zero")
-    return RationalTF(num, den)
-
-
-def evaluate(tf: RationalTF, omega: float) -> complex:
-    """Frequency response value H(j omega) at a single frequency [rad/s]."""
-    return tf(1j * omega)
 
 
 def poles(tf: RationalTF) -> np.ndarray:

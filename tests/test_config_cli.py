@@ -320,6 +320,22 @@ def test_cli_sim_seed_keeps_noise_offset(tmp_path):
     np.testing.assert_allclose(n, expected, rtol=1e-8, atol=0)
 
 
+def test_cli_sim_seed_reseeds_handle_motion(tmp_path):
+    motion = {"kind": "white_noise", "variance": 1e-4, "seed": 9}
+    imp = {"type": "impedance", "handle_motion": motion, "i_d": 0.02,
+           "dt_s": 1e-3, "duration_s": 0.5}
+    cfg = _write_project(tmp_path, scenarios={"imp": imp})
+
+    def run(seed, tag):
+        out = tmp_path / tag
+        assert main(["sim", "imp", "--config", cfg, "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        return (out / "trace_imp.csv").read_bytes()
+
+    assert run(5, "a") == run(5, "b")
+    assert run(5, "c") != run(6, "d")
+
+
 def test_cli_output_error_has_its_own_exit_code(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")

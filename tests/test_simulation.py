@@ -9,6 +9,7 @@ from seakit import (
     LoadModel,
     NumericsError,
     PiController,
+    RationalTF,
     SignalSpec,
     SimTrace,
     SynthesisWeights,
@@ -237,21 +238,45 @@ def test_saturation_clamps_velocity_command(model, ctrl):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_raises_with_sample_index(model):
-    from seakit import RationalTF
-
-    # a feedback block with a pole at -1e9 sits far outside the RK4
-    # stability region at this step size; any nonzero torque makes its
-    # state blow up within a handful of steps
-    fast = RationalTF([1e9], [1.0, 1e9])
+    # a controller pair with a pole at +1e6 makes the loop unstable; any
+    # nonzero torque makes its state blow up within a few dozen steps
+    unstable = RationalTF([1.0], [1.0, -1e6])
     sc = TorqueLoopScenario(
         model=model,
-        controller=(RationalTF([1.0], [1.0, 1.0]), fast),
+        controller=(unstable, unstable),
         reference=SignalSpec.step(1.0),
         duration_s=0.05,
     )
     # the first non-finite sample, as the stage-by-stage integrator finds it
-    with pytest.raises(NumericsError, match=r"at sample 18 \(t = 0\.0018 s\)"):
+    with pytest.raises(NumericsError, match=r"at sample 47 \(t = 0\.0047 s\)"):
         simulate_torque_loop(sc)
+
+
+def test_step_too_large_for_rk4_is_rejected(model):
+    # a decaying loop mode near -1e9 lies far outside the RK4 stability
+    # region at this step size: it would grow by ~4e18 per step
+    sc = TorqueLoopScenario(
+        model=model,
+        controller=(RationalTF([1.0], [1.0, 1e9]), RationalTF([1e9], [1.0, 1e9])),
+        reference=SignalSpec.step(1.0),
+        duration_s=0.05,
+    )
+    with pytest.raises(ValueError, match="dt_s"):
+        simulate_torque_loop(sc)
+
+
+def test_assembled_state_counts(model, ctrl):
+    """Plant pair (3), controller pair (order of p), [C_L], [load (2)]."""
+    k_s = default_params().k_s
+    cases = [
+        (dict(controller=ctrl), 0.0, None, 6),
+        (dict(controller=PiController(204.0, 111.0)), 0.0, None, 4),
+        (dict(controller=ctrl, compensator_on=True), 0.0, None, 12),
+        (dict(controller=ctrl, compensator_on=True), k_s, LoadModel(), 14),
+    ]
+    for kwargs, i_d, load, nx in cases:
+        sc = TorqueLoopScenario(model=model, **kwargs)
+        assert simulation._assemble(sc, i_d, load).A.shape == (nx, nx)
 
 
 def _stagewise_integrate(loop, x0, w0, wh, w1, h, sat):
@@ -322,8 +347,6 @@ def test_fused_step_matches_stagewise_rk4(model, ctrl, monkeypatch, case):
 
 def test_feedforward_does_not_touch_disturbance_response(model, ctrl):
     """Replacing C1 must leave every d- and n-driven channel bit-identical."""
-    from seakit import RationalTF
-
     def run(c1):
         sc = TorqueLoopScenario(
             model=model,
@@ -335,9 +358,15 @@ def test_feedforward_does_not_touch_disturbance_response(model, ctrl):
         return simulate_torque_loop(sc)
 
     a = run(ctrl.c1)
-    b = run(RationalTF([5.0, 1.0], [1.0, 2.0, 7.0]))
-    for name in ("tau_L", "y_meas", "omega_d", "u_presat", "e"):
-        np.testing.assert_array_equal(a.channel(name), b.channel(name))
+    p = ctrl.c2.den
+    for num in ([5.0, 1.0], [2.0, 0.0, 3.0], [1.0, 4.0, 1.0, 2.0]):
+        b = run(RationalTF(num, p))
+        for name in ("tau_L", "y_meas", "omega_d", "u_presat", "e"):
+            np.testing.assert_array_equal(a.channel(name), b.channel(name))
+    # C1 and C2 are one filter over p: a C1 over another denominator is
+    # rejected when the scenario is constructed
+    with pytest.raises(ValueError, match="controller"):
+        run(RationalTF([5.0, 1.0], [1.0, 2.0, 7.0]))
 
 
 def test_impedance_reference_channel(model, ctrl):

@@ -8,8 +8,6 @@ from seakit import (
     Polynomial,
     RationalTF,
     constant_tf,
-    evaluate,
-    feedback,
     frequency_response,
     is_stable,
     minimal_form,
@@ -59,14 +57,6 @@ def test_algebra_matches_pointwise():
         assert np.isclose((g / h)(s), g(s) / h(s))
         assert np.isclose((g + 2.0)(s), g(s) + 2.0)
         assert np.isclose((1.0 - g)(s), 1.0 - g(s))
-
-
-def test_feedback_map():
-    # unity negative feedback: g/(1+g)
-    g = tf([10.0], [1.0, 1.0])
-    closed = feedback(g, constant_tf(1.0))
-    for s in (0.0, 1j, 3.0):
-        assert np.isclose(closed(s), g(s) / (1.0 + g(s)))
 
 
 def test_minimal_form_cancels_shared_factor():
@@ -212,11 +202,6 @@ def test_frequency_response_phase_is_sequential_sum():
         ref.append(ref[-1] + _phase_increment(g, w[k - 1], w[k], h[k - 1], h[k]))
     np.testing.assert_array_equal(fr.phase_deg, np.degrees(ref))
     assert fr.phase_deg[-1] < -80.0  # crossed the resonance, no wrap
-
-
-def test_evaluate_at_omega():
-    g = tf([1.0], [1.0, 1.0])
-    assert np.isclose(evaluate(g, 2.0), g(2.0j))
 
 
 def test_units_metadata_preserved_and_dropped():
