@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as _sig
 
+from .config import write_csv
 from .transfer import RationalTF, frequency_response
 
 __all__ = [
@@ -247,9 +248,8 @@ def loop_margins(loop_tf: RationalTF) -> tuple[float, float]:
 
 def frf_to_csv(frf: FrfEstimate, path: str) -> None:
     """Write freq_hz, mag_db, phase_deg, coherence rows at 9 digits."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("freq_hz,mag_db,phase_deg,coherence\n")
-        for row in zip(
-            frf.freqs_hz, frf.magnitude_db, frf.phase_deg, frf.coherence
-        ):
-            fh.write(",".join("%.9g" % v for v in row) + "\n")
+    write_csv(
+        path,
+        ["freq_hz", "mag_db", "phase_deg", "coherence"],
+        [frf.freqs_hz, frf.magnitude_db, frf.phase_deg, frf.coherence],
+    )

@@ -22,6 +22,7 @@ enforces this, and the simulator realizes P and G as one block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .polynomials import Polynomial
@@ -64,6 +65,9 @@ class SeaParams:
     k_iv: float
 
     def __post_init__(self):
+        for name in ("j_a", "b_f", "k_s", "r_winch", "k_g", "k_pv", "k_iv"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("j_a", "k_s", "r_winch", "k_g"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")

@@ -15,6 +15,11 @@ by the clamped command and phi_L; the controller pair C1, C2 as one
 block over their shared denominator p, u = (n1 r - q y) / p; C_L when
 it is on; the load angle and rate when a load model is simulated: 6
 states for the 2-DOF loop, 4 for PI, 12 with C_L, 14 with the load too.
+The virtual spring is one more row of that system: the R input is the
+torque reference itself in torque mode and phi_ref in impedance mode,
+where the loop forms tau_d = I_d (phi_ref - phi_L) from phi_L, the
+exogenous handle motion or the load state.  tau_L, u, phi_L and the
+recorded reference all come out of one product over [x, v].
 The saturation is the only nonlinearity, applied to the scalar
 velocity command at every stage of a fixed-step classical Runge-Kutta
 integrator; a step too large for RK4 is rejected up front.  While all
@@ -23,8 +28,10 @@ linear, and the RK4 step is exactly x+ = Phi x + G0 w0 + Gh wh + G1 w1
 with Phi the degree-4 Taylor polynomial of exp(hA); the input terms
 for all steps are one vectorized product.  A step whose stage commands
 would leave the limit is redone with the clamped stage function.
-Deterministic inputs are sampled on the half-step grid the integrator
-needs; seeded noise is held constant across each step (zero-order hold).
+Every input, phi_ref and handle motion included, is sampled once, by
+_step_inputs: deterministic signals on the half-step grid the
+integrator needs, seeded noise held constant across each step
+(zero-order hold).
 
 Everything is deterministic: same scenario, same trace, bit for bit.
 """
@@ -221,10 +228,10 @@ def generate(spec: SignalSpec, dt_s: float, duration_s: float) -> np.ndarray:
     Returns round(duration_s / dt_s) + 1 samples.  White noise draws a
     fresh seeded generator on every call, so repeated calls agree.
     """
-    if not dt_s > 0.0:
-        raise ValueError("dt_s must be positive")
-    if duration_s < 0.0:
-        raise ValueError("duration_s must be nonnegative")
+    if not (math.isfinite(dt_s) and dt_s > 0.0):
+        raise ValueError("dt_s must be finite and positive")
+    if not (math.isfinite(duration_s) and duration_s >= 0.0):
+        raise ValueError("duration_s must be finite and nonnegative")
     return _generate_n(spec, dt_s, int(round(duration_s / dt_s)) + 1)
 
 
@@ -265,11 +272,12 @@ class LoadModel:
 
     j_l: float = 0.01
     b_l: float = 0.005
-    enabled: bool = True
 
     def __post_init__(self):
-        if self.enabled and (not self.j_l > 0.0 or self.b_l < 0.0):
-            raise ValueError("enabled load requires j_l > 0 and b_l >= 0")
+        if not (math.isfinite(self.j_l) and self.j_l > 0.0):
+            raise ValueError("j_l must be finite and positive")
+        if not (math.isfinite(self.b_l) and self.b_l >= 0.0):
+            raise ValueError("b_l must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -312,10 +320,9 @@ class TorqueLoopScenario:
 class ImpedanceScenario:
     """Virtual spring closed around the torque loop.
 
-    The torque reference becomes tau_d = i_d (phi_ref - phi_L); the inner
-    torque scenario supplies everything else and must leave its own
-    reference at zero.  i_d = 0 is allowed only for the free-response
-    study, where it means the actuator is detached.
+    The torque reference becomes tau_d = i_d (phi_ref - phi_L), with the
+    virtual stiffness i_d > 0 in Nm/rad; the inner torque scenario
+    supplies everything else and must leave its own reference at zero.
     """
 
     torque_scenario: TorqueLoopScenario
@@ -323,10 +330,8 @@ class ImpedanceScenario:
     phi_ref: SignalSpec = field(default_factory=SignalSpec.zero)
 
     def __post_init__(self):
-        if not (math.isfinite(self.i_d) and self.i_d >= 0.0):
-            raise ValueError(
-                "virtual stiffness i_d must be finite and nonnegative"
-            )
+        if not (math.isfinite(self.i_d) and self.i_d > 0.0):
+            raise ValueError("virtual stiffness i_d must be finite and positive")
         if self.torque_scenario.reference.kind != "zero":
             raise ValueError(
                 "impedance mode derives the torque reference from "
@@ -395,9 +400,10 @@ class _LoopSystem:
 
         dx/dt = A x + B v + b_w w,    u_presat = c_u x + d_u v,
 
-    and out_x x + out_v v gives the recorded [tau_L, u, phi_L], where
-    u = u_presat - d is the controller output.  Whenever the clamp is
-    inactive the loop is the LTI system (A + b_w c_u, B + b_w d_u).
+    and out_x x + out_v v gives the recorded [tau_L, u, phi_L, r], where
+    u = u_presat - d is the controller output and r the torque reference.
+    Whenever the clamp is inactive the loop is the LTI system
+    (A + b_w c_u, B + b_w d_u).
     """
 
     A: np.ndarray
@@ -419,16 +425,18 @@ class _LoopSystem:
 
 
 def _assemble(
-    sc: TorqueLoopScenario, i_d_feedback: float, load: LoadModel | None
+    sc: TorqueLoopScenario, i_d: float | None, load: LoadModel | None
 ) -> _LoopSystem:
     """Build the loop u = C1 re - C2 (tau_L + n) as one state-space system.
 
     The plant pair is one observable canonical block over den(P) =
     s den(G), driven by [w, phi_L]: tau_L = P w + (G s / s) phi_L.  The
     controller pair is one block over its shared denominator p, driven
-    by [re, y]: u = (n1 re - q y) / p.  The state layout is plant pair,
-    controller, [C_L], [phi_L, phi_L'].  Every scalar signal of the loop
-    is built as a row over [x, v].
+    by [re, y]: u = (n1 re - q y) / p.  The reference r is the R input
+    in torque mode (i_d None) and the virtual spring i_d (R - phi_L) in
+    impedance mode; re = r - C_L phi_L with the compensator on.  The
+    state layout is plant pair, controller, [C_L], [phi_L, phi_L'].
+    Every scalar signal of the loop is built as a row over [x, v].
     """
     model = sc.model
     c1, c2 = _controller_blocks(sc.controller)
@@ -456,9 +464,8 @@ def _assemble(
     phi = row(s_l.start) if load is not None else row(nx + _PHI)
     tau = row(s_p, pg.C) + pg.D[1] * phi  # P is strictly proper
     y = tau + row(nx + _N)
-    re = row(nx + _R) - i_d_feedback * phi
-    if comp is not None:
-        re = re - (row(s_c, comp.C) + comp.D[0] * phi)
+    r = row(nx + _R) if i_d is None else i_d * (row(nx + _R) - phi)
+    re = r if comp is None else r - (row(s_c, comp.C) + comp.D[0] * phi)
     u = row(s_k, ctl.C) + ctl.D[0] * re + ctl.D[1] * y
     u_presat = u + row(nx + _D)
 
@@ -481,8 +488,8 @@ def _assemble(
         b_w=b_w,
         c_u=u_presat[:nx],
         d_u=u_presat[nx:],
-        out_x=np.stack([tau[:nx], u[:nx], phi[:nx]]),
-        out_v=np.stack([tau[nx:], u[nx:], phi[nx:]]),
+        out_x=np.stack([tau[:nx], u[:nx], phi[:nx], r[:nx]]),
+        out_v=np.stack([tau[nx:], u[nx:], phi[nx:], r[nx:]]),
     )
 
 
@@ -590,48 +597,41 @@ def _step_inputs(spec: SignalSpec, dt_s: float, nsteps: int):
     if spec.kind == "white_noise":
         s = _generate_n(spec, dt_s, nsteps + 1)
         return s[:-1], s[:-1], s[:-1], s
-    return _half_grid(_generate_n(spec, 0.5 * dt_s, 2 * nsteps + 1))
-
-
-def _half_grid(s: np.ndarray):
+    s = _generate_n(spec, 0.5 * dt_s, 2 * nsteps + 1)
     return s[0:-1:2], s[1::2], s[2::2], s[0::2]
 
 
 def _simulate(
-    sc: TorqueLoopScenario,
-    r_series: np.ndarray | None = None,
-    i_d_feedback: float = 0.0,
+    sc: TorqueLoopScenario | ImpedanceScenario,
     load: LoadModel | None = None,
     phi0: float = 0.0,
 ) -> SimTrace:
     """Shared integrator behind the three simulate_* entry points.
 
-    r_series, when given, replaces the scenario reference (impedance
-    mode, sampled on the half grid).  i_d_feedback subtracts i_d * phi_L
-    from that reference per stage when phi_L is a simulated state.  With
-    a load model, handle motion is produced by the load dynamics instead
-    of the handle_motion spec.
+    The R input is the scenario reference for a torque-loop scenario and
+    phi_ref for an impedance scenario, whose loop closes the virtual
+    spring itself.  With a load model, phi_L is the load state, starting
+    at rest at phi0, and the handle_motion input drives nothing.
     """
-    dt = sc.dt_s
-    nsteps = int(round(sc.duration_s / dt))
-    loop = _assemble(sc, i_d_feedback, load)
+    if isinstance(sc, ImpedanceScenario):
+        ts, i_d, r_spec = sc.torque_scenario, sc.i_d, sc.phi_ref
+    else:
+        ts, i_d, r_spec = sc, None, sc.reference
+    dt = ts.dt_s
+    nsteps = int(round(ts.duration_s / dt))
+    loop = _assemble(ts, i_d, load)
     _check_step(loop, dt)
 
-    if r_series is None:
-        r_in = _step_inputs(sc.reference, dt, nsteps)
-    else:
-        r_in = _half_grid(r_series)
-    phi_spec = sc.handle_motion if load is None else SignalSpec.zero()
-    ins = [r_in] + [
+    ins = [
         _step_inputs(spec, dt, nsteps)
-        for spec in (sc.disturbance, sc.noise, phi_spec)
+        for spec in (r_spec, ts.disturbance, ts.noise, ts.handle_motion)
     ]
     w0, wh, w1, samples = (np.column_stack([s[j] for s in ins]) for j in range(4))
 
-    x0 = phi0 * loop.out_x[2]  # the load starts at rest at phi0
-    sat = sc.saturation_rad_s
+    x0 = phi0 * loop.out_x[2]
+    sat = ts.saturation_rad_s
     xs = _integrate(loop, x0, w0, wh, w1, dt, sat)
-    tau, u, phi = loop.out_x @ xs.T + loop.out_v @ samples.T
+    tau, u, phi, r = loop.out_x @ xs.T + loop.out_v @ samples.T
 
     bad = ~(np.isfinite(tau) & np.isfinite(u) & np.isfinite(phi))
     if bad.any():
@@ -640,12 +640,11 @@ def _simulate(
             f"simulation diverged: non-finite state at sample {k} "
             f"(t = {k * dt:.6g} s)"
         )
-    r_cmd = samples[:, _R] - i_d_feedback * phi
     u_presat = u + samples[:, _D]
     n = samples[:, _N]
     rec = {
         "t": np.arange(nsteps + 1) * dt,
-        "r": r_cmd,
+        "r": r,
         "u_presat": u_presat,
         "omega_d": np.clip(u_presat, -sat, sat),
         "d": samples[:, _D],
@@ -653,7 +652,7 @@ def _simulate(
         "tau_L": tau,
         "y_meas": tau + n,
         "phi_L": phi,
-        "e": r_cmd - tau,
+        "e": r - tau,
     }
     return SimTrace(dt_s=dt, channels=rec)
 
@@ -682,18 +681,12 @@ def simulate_torque_loop(sc: TorqueLoopScenario) -> SimTrace:
 def simulate_impedance(sc: ImpedanceScenario) -> SimTrace:
     """Torque loop with the reference generated by a virtual spring.
 
-    tau_d(t) = i_d (phi_ref(t) - phi_L(t)) per sample, phi_L exogenous
-    from the inner scenario's handle_motion.  The trace r channel
-    records tau_d.
+    tau_d = i_d (phi_ref - phi_L), formed inside the loop from the same
+    samples of phi_ref and of the inner scenario's handle_motion (phi_L,
+    exogenous) that drive the plant.  The trace r channel records tau_d.
+    Raises as simulate_torque_loop does.
     """
-    if not sc.i_d > 0.0:
-        raise ValueError("simulate_impedance requires i_d > 0")
-    ts = sc.torque_scenario
-    nsteps = int(round(ts.duration_s / ts.dt_s))
-    phi_ref = _generate_n(sc.phi_ref, 0.5 * ts.dt_s, 2 * nsteps + 1)
-    phi = _generate_n(ts.handle_motion, 0.5 * ts.dt_s, 2 * nsteps + 1)
-    tau_d = sc.i_d * (phi_ref - phi)
-    return _simulate(ts, r_series=tau_d)
+    return _simulate(sc)
 
 
 def simulate_free_response(
@@ -702,41 +695,21 @@ def simulate_free_response(
     """Impedance loop with phi_L produced by a simulated load.
 
     The load obeys J_L phidd + b_L phid = tau_L from initial angle phi0
-    at rest, and the virtual spring pulls it back toward phi_ref.  With
-    i_d = 0 the actuator is detached entirely (no torque at all), so the
-    load simply stays wherever damping leaves it.
+    at rest, and the virtual spring tau_d = i_d (phi_ref - phi_L) pulls
+    it back toward phi_ref.
 
     Raises
     ------
     ValueError
-        If the load is disabled, or the inner scenario supplies exogenous
-        handle motion (phi_L is a state here).
+        If phi0 is not finite, or the inner scenario supplies exogenous
+        handle motion (phi_L is a state here); otherwise as
+        simulate_torque_loop does.
     """
-    if not load.enabled:
-        raise ValueError("free response requires an enabled load model")
-    ts = sc.torque_scenario
-    if ts.handle_motion.kind != "zero":
+    if not math.isfinite(phi0):
+        raise ValueError("phi0 must be finite")
+    if sc.torque_scenario.handle_motion.kind != "zero":
         raise ValueError("free response simulates phi_L; handle_motion must be zero")
-    nsteps = int(round(ts.duration_s / ts.dt_s))
-    if sc.i_d == 0.0:
-        # Detached actuator: no torque ever reaches the load, and it
-        # starts at rest, so every channel is trivial.
-        n_series = _generate_n(ts.noise, ts.dt_s, nsteps + 1)
-        zeros = np.zeros(nsteps + 1)
-        rec = {name: zeros.copy() for name in TRACE_CHANNELS}
-        rec["t"] = np.arange(nsteps + 1) * ts.dt_s
-        rec["n"] = n_series
-        rec["y_meas"] = n_series.copy()
-        rec["phi_L"] = np.full(nsteps + 1, phi0)
-        return SimTrace(dt_s=ts.dt_s, channels=rec)
-    phi_ref = _generate_n(sc.phi_ref, 0.5 * ts.dt_s, 2 * nsteps + 1)
-    return _simulate(
-        ts,
-        r_series=sc.i_d * phi_ref,
-        i_d_feedback=sc.i_d,
-        load=load,
-        phi0=phi0,
-    )
+    return _simulate(sc, load, phi0)
 
 
 def rms_error(trace: SimTrace, from_t: float = 0.0) -> float:

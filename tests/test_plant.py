@@ -94,3 +94,10 @@ def test_invalid_parameters_rejected():
             j_a=6.9e-4, b_f=0.0059, k_s=-1.0, r_winch=7.25e-3,
             k_g=14.0, k_pv=0.0457, k_iv=1.3455,
         )
+
+
+def test_non_finite_parameters_name_the_field():
+    for name, bad in (("k_s", float("nan")), ("j_a", float("inf")),
+                      ("b_f", -float("inf"))):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(default_params(), **{name: bad})

@@ -92,6 +92,15 @@ def test_generate_grid_and_formulas():
         generate(SignalSpec.zero(), 1e-3, -1.0)
 
 
+def test_generate_rejects_non_finite_grid():
+    nan, inf = float("nan"), float("inf")
+    for dt_s, duration_s, field in ((1e-3, inf, "duration_s"),
+                                    (1e-3, nan, "duration_s"),
+                                    (inf, 1.0, "dt_s")):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            generate(SignalSpec.zero(), dt_s, duration_s)
+
+
 def test_chirp_phase_continuity_and_hold():
     dt = 1e-4
     spec = SignalSpec.chirp(1.0, 1.0, 5.0, 2.0)
@@ -128,7 +137,12 @@ def test_pi_controller_validation_and_pair():
 def test_load_model_validation():
     with pytest.raises(ValueError):
         LoadModel(j_l=0.0, b_l=0.1)
-    LoadModel(j_l=0.0, b_l=-1.0, enabled=False)  # ignored when disabled
+
+
+def test_load_model_rejects_non_finite_fields():
+    for field, bad in (("j_l", float("inf")), ("b_l", float("nan"))):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LoadModel(**{field: bad})
 
 
 def test_scenario_validation(model, ctrl):
@@ -155,6 +169,11 @@ def test_scenario_validation(model, ctrl):
         ImpedanceScenario(
             torque_scenario=TorqueLoopScenario(model=model, controller=ctrl),
             i_d=float("nan"),
+        )
+    with pytest.raises(ValueError, match="i_d"):
+        ImpedanceScenario(
+            torque_scenario=TorqueLoopScenario(model=model, controller=ctrl),
+            i_d=0.0,
         )
 
 
@@ -269,9 +288,9 @@ def test_assembled_state_counts(model, ctrl):
     """Plant pair (3), controller pair (order of p), [C_L], [load (2)]."""
     k_s = default_params().k_s
     cases = [
-        (dict(controller=ctrl), 0.0, None, 6),
-        (dict(controller=PiController(204.0, 111.0)), 0.0, None, 4),
-        (dict(controller=ctrl, compensator_on=True), 0.0, None, 12),
+        (dict(controller=ctrl), None, None, 6),
+        (dict(controller=PiController(204.0, 111.0)), None, None, 4),
+        (dict(controller=ctrl, compensator_on=True), None, None, 12),
         (dict(controller=ctrl, compensator_on=True), k_s, LoadModel(), 14),
     ]
     for kwargs, i_d, load, nx in cases:
@@ -388,12 +407,24 @@ def test_impedance_reference_channel(model, ctrl):
         simulate_impedance(ImpedanceScenario(torque_scenario=inner, i_d=0.0))
 
 
-def test_free_response_detached_actuator(model, ctrl):
-    inner = TorqueLoopScenario(model=model, controller=ctrl, duration_s=0.5)
-    sc = ImpedanceScenario(torque_scenario=inner, i_d=0.0)
-    trace = simulate_free_response(sc, LoadModel(), phi0=0.3)
-    np.testing.assert_array_equal(trace.channel("phi_L"), np.full(5001, 0.3))
-    assert np.max(np.abs(trace.channel("tau_L"))) == 0.0
+def test_impedance_spring_sees_the_applied_noise(model, ctrl):
+    """White-noise handle motion and phi_ref are sampled once: the spring
+    reacts to the same phi_L the plant sees."""
+    inner = TorqueLoopScenario(
+        model=model,
+        controller=ctrl,
+        handle_motion=SignalSpec.white_noise(1e-4, seed=5),
+        dt_s=1e-3,
+        duration_s=1.0,
+    )
+    phi_ref = SignalSpec.white_noise(1e-2, seed=9)
+    trace = simulate_impedance(
+        ImpedanceScenario(torque_scenario=inner, i_d=0.02, phi_ref=phi_ref)
+    )
+    phi = trace.channel("phi_L")
+    np.testing.assert_array_equal(phi, generate(inner.handle_motion, 1e-3, 1.0))
+    spring = 0.02 * (generate(phi_ref, 1e-3, 1.0) - phi)
+    assert np.max(np.abs(trace.channel("r") - spring)) <= 1e-15
 
 
 def test_free_response_virtual_spring_pulls_load_back(model, ctrl):
@@ -412,8 +443,8 @@ def test_free_response_virtual_spring_pulls_load_back(model, ctrl):
 def test_free_response_validation(model, ctrl):
     inner = TorqueLoopScenario(model=model, controller=ctrl, duration_s=0.5)
     sc = ImpedanceScenario(torque_scenario=inner, i_d=0.5)
-    with pytest.raises(ValueError):
-        simulate_free_response(sc, LoadModel(enabled=False), phi0=0.1)
+    with pytest.raises(ValueError, match="phi0 must be finite"):
+        simulate_free_response(sc, LoadModel(), phi0=float("nan"))
     moving = TorqueLoopScenario(
         model=model,
         controller=ctrl,
