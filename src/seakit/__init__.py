@@ -6,167 +6,26 @@ primitives, the physical plant model, quadratic-optimal 2-DOF synthesis
 with its Youla-parameterization underpinnings, deterministic closed-loop
 simulation (torque and impedance modes), nonparametric FRF estimation,
 and a CLI that reproduces the published experiments as presets.
+
+The public names are those each module lists in its own ``__all__``.
 """
 
+from . import (
+    config, identify, plant, polynomials, presets, simulation, synthesis, transfer,
+)
 from .errors import NumericsError
-from .polynomials import (
-    Polynomial,
-    RootSet,
-    format_poly,
-    gcd_degree,
-    is_hurwitz,
-    roots,
-    spectral_factor,
-)
-from .transfer import (
-    FrequencyResponse,
-    RationalTF,
-    StateSpace,
-    constant_tf,
-    frequency_response,
-    is_stable,
-    minimal_form,
-    poles,
-    series,
-    to_state_space,
-    zeros,
-)
-from .plant import (
-    SeaModel,
-    SeaParams,
-    build_plant,
-    default_params,
-)
-from .synthesis import (
-    ClosedLoopMaps,
-    CoprimeFactorization,
-    SignalMaps,
-    SynthesisWeights,
-    TwoDofController,
-    build_compensator,
-    closed_loop_maps,
-    coprime_factorize,
-    h2_synthesize,
-    solve_diophantine,
-    torque_loop_maps,
-    youla_2dof,
-)
-from .simulation import (
-    ImpedanceScenario,
-    LoadModel,
-    PiController,
-    SignalSpec,
-    SimTrace,
-    TRACE_CHANNELS,
-    TorqueLoopScenario,
-    fit_sine,
-    generate,
-    peak_envelope,
-    rms_error,
-    simulate_free_response,
-    simulate_impedance,
-    simulate_torque_loop,
-    steady_state_error,
-    trace_to_csv,
-)
-from .identify import (
-    FrfEstimate,
-    bandwidth_3db,
-    estimate_frf,
-    frf_to_csv,
-    loop_margins,
-    phase_at,
-)
-from .config import (
-    ConfigError,
-    ControllerBundle,
-    ProjectConfig,
-    ScenarioDef,
-    bundle_from_synthesis,
-    dump_config,
-    load_config,
-    params_fingerprint,
-    parse_config,
-    read_bundle,
-    save_config,
-    write_bundle,
-)
-from .presets import CheckResult, PRESET_NAMES, run_preset, run_reproduce
+from .polynomials import *  # noqa: F401,F403
+from .transfer import *  # noqa: F401,F403
+from .plant import *  # noqa: F401,F403
+from .synthesis import *  # noqa: F401,F403
+from .simulation import *  # noqa: F401,F403
+from .identify import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .presets import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "NumericsError",
-    "Polynomial",
-    "RootSet",
-    "format_poly",
-    "gcd_degree",
-    "is_hurwitz",
-    "roots",
-    "spectral_factor",
-    "FrequencyResponse",
-    "RationalTF",
-    "StateSpace",
-    "constant_tf",
-    "frequency_response",
-    "is_stable",
-    "minimal_form",
-    "poles",
-    "series",
-    "to_state_space",
-    "zeros",
-    "SeaModel",
-    "SeaParams",
-    "build_plant",
-    "default_params",
-    "ClosedLoopMaps",
-    "CoprimeFactorization",
-    "SignalMaps",
-    "SynthesisWeights",
-    "TwoDofController",
-    "build_compensator",
-    "closed_loop_maps",
-    "coprime_factorize",
-    "h2_synthesize",
-    "solve_diophantine",
-    "torque_loop_maps",
-    "youla_2dof",
-    "ImpedanceScenario",
-    "LoadModel",
-    "PiController",
-    "SignalSpec",
-    "SimTrace",
-    "TRACE_CHANNELS",
-    "TorqueLoopScenario",
-    "fit_sine",
-    "generate",
-    "peak_envelope",
-    "rms_error",
-    "simulate_free_response",
-    "simulate_impedance",
-    "simulate_torque_loop",
-    "steady_state_error",
-    "trace_to_csv",
-    "FrfEstimate",
-    "bandwidth_3db",
-    "estimate_frf",
-    "frf_to_csv",
-    "loop_margins",
-    "phase_at",
-    "ConfigError",
-    "ControllerBundle",
-    "ProjectConfig",
-    "ScenarioDef",
-    "bundle_from_synthesis",
-    "dump_config",
-    "load_config",
-    "params_fingerprint",
-    "parse_config",
-    "read_bundle",
-    "save_config",
-    "write_bundle",
-    "CheckResult",
-    "PRESET_NAMES",
-    "run_preset",
-    "run_reproduce",
-]
+_MODULES = (
+    polynomials, transfer, plant, synthesis, simulation, identify, config, presets,
+)
+__all__ = ["NumericsError", *(name for m in _MODULES for name in m.__all__)]

@@ -62,12 +62,8 @@ def _out_dir(args, cfg: ProjectConfig) -> str:
     return out
 
 
-def _poly_list(values) -> list[float]:
-    return [float(v) for v in values]
-
-
 def _tf_json(tf: RationalTF) -> dict:
-    return {"num": _poly_list(tf.num.coeffs), "den": _poly_list(tf.den.coeffs)}
+    return {"num": tf.num.coeffs.tolist(), "den": tf.den.coeffs.tolist()}
 
 
 def _print_tf(name: str, tf: RationalTF) -> None:
@@ -86,19 +82,14 @@ def cmd_plant(args) -> int:
         for name, tf in (("P", model.P), ("G", model.G)):
             print(f"{name} poles: {np.round(poles(tf), 6).tolist()}")
             print(f"{name} zeros: {np.round(zeros(tf), 6).tolist()}")
-    names, powers, coeffs = [], [], []
-    for name, tf in (("P_num", model.P.num), ("P_den", model.P.den),
-                     ("G_num", model.G.num), ("G_den", model.G.den)):
-        deg = tf.degree
-        for i, c in enumerate(tf.coeffs):
-            names.append(name)
-            powers.append(deg - i)
-            coeffs.append(c)
+    # A mixed text/number table, so not config.write_csv.
     path = os.path.join(out, "plant.csv")
     with open(path, "w", newline="\n") as fh:
         fh.write("element,s_power,coefficient\n")
-        for nm, pw, c in zip(names, powers, coeffs):
-            fh.write(f"{nm},{pw},{'%.9g' % c}\n")
+        for name, poly in (("P_num", model.P.num), ("P_den", model.P.den),
+                           ("G_num", model.G.num), ("G_den", model.G.den)):
+            for i, c in enumerate(poly.coeffs):
+                fh.write(f"{name},{poly.degree - i},{'%.9g' % c}\n")
     # keep stdout pure JSON under --json
     print(f"wrote {path}", file=sys.stderr if args.json else sys.stdout)
     return EXIT_OK

@@ -4,11 +4,26 @@ Configs describe the plant parameters, synthesis weights, and named
 scenarios; they never contain computed results.  Parsing is strict:
 unknown keys anywhere are an error, because a typo in a physics
 parameter that silently falls back to a default is the worst possible
-failure mode for a reproduction toolkit.
+failure mode for a reproduction toolkit.  A scenario is checked when
+it loads, by the simulator's own model-free checks (step, duration,
+velocity limit, and i_d for an impedance scenario), and the error names
+the field: config.scenarios.<name>.<field>.
 
 Controller bundles store synthesized coefficient arrays plus a
 fingerprint of the plant they were designed for, so stale bundles are
-detectable.  Both formats carry an explicit format_version.
+detectable.  Both formats carry an explicit format_version and share
+one JSON codec:
+- _read_json maps a file that cannot be opened or parsed to ConfigError
+  ("cannot read ..." / "invalid JSON in ...");
+- _write_json writes indent-2 JSON with LF line endings and a trailing
+  newline;
+- _parse_numbers / _dump_numbers translate the {"rho", "lambda", "k"}
+  weights object to SynthesisWeights and back, and the plant object to
+  SeaParams.
+The key lists of scenarios and bundles are the field lists of their
+dataclasses.
+
+write_csv is the package's one writer of numeric CSV tables.
 """
 
 from __future__ import annotations
@@ -17,12 +32,16 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields as dc_fields
 
+import numpy as np
+
 from .plant import SeaParams, default_params
 from .simulation import (
     ImpedanceScenario,
     PiController,
     SignalSpec,
     TorqueLoopScenario,
+    _check_i_d,
+    _check_timing,
 )
 from .synthesis import SynthesisWeights, TwoDofController
 from .transfer import RationalTF
@@ -50,8 +69,13 @@ class ConfigError(ValueError):
     """Malformed configuration or bundle content."""
 
 
-def _check_keys(d: dict, allowed: set[str], ctx: str) -> None:
-    extra = sorted(set(d) - allowed)
+def _names(cls, *skip: str) -> tuple[str, ...]:
+    """Field names of a dataclass, in declaration order."""
+    return tuple(f.name for f in dc_fields(cls) if f.name not in skip)
+
+
+def _check_keys(d: dict, allowed, ctx: str) -> None:
+    extra = sorted(set(d) - set(allowed))
     if extra:
         raise ConfigError(f"unknown key(s) {extra} in {ctx}")
 
@@ -65,6 +89,49 @@ def _get_num(d: dict, key: str, ctx: str, default=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{ctx}.{key} must be a number")
     return float(v)
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _write_json(obj, path: str) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+# JSON key -> field, for the two objects that hold only numbers.  The
+# weights key "lambda" is a Python keyword; plant keys are sorted.
+_PLANT_KEYS = {name: name for name in sorted(_names(SeaParams))}
+_WEIGHT_KEYS = {"rho": "rho", "lambda": "lam", "k": "k"}
+_DEFAULT_WEIGHTS = SynthesisWeights(rho=5e-4, lam=1.0, k=1.0)
+
+
+def _parse_numbers(d, ctx: str, cls, keys: dict, base=None):
+    """A cls from a JSON object of numbers; a missing key takes its value
+    from base, and is an error without one."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{ctx} must be an object")
+    _check_keys(d, keys, ctx)
+    kw = {
+        attr: _get_num(d, key, ctx, None if base is None else getattr(base, attr))
+        for key, attr in keys.items()
+    }
+    try:
+        return cls(**kw)
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
+
+
+def _dump_numbers(obj, keys: dict) -> dict:
+    return {key: getattr(obj, attr) for key, attr in keys.items()}
 
 
 _SIGNAL_FIELDS = {
@@ -114,13 +181,38 @@ def _dump_signal(s: SignalSpec) -> dict:
     return out
 
 
+_PI_KEYS = _names(PiController)
+
+
+def _parse_controller(raw, ctx: str):
+    if raw == "two_dof":
+        return "two_dof"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{ctx} must be 'two_dof' or a pi object")
+    _check_keys(raw, {"type", *_PI_KEYS}, ctx)
+    if raw.get("type") != "pi":
+        raise ConfigError(f"{ctx}.type must be 'pi'")
+    try:
+        return PiController(**{k: _get_num(raw, k, ctx) for k in _PI_KEYS})
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
+
+
+def _dump_controller(ctrl):
+    if isinstance(ctrl, PiController):
+        return {"type": "pi", **{k: getattr(ctrl, k) for k in _PI_KEYS}}
+    return "two_dof"
+
+
 @dataclass(frozen=True)
 class ScenarioDef:
     """Declarative scenario: everything but the plant and the controller
     instance, which are materialized from the config at run time.
 
     controller is the string "two_dof" (use the synthesized pair) or a
-    PiController.  kind "impedance" additionally uses i_d and phi_ref.
+    PiController.  kind "impedance" additionally uses phi_ref and i_d,
+    which must then be positive.  Construction runs the simulator's
+    model-free checks, so a bad field fails when the config loads.
     """
 
     kind: str = "torque_loop"
@@ -129,114 +221,83 @@ class ScenarioDef:
     disturbance: SignalSpec = field(default_factory=SignalSpec.zero)
     noise: SignalSpec = field(default_factory=SignalSpec.zero)
     handle_motion: SignalSpec = field(default_factory=SignalSpec.zero)
+    phi_ref: SignalSpec = field(default_factory=SignalSpec.zero)
     compensator_on: bool = False
     saturation_rad_s: float = 50.0
     dt_s: float = 1e-4
     duration_s: float = 10.0
     i_d: float = 0.0
-    phi_ref: SignalSpec = field(default_factory=SignalSpec.zero)
+
+    def __post_init__(self):
+        _check_timing(self.dt_s, self.duration_s, self.saturation_rad_s)
+        if self.kind == "impedance":
+            _check_i_d(self.i_d)
 
     def materialize(self, model, two_dof: TwoDofController):
         """Bind to a plant and controller, yielding a runnable scenario."""
-        ctrl = two_dof if self.controller == "two_dof" else self.controller
-        ts = TorqueLoopScenario(
-            model=model,
-            controller=ctrl,
-            reference=self.reference,
-            disturbance=self.disturbance,
-            noise=self.noise,
-            handle_motion=self.handle_motion,
-            compensator_on=self.compensator_on,
-            saturation_rad_s=self.saturation_rad_s,
-            dt_s=self.dt_s,
-            duration_s=self.duration_s,
-        )
+        kw = {name: getattr(self, name) for name in _TORQUE_FIELDS}
+        if self.controller == "two_dof":
+            kw["controller"] = two_dof
+        ts = TorqueLoopScenario(model=model, **kw)
         if self.kind == "impedance":
             return ImpedanceScenario(
-                torque_scenario=ts, i_d=self.i_d, phi_ref=self.phi_ref
+                ts, **{name: getattr(self, name) for name in _IMPEDANCE_FIELDS}
             )
         return ts
 
 
-_SCENARIO_KEYS = {
-    "type",
-    "controller",
-    "reference",
-    "disturbance",
-    "noise",
-    "handle_motion",
-    "compensator_on",
-    "saturation_rad_s",
-    "dt_s",
-    "duration_s",
-    "i_d",
-    "phi_ref",
-}
-_SIGNAL_SLOTS = ("reference", "disturbance", "noise", "handle_motion", "phi_ref")
+# A ScenarioDef holds the fields of both scenario classes but the plant
+# and the inner torque scenario; its kind is the JSON key "type", and the
+# JSON keys follow the field order.
+_TORQUE_FIELDS = _names(TorqueLoopScenario, "model")
+_IMPEDANCE_FIELDS = _names(ImpedanceScenario, "torque_scenario")
+_SCENARIO_FIELDS = _names(ScenarioDef, "kind")
+_SCENARIO_DEFAULTS = ScenarioDef()
 
 
 def _parse_scenario(d, ctx: str) -> ScenarioDef:
     if not isinstance(d, dict):
         raise ConfigError(f"{ctx} must be an object")
-    _check_keys(d, _SCENARIO_KEYS, ctx)
+    _check_keys(d, {"type", *_SCENARIO_FIELDS}, ctx)
     kind = d.get("type", "torque_loop")
     if kind not in ("torque_loop", "impedance"):
         raise ConfigError(f"{ctx}.type must be 'torque_loop' or 'impedance'")
-    if kind == "torque_loop" and ("i_d" in d or "phi_ref" in d):
-        raise ConfigError(f"{ctx}: i_d/phi_ref only apply to impedance scenarios")
-    ctrl_raw = d.get("controller", "two_dof")
-    if ctrl_raw == "two_dof":
-        ctrl: object = "two_dof"
-    elif isinstance(ctrl_raw, dict):
-        _check_keys(ctrl_raw, {"type", "kp", "ki"}, f"{ctx}.controller")
-        if ctrl_raw.get("type") != "pi":
-            raise ConfigError(f"{ctx}.controller.type must be 'pi'")
-        try:
-            ctrl = PiController(
-                kp=_get_num(ctrl_raw, "kp", f"{ctx}.controller"),
-                ki=_get_num(ctrl_raw, "ki", f"{ctx}.controller"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{ctx}.controller: {exc}") from exc
-    else:
-        raise ConfigError(f"{ctx}.controller must be 'two_dof' or a pi object")
-    kw = {"kind": kind, "controller": ctrl}
-    for slot in _SIGNAL_SLOTS:
-        if slot in d:
-            kw[slot] = _parse_signal(d[slot], f"{ctx}.{slot}")
-    if "compensator_on" in d:
-        if not isinstance(d["compensator_on"], bool):
-            raise ConfigError(f"{ctx}.compensator_on must be a boolean")
-        kw["compensator_on"] = d["compensator_on"]
-    for name in ("saturation_rad_s", "dt_s", "duration_s", "i_d"):
-        if name in d:
+    if kind == "torque_loop" and any(name in d for name in _IMPEDANCE_FIELDS):
+        raise ConfigError(
+            f"{ctx}: {'/'.join(_IMPEDANCE_FIELDS)} only apply to impedance scenarios"
+        )
+    kw = {"kind": kind}
+    for name in _SCENARIO_FIELDS:
+        if name not in d:
+            continue
+        default = getattr(_SCENARIO_DEFAULTS, name)
+        if name == "controller":
+            kw[name] = _parse_controller(d[name], f"{ctx}.{name}")
+        elif isinstance(default, SignalSpec):
+            kw[name] = _parse_signal(d[name], f"{ctx}.{name}")
+        elif isinstance(default, bool):
+            if not isinstance(d[name], bool):
+                raise ConfigError(f"{ctx}.{name} must be a boolean")
+            kw[name] = d[name]
+        else:
             kw[name] = _get_num(d, name, ctx)
     try:
         return ScenarioDef(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
+    except ValueError as exc:  # the message starts with the field name
+        raise ConfigError(f"{ctx}.{exc}") from exc
 
 
 def _dump_scenario(s: ScenarioDef) -> dict:
     out: dict = {"type": s.kind}
-    if isinstance(s.controller, PiController):
-        out["controller"] = {
-            "type": "pi",
-            "kp": s.controller.kp,
-            "ki": s.controller.ki,
-        }
-    else:
-        out["controller"] = "two_dof"
-    for slot in _SIGNAL_SLOTS:
-        if slot == "phi_ref" and s.kind != "impedance":
+    for name in _SCENARIO_FIELDS:
+        if s.kind != "impedance" and name in _IMPEDANCE_FIELDS:
             continue
-        out[slot] = _dump_signal(getattr(s, slot))
-    out["compensator_on"] = s.compensator_on
-    out["saturation_rad_s"] = s.saturation_rad_s
-    out["dt_s"] = s.dt_s
-    out["duration_s"] = s.duration_s
-    if s.kind == "impedance":
-        out["i_d"] = s.i_d
+        value = getattr(s, name)
+        if name == "controller":
+            value = _dump_controller(value)
+        elif isinstance(value, SignalSpec):
+            value = _dump_signal(value)
+        out[name] = value
     return out
 
 
@@ -245,15 +306,10 @@ class ProjectConfig:
     """Parsed project file: plant, weights, named scenarios, output dir."""
 
     plant: SeaParams = field(default_factory=default_params)
-    weights: SynthesisWeights = field(
-        default_factory=lambda: SynthesisWeights(rho=5e-4, lam=1.0, k=1.0)
-    )
+    weights: SynthesisWeights = _DEFAULT_WEIGHTS
     scenarios: dict = field(default_factory=dict)
     output_dir: str = "out"
     format_version: int = FORMAT_VERSION
-
-
-_PLANT_KEYS = {f.name for f in dc_fields(SeaParams)}
 
 
 def parse_config(raw: dict) -> ProjectConfig:
@@ -264,40 +320,17 @@ def parse_config(raw: dict) -> ProjectConfig:
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(
-        raw,
-        {"format_version", "output_dir", "plant", "weights", "scenarios"},
-        "config",
-    )
+    _check_keys(raw, _names(ProjectConfig), "config")
     version = raw.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ConfigError(f"unsupported format_version {version!r}")
-
-    base = default_params()
-    pd = raw.get("plant", {})
-    if not isinstance(pd, dict):
-        raise ConfigError("config.plant must be an object")
-    _check_keys(pd, _PLANT_KEYS, "config.plant")
-    overrides = {k: _get_num(pd, k, "config.plant") for k in pd}
-    try:
-        params = SeaParams(
-            **{k: overrides.get(k, getattr(base, k)) for k in _PLANT_KEYS}
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.plant: {exc}") from exc
-
-    wd = raw.get("weights", {})
-    if not isinstance(wd, dict):
-        raise ConfigError("config.weights must be an object")
-    _check_keys(wd, {"rho", "lambda", "k"}, "config.weights")
-    try:
-        weights = SynthesisWeights(
-            rho=_get_num(wd, "rho", "config.weights", 5e-4),
-            lam=_get_num(wd, "lambda", "config.weights", 1.0),
-            k=_get_num(wd, "k", "config.weights", 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.weights: {exc}") from exc
+    params = _parse_numbers(
+        raw.get("plant", {}), "config.plant", SeaParams, _PLANT_KEYS, default_params()
+    )
+    weights = _parse_numbers(
+        raw.get("weights", {}), "config.weights", SynthesisWeights, _WEIGHT_KEYS,
+        _DEFAULT_WEIGHTS,
+    )
 
     sd = raw.get("scenarios", {})
     if not isinstance(sd, dict):
@@ -324,12 +357,8 @@ def dump_config(cfg: ProjectConfig) -> dict:
     return {
         "format_version": cfg.format_version,
         "output_dir": cfg.output_dir,
-        "plant": {k: getattr(cfg.plant, k) for k in sorted(_PLANT_KEYS)},
-        "weights": {
-            "rho": cfg.weights.rho,
-            "lambda": cfg.weights.lam,
-            "k": cfg.weights.k,
-        },
+        "plant": _dump_numbers(cfg.plant, _PLANT_KEYS),
+        "weights": _dump_numbers(cfg.weights, _WEIGHT_KEYS),
         "scenarios": {
             name: _dump_scenario(s) for name, s in cfg.scenarios.items()
         },
@@ -337,29 +366,24 @@ def dump_config(cfg: ProjectConfig) -> dict:
 
 
 def load_config(path: str) -> ProjectConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_config(raw)
+    return parse_config(_read_json(path, "config"))
 
 
 def save_config(cfg: ProjectConfig, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(dump_config(cfg), fh, indent=2)
-        fh.write("\n")
+    _write_json(dump_config(cfg), path)
 
 
 def params_fingerprint(params: SeaParams) -> str:
     """Short stable hash of the plant parameters a bundle was built for."""
     blob = json.dumps(
-        {k: repr(getattr(params, k)) for k in sorted(_PLANT_KEYS)},
+        {k: repr(getattr(params, k)) for k in _PLANT_KEYS},
         sort_keys=True,
     ).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+# Transfer functions of a bundle, each stored as <tag>_num and <tag>_den.
+_BUNDLE_TFS = ("c1", "c2", "cl")
 
 
 @dataclass(frozen=True)
@@ -381,10 +405,10 @@ class ControllerBundle:
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        for name in ("c1_den", "c2_den", "cl_den"):
-            arr = getattr(self, name)
+        for tag in _BUNDLE_TFS:
+            arr = getattr(self, f"{tag}_den")
             if not arr or arr[0] == 0.0:
-                raise ConfigError(f"bundle {name} has a zero leading coefficient")
+                raise ConfigError(f"bundle {tag}_den has a zero leading coefficient")
         if self.c1_den != self.c2_den:
             raise ConfigError("bundle c1 and c2 must share one denominator")
 
@@ -396,6 +420,13 @@ class ControllerBundle:
 
     def cl(self) -> RationalTF:
         return RationalTF(list(self.cl_num), list(self.cl_den))
+
+
+# The JSON keys, format_version first, then the fields in order.
+_BUNDLE_KEYS = ("format_version", *_names(ControllerBundle, "format_version"))
+_BUNDLE_ARRAYS = tuple(
+    f"{tag}_{part}" for tag in _BUNDLE_TFS for part in ("num", "den")
+)
 
 
 def bundle_from_synthesis(
@@ -414,91 +445,52 @@ def bundle_from_synthesis(
 
 
 def write_bundle(bundle: ControllerBundle, path: str) -> None:
-    obj = {
-        "format_version": bundle.format_version,
-        "weights": {
-            "rho": bundle.weights.rho,
-            "lambda": bundle.weights.lam,
-            "k": bundle.weights.k,
-        },
-        "c1_num": list(bundle.c1_num),
-        "c1_den": list(bundle.c1_den),
-        "c2_num": list(bundle.c2_num),
-        "c2_den": list(bundle.c2_den),
-        "cl_num": list(bundle.cl_num),
-        "cl_den": list(bundle.cl_den),
-        "plant_fingerprint": bundle.plant_fingerprint,
-    }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    obj = {key: getattr(bundle, key) for key in _BUNDLE_KEYS}
+    obj["weights"] = _dump_numbers(bundle.weights, _WEIGHT_KEYS)
+    _write_json(obj, path)  # the coefficient tuples become JSON arrays
 
 
 def read_bundle(path: str) -> ControllerBundle:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read bundle {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    raw = _read_json(path, "bundle")
     if not isinstance(raw, dict):
         raise ConfigError("bundle root must be an object")
-    keys = {
-        "format_version",
-        "weights",
-        "c1_num",
-        "c1_den",
-        "c2_num",
-        "c2_den",
-        "cl_num",
-        "cl_den",
-        "plant_fingerprint",
-    }
-    _check_keys(raw, keys, "bundle")
-    missing = sorted(keys - set(raw))
+    _check_keys(raw, _BUNDLE_KEYS, "bundle")
+    missing = sorted(set(_BUNDLE_KEYS) - set(raw))
     if missing:
         raise ConfigError(f"bundle missing key(s) {missing}")
     if raw["format_version"] != FORMAT_VERSION:
         raise ConfigError(f"unsupported format_version {raw['format_version']!r}")
-    wd = raw["weights"]
-    _check_keys(wd, {"rho", "lambda", "k"}, "bundle.weights")
-    try:
-        weights = SynthesisWeights(
-            rho=_get_num(wd, "rho", "bundle.weights"),
-            lam=_get_num(wd, "lambda", "bundle.weights"),
-            k=_get_num(wd, "k", "bundle.weights"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bundle.weights: {exc}") from exc
-
-    def arr(name: str) -> tuple[float, ...]:
+    if not isinstance(raw["plant_fingerprint"], str):
+        raise ConfigError("bundle.plant_fingerprint must be a string")
+    weights = _parse_numbers(
+        raw["weights"], "bundle.weights", SynthesisWeights, _WEIGHT_KEYS
+    )
+    kw = dict(raw, weights=weights)
+    for name in _BUNDLE_ARRAYS:
         v = raw[name]
         if not isinstance(v, list) or not v:
             raise ConfigError(f"bundle.{name} must be a nonempty array")
         try:
-            return tuple(float(x) for x in v)
+            kw[name] = tuple(float(x) for x in v)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bundle.{name} must be numeric") from exc
+    return ControllerBundle(**kw)
 
-    if not isinstance(raw["plant_fingerprint"], str):
-        raise ConfigError("bundle.plant_fingerprint must be a string")
-    return ControllerBundle(
-        weights=weights,
-        c1_num=arr("c1_num"),
-        c1_den=arr("c1_den"),
-        c2_num=arr("c2_num"),
-        c2_den=arr("c2_den"),
-        cl_num=arr("cl_num"),
-        cl_den=arr("cl_den"),
-        plant_fingerprint=raw["plant_fingerprint"],
-        format_version=raw["format_version"],
-    )
+
+_CSV_BLOCK_ROWS = 4096
 
 
 def write_csv(path: str, header: list[str], columns: list) -> None:
-    """Comma-separated columns, LF endings, 9 significant digits."""
+    """Numeric columns as CSV: 9 significant digits, LF line endings.
+
+    Rows are formatted a block at a time with one %-operation per block.
+    Tables that mix text and numbers (plant.csv, summary.csv) are written
+    by the commands that make them.
+    """
+    rows = np.column_stack(columns)
+    line = ",".join(["%.9g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join("%.9g" % v for v in row) + "\n")
+        for i in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[i:i + _CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))

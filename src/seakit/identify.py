@@ -164,10 +164,16 @@ def estimate_frf(
     )
 
 
-def _as_response(frf_or_tf, f_lo: float = 1e-3, f_hi: float = 1e4, points: int = 100001):
+# The dense grid a transfer function is swept on: log-spaced from 1e-3
+# to 1e4 Hz.
+_SWEEP_DECADES = (-3.0, 4.0)
+_SWEEP_POINTS = 100001
+
+
+def _as_response(frf_or_tf):
     """Uniform view: (freqs, mag_db, phase_deg) from either input kind."""
     if isinstance(frf_or_tf, RationalTF):
-        grid = np.logspace(np.log10(f_lo), np.log10(f_hi), points)
+        grid = np.logspace(*_SWEEP_DECADES, _SWEEP_POINTS)
         resp = frequency_response(frf_or_tf, grid)
         return resp.freqs_hz, resp.magnitude_db, resp.phase_deg
     return frf_or_tf.freqs_hz, frf_or_tf.magnitude_db, frf_or_tf.phase_deg

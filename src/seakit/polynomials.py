@@ -24,6 +24,7 @@ from .errors import NumericsError
 __all__ = [
     "Polynomial",
     "RootSet",
+    "format_poly",
     "roots",
     "is_hurwitz",
     "spectral_factor",

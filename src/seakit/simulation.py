@@ -280,6 +280,26 @@ class LoadModel:
             raise ValueError("b_l must be finite and nonnegative")
 
 
+# The model-free checks of a scenario.  config.ScenarioDef runs them too,
+# so a config is rejected when it loads; each message starts with the
+# field it names.
+def _check_timing(dt_s: float, duration_s: float, saturation_rad_s: float) -> None:
+    for name, value in (("dt_s", dt_s), ("duration_s", duration_s)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+    if not dt_s > 0.0:
+        raise ValueError("dt_s must be positive")
+    if duration_s < 10.0 * dt_s:
+        raise ValueError("duration_s must cover at least 10 steps")
+    if not saturation_rad_s > 0.0:
+        raise ValueError("saturation_rad_s must be positive")
+
+
+def _check_i_d(i_d: float) -> None:
+    if not (math.isfinite(i_d) and i_d > 0.0):
+        raise ValueError("i_d must be finite and positive")
+
+
 @dataclass(frozen=True)
 class TorqueLoopScenario:
     """Everything one torque-loop run needs.
@@ -302,15 +322,7 @@ class TorqueLoopScenario:
     duration_s: float = 10.0
 
     def __post_init__(self):
-        for name in ("dt_s", "duration_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not self.dt_s > 0.0:
-            raise ValueError("dt_s must be positive")
-        if self.duration_s < 10.0 * self.dt_s:
-            raise ValueError("duration_s must cover at least 10 steps")
-        if not self.saturation_rad_s > 0.0:
-            raise ValueError("saturation_rad_s must be positive")
+        _check_timing(self.dt_s, self.duration_s, self.saturation_rad_s)
         c1, c2 = _controller_blocks(self.controller)
         if c1.den != c2.den:
             raise ValueError("controller: C1 and C2 must share one denominator")
@@ -330,8 +342,7 @@ class ImpedanceScenario:
     phi_ref: SignalSpec = field(default_factory=SignalSpec.zero)
 
     def __post_init__(self):
-        if not (math.isfinite(self.i_d) and self.i_d > 0.0):
-            raise ValueError("virtual stiffness i_d must be finite and positive")
+        _check_i_d(self.i_d)
         if self.torque_scenario.reference.kind != "zero":
             raise ValueError(
                 "impedance mode derives the torque reference from "
@@ -763,19 +774,9 @@ def fit_sine(
     return float(math.hypot(a, b)), float(math.degrees(math.atan2(b, a))), float(c)
 
 
-_CSV_BLOCK_ROWS = 4096
-
-
 def trace_to_csv(trace: SimTrace, path: str) -> None:
-    """Write the trace as CSV, one row per sample, 9 significant digits.
+    """Write the trace as CSV, one row per sample, columns in TRACE_CHANNELS
+    order, in the format of config.write_csv (9 significant digits, LF)."""
+    from .config import write_csv  # config imports this module
 
-    Column order matches TRACE_CHANNELS; LF line endings.  Rows are
-    formatted a block at a time with one %-operation per block.
-    """
-    rows = np.column_stack([trace.channel(name) for name in TRACE_CHANNELS])
-    line = ",".join(["%.9g"] * len(TRACE_CHANNELS)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(TRACE_CHANNELS) + "\n")
-        for i in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[i:i + _CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    write_csv(path, list(TRACE_CHANNELS), [trace.channel(n) for n in TRACE_CHANNELS])

@@ -196,7 +196,7 @@ def _panel_svg(
     return parts
 
 
-def _document(width: int, height: int, title: str, body: list[str]) -> str:
+def _write_svg(path: str, width: int, height: int, title: str, body: list[str]) -> None:
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -207,7 +207,8 @@ def _document(width: int, height: int, title: str, body: list[str]) -> str:
             f'<text x="{width / 2:.0f}" y="18" font-size="13" '
             f'text-anchor="middle" font-weight="bold" fill="#000">{title}</text>'
         )
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(head + body + ["</svg>"]) + "\n")
 
 
 def plot_lines(
@@ -228,8 +229,7 @@ def plot_lines(
     ylim = _limits([c.y for c in curves])
     panel = _Panel(64, 30, width - 64 - 18, height - 30 - 48, xlim, ylim, xlog)
     body = _panel_svg(panel, curves, xlabel, ylabel, vlines or [])
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_document(width, height, title, body))
+    _write_svg(path, width, height, title, body)
 
 
 def plot_bode(
@@ -254,5 +254,4 @@ def plot_bode(
                       show_xticklabels=False)
     body += _panel_svg(bot, phase_curves, "frequency (Hz)", "phase (deg)",
                        vlines or [])
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_document(width, height, title, body))
+    _write_svg(path, width, height, title, body)

@@ -374,12 +374,16 @@ def coprime_factorize(P: RationalTF, C0: RationalTF) -> CoprimeFactorization:
     return fact
 
 
-def _check_bezout(fact: CoprimeFactorization, tol: float = 1e-8) -> None:
+# Largest |M X + N Y - 1| accepted on the check grid.
+_BEZOUT_TOL = 1e-8
+
+
+def _check_bezout(fact: CoprimeFactorization) -> None:
     freqs = np.logspace(np.log10(0.01), np.log10(100.0), 20)
     for f_hz in freqs:
         s = 2j * np.pi * f_hz
         val = fact.M(s) * fact.X(s) + fact.N(s) * fact.Y(s)
-        if abs(val - 1.0) > tol:
+        if abs(val - 1.0) > _BEZOUT_TOL:
             raise NumericsError(
                 f"Bezout identity residual {abs(val - 1.0):.3e} at {f_hz:.4g} Hz"
             )

@@ -72,18 +72,23 @@ class RationalTF:
     def is_strictly_proper(self) -> bool:
         return self.num.degree < self.den.degree
 
-    def __call__(self, s: complex) -> complex:
-        """Evaluate at a complex point; raises on (near-)pole hits."""
-        dv = complex(self.den(s))
-        scale = float(
-            np.sum(
-                np.abs(self.den.coeffs)
-                * (max(1.0, abs(s)) ** np.arange(self.den.degree, -1, -1))
-            )
-        )
-        if abs(dv) < 1e-12 * scale:
-            raise NumericsError(f"evaluation at a pole: |den({s:.6g})| ~ 0")
-        return complex(self.num(s)) / dv
+    def __call__(self, s):
+        """Evaluate at a complex point or an array of them.
+
+        Raises NumericsError at a (near-)pole: |den(s)| below 1e-12 of
+        sum |a_k| max(1, |s|)^k over the denominator coefficients a_k.
+        """
+        s = np.asarray(s)
+        dv = self.den(s)
+        scale = np.polyval(np.abs(self.den.coeffs), np.maximum(1.0, np.abs(s)))
+        hit = np.abs(dv) < 1e-12 * scale
+        if np.any(hit):
+            s_bad = complex(s.flat[np.argmax(hit)])
+            raise NumericsError(f"evaluation at a pole: |den({s_bad:.6g})| ~ 0")
+        if s.ndim == 0:
+            # Python's complex division, which rounds unlike numpy's.
+            return complex(self.num(s)) / complex(dv)
+        return self.num(s) / dv
 
     def __repr__(self) -> str:
         u = f", units={self.units!r}" if self.units else ""
@@ -328,19 +333,7 @@ def frequency_response(tf: RationalTF, freqs_hz) -> FrequencyResponse:
     if np.any(freqs < 0) or np.any(np.diff(freqs) <= 0):
         raise ValueError("frequencies must be nonnegative and strictly ascending")
     w = 2.0 * np.pi * freqs
-    # Vectorized evaluation with the same near-pole guard as __call__;
-    # per-point calls dominate the cost of dense metric sweeps otherwise.
-    s = 1j * w
-    dv = tf.den(s)
-    smax = np.maximum(1.0, np.abs(s))
-    scale = np.zeros(len(s))
-    for c, k in zip(tf.den.coeffs, range(tf.den.degree, -1, -1)):
-        scale += abs(c) * smax**k
-    hit = np.abs(dv) < 1e-12 * scale
-    if np.any(hit):
-        w_bad = w[np.argmax(hit)]
-        raise NumericsError(f"evaluation at a pole: |den({1j * w_bad:.6g})| ~ 0")
-    h = tf.num(s) / dv
+    h = tf(1j * w)
     mags = np.abs(h)
     with np.errstate(divide="ignore"):
         mag_db = 20.0 * np.log10(mags)

@@ -131,6 +131,29 @@ def test_impedance_fields_rejected_on_torque_loop():
     parse_config({"scenarios": {"a": {"type": "impedance", "i_d": 0.5}}})
 
 
+def test_scenario_fields_checked_at_load():
+    bad = [
+        ("i_d", {"type": "impedance"}),
+        ("i_d", {"type": "impedance", "i_d": 0.0}),
+        ("dt_s", {"dt_s": -1e-4}),
+        ("saturation_rad_s", {"saturation_rad_s": 0.0}),
+        ("duration_s", {"dt_s": 1e-3, "duration_s": 5e-3}),
+    ]
+    for field, body in bad:
+        with pytest.raises(ConfigError) as err:
+            parse_config({"scenarios": {"s": body}})
+        assert str(err.value).startswith(f"config.scenarios.s.{field} ")
+    with pytest.raises(ValueError, match="i_d"):
+        ScenarioDef(kind="impedance")
+
+
+def test_cli_rejects_impedance_scenario_without_i_d(tmp_path, capsys):
+    path = tmp_path / "imp.json"
+    path.write_text(json.dumps({"scenarios": {"imp": {"type": "impedance"}}}))
+    assert main(["sim", "imp", "--config", str(path)]) == 2
+    assert "config error: config.scenarios.imp.i_d" in capsys.readouterr().err
+
+
 def test_controller_parse_errors():
     with pytest.raises(ConfigError, match="controller"):
         parse_config({"scenarios": {"a": {"controller": "lqg"}}})
@@ -222,6 +245,17 @@ def test_write_csv_format(tmp_path):
     path = tmp_path / "cols.csv"
     write_csv(str(path), ["a", "b"], [np.array([1.0, 2.5]), np.array([3.0, 4.0])])
     assert path.read_text() == "a,b\n1,3\n2.5,4\n"
+    # Special values, and more rows than one formatting block holds: each
+    # line equals the per-value formatting.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(9000) * 10.0 ** rng.integers(-12, 12, 9000)
+    a[:5] = [-0.0, np.nan, np.inf, -np.inf, 0.0]
+    b = np.arange(9000) * 0.1
+    write_csv(str(path), ["a", "b"], [a, b])
+    lines = path.read_bytes().decode().split("\n")
+    assert lines[0] == "a,b" and lines[-1] == "" and len(lines) == 9002
+    assert lines[1:6] == ["-0,0", "nan,0.1", "inf,0.2", "-inf,0.3", "0,0.4"]
+    assert lines[1:-1] == ["%.9g,%.9g" % (x, y) for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------- cli

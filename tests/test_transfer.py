@@ -45,6 +45,10 @@ def test_evaluation_and_pole_guard():
     assert np.isclose(g(1j), 1.0 / (1j + 1.0))
     with pytest.raises(NumericsError):
         g(-1.0)  # exactly on the pole
+    s = np.array([0.0, 1j, 2.0 + 3j])
+    np.testing.assert_allclose(g(s), [g(x) for x in s], rtol=1e-15)
+    with pytest.raises(NumericsError, match="-1"):
+        g(np.array([1j, -1.0, 2j]))
 
 
 def test_algebra_matches_pointwise():
