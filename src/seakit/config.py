@@ -204,15 +204,20 @@ def _dump_controller(ctrl):
     return "two_dof"
 
 
+_SCENARIO_KINDS = ("torque_loop", "impedance")
+
+
 @dataclass(frozen=True)
 class ScenarioDef:
     """Declarative scenario: everything but the plant and the controller
     instance, which are materialized from the config at run time.
 
     controller is the string "two_dof" (use the synthesized pair) or a
-    PiController.  kind "impedance" additionally uses phi_ref and i_d,
-    which must then be positive.  Construction runs the simulator's
-    model-free checks, so a bad field fails when the config loads.
+    PiController.  kind is "torque_loop" or "impedance"; an impedance
+    scenario additionally uses phi_ref and i_d, which must then be
+    positive, and a torque loop keeps i_d at 0.  Construction runs the
+    simulator's model-free checks, so a bad field fails when the config
+    loads.
     """
 
     kind: str = "torque_loop"
@@ -229,9 +234,15 @@ class ScenarioDef:
     i_d: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in _SCENARIO_KINDS:
+            raise ValueError(
+                f"kind must be 'torque_loop' or 'impedance', not {self.kind!r}"
+            )
         _check_timing(self.dt_s, self.duration_s, self.saturation_rad_s)
         if self.kind == "impedance":
             _check_i_d(self.i_d)
+        elif self.i_d != 0.0:
+            raise ValueError("i_d applies only to an impedance scenario")
 
     def materialize(self, model, two_dof: TwoDofController):
         """Bind to a plant and controller, yielding a runnable scenario."""
@@ -260,7 +271,7 @@ def _parse_scenario(d, ctx: str) -> ScenarioDef:
         raise ConfigError(f"{ctx} must be an object")
     _check_keys(d, {"type", *_SCENARIO_FIELDS}, ctx)
     kind = d.get("type", "torque_loop")
-    if kind not in ("torque_loop", "impedance"):
+    if kind not in _SCENARIO_KINDS:
         raise ConfigError(f"{ctx}.type must be 'torque_loop' or 'impedance'")
     if kind == "torque_loop" and any(name in d for name in _IMPEDANCE_FIELDS):
         raise ConfigError(

@@ -5,9 +5,14 @@ H(f) = S_uy(f) / S_uu(f) over Hann-windowed, half-overlapping segments,
 with magnitude-squared coherence reported per frequency.  Averaging
 across segments is what makes the estimate usable on the noisy
 closed-loop traces; a single-shot quotient would be hopeless there.
+The spectra are computed with numpy's FFT alone.
 
 Bandwidth and phase metrics accept either an estimate or an analytic
-transfer function, so the same code scores theory and simulation.
+transfer function, so the same code scores theory and simulation.  An
+estimate is interpolated on its own grid.  A transfer function n/d is
+scored in closed form over 1e-3 .. 1e4 Hz: each crossing is a real root
+x = w^2 of a polynomial built from n(jw) and d(jw), and the unwrapped
+phase comes from the roots of n and d.  No frequency grid is swept.
 """
 
 from __future__ import annotations
@@ -15,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _sig
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import write_csv
-from .transfer import RationalTF, frequency_response
+from .polynomials import Polynomial, roots
+from .transfer import RationalTF
 
 __all__ = [
     "FrfEstimate",
@@ -31,6 +37,7 @@ __all__ = [
 
 # -3 dB means half power, i.e. 20 log10(sqrt(2)) below the reference.
 _HALF_POWER_DB = 20.0 * np.log10(np.sqrt(2.0))
+_NO_CROSSING = "magnitude never crosses -3 dB in the evaluated range"
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,31 @@ def _segment_length(n: int) -> int:
             f"series too short for a segmented estimate ({n} samples)"
         )
     return 1 << (limit.bit_length() - 1)
+
+
+def _welch(u: np.ndarray, y: np.ndarray, fs: float, nperseg: int):
+    """One-sided Welch densities: (freqs, S_uu, S_yy, S_uy).
+
+    Periodic Hann window, segments of nperseg samples at a step of
+    nperseg / 2 (a tail shorter than that is dropped), no detrending,
+    and the mean over segments of |U|^2, |Y|^2 and conj(U) Y, scaled to
+    a density as scipy.signal.welch and csd scale it.  Welch, IEEE
+    Trans. Audio Electroacoust. 15 (1967) 70-73.
+    """
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+
+    def segment_spectra(x):
+        segments = sliding_window_view(x, nperseg)[:: nperseg // 2]
+        return np.fft.rfft(segments * window, axis=1)
+
+    su, sy = segment_spectra(u), segment_spectra(y)
+    # one-sided: every bin but DC and Nyquist (nperseg is even) twice
+    scale = np.full(nperseg // 2 + 1, 2.0 / (fs * np.sum(window**2)))
+    scale[[0, -1]] *= 0.5
+    s_uu = scale * np.mean(su.real**2 + su.imag**2, axis=0)
+    s_yy = scale * np.mean(sy.real**2 + sy.imag**2, axis=0)
+    s_uy = scale * np.mean(np.conj(su) * sy, axis=0)
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), s_uu, s_yy, s_uy
 
 
 def estimate_frf(
@@ -118,23 +150,10 @@ def estimate_frf(
             "requested frequency"
         )
 
-    nperseg = _segment_length(n)
-    kw = dict(
-        fs=fs,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend=False,
-    )
-    f_grid, s_uu = _sig.welch(u, **kw)
-    _, s_yy = _sig.welch(y, **kw)
-    _, s_uy = _sig.csd(u, y, **kw)
-
     # Bin 0 is DC; drop it so interpolation can work in log frequency.
-    f_grid = f_grid[1:]
-    s_uu = s_uu[1:]
-    s_yy = s_yy[1:]
-    s_uy = s_uy[1:]
+    f_grid, s_uu, s_yy, s_uy = (
+        a[1:] for a in _welch(u, y, fs, _segment_length(n))
+    )
     if freqs[0] < f_grid[0] or freqs[-1] > f_grid[-1]:
         raise ValueError(
             f"requested band [{freqs[0]:.4g}, {freqs[-1]:.4g}] Hz outside "
@@ -164,28 +183,97 @@ def estimate_frf(
     )
 
 
-# The dense grid a transfer function is swept on: log-spaced from 1e-3
-# to 1e4 Hz.
+# The band the Bode metrics of a transfer function are taken over, in
+# decades of Hz: 1e-3 to 1e4 Hz; "dc_gain" is the gain at its low end.
 _SWEEP_DECADES = (-3.0, 4.0)
-_SWEEP_POINTS = 100001
+_F_LO, _F_HI = 10.0 ** _SWEEP_DECADES[0], 10.0 ** _SWEEP_DECADES[1]
+_W_LO, _W_HI = 2.0 * np.pi * _F_LO, 2.0 * np.pi * _F_HI
+# Real roots of a crossing polynomial closer than this, relative, are one
+# root of their combined multiplicity: a double root splits by about
+# sqrt(eps) in floating point, and a touch is not a crossing.
+_CLUSTER_REL = 1e-6
 
 
-def _as_response(frf_or_tf):
-    """Uniform view: (freqs, mag_db, phase_deg) from either input kind."""
-    if isinstance(frf_or_tf, RationalTF):
-        grid = np.logspace(*_SWEEP_DECADES, _SWEEP_POINTS)
-        resp = frequency_response(frf_or_tf, grid)
-        return resp.freqs_hz, resp.magnitude_db, resp.phase_deg
-    return frf_or_tf.freqs_hz, frf_or_tf.magnitude_db, frf_or_tf.phase_deg
+def _on_axis(p: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(R, I) with p(jw) = R(x) + jw I(x) for x = w^2."""
+    c = p.coeffs[::-1]  # lowest power first
+    even, odd = c[0::2], c[1::2]
+    r = even * (-1.0) ** np.arange(len(even))
+    i = odd * (-1.0) ** np.arange(len(odd))
+    return Polynomial(r[::-1]), Polynomial(i[::-1] if len(i) else 0.0)
+
+
+def _squared_gain(p: Polynomial) -> Polynomial:
+    """|p(jw)|^2 as a polynomial in x = w^2."""
+    r, i = _on_axis(p)
+    return r * r + Polynomial([1.0, 0.0]) * i * i
+
+
+def _sign_changes(f: Polynomial, x_lo: float, x_hi: float):
+    """Where f changes sign on (x_lo, x_hi]: ascending (x, sign after).
+
+    The sign at x_lo counts 0 as positive.  Real roots are clustered
+    within _CLUSTER_REL; a cluster of even multiplicity touches zero and
+    changes no sign.
+    """
+    sign = -1.0 if f(x_lo) < 0.0 else 1.0
+    if f.degree < 1:
+        return []
+    rts = roots(f).as_array
+    xs = np.sort(rts.real[np.abs(rts.imag) <= _CLUSTER_REL * np.abs(rts)])
+    xs = xs[(xs > x_lo) & (xs <= x_hi)]
+    out = []
+    start = 0
+    for k in range(1, len(xs) + 1):
+        if k == len(xs) or xs[k] - xs[k - 1] > _CLUSTER_REL * xs[k]:
+            if (k - start) % 2:
+                sign = -sign
+                out.append((float(np.mean(xs[start:k])), sign))
+            start = k
+    return out
+
+
+def _arg_sum(p: Polynomial, w: np.ndarray) -> np.ndarray:
+    """Sum over the roots z of p of arg(jw - z), continuous in w > 0 and
+    exact up to a constant."""
+    if p.degree < 1:
+        return np.zeros_like(w)
+    z = roots(p).as_array
+    jw = 1j * w[:, None]
+    # jw - z crosses the negative real axis when Re z > 0: measure those
+    # as arg(z - jw), which is continuous there and off by pi
+    args = np.where(z.real > 0.0, np.angle(z - jw), np.angle(jw - z))
+    return np.sum(args, axis=1)
+
+
+def _phase_deg(tf: RationalTF, w) -> np.ndarray:
+    """Unwrapped phase of tf at w > 0 rad/s, in degrees.
+
+    The unwrapped phase is the root sum sum_i arg(jw - z_i) - sum_i
+    arg(jw - p_i) over the zeros and poles, shifted by whole turns to
+    equal the principal angle at the low end of the band.  It is
+    returned as the principal angle of tf(jw) plus the whole turns the
+    root sum calls for, so roots perturbed by rounding (a repeated root
+    splits by eps^(1/m)) choose the turn but do not move the value.
+    """
+    w = np.append(np.asarray(w, dtype=float), _W_LO)
+    principal = np.angle(tf(1j * w))
+    root_sum = _arg_sum(tf.num, w) - _arg_sum(tf.den, w)
+    unwrapped = root_sum - root_sum[-1] + principal[-1]
+    turns = np.round((unwrapped - principal) / (2.0 * np.pi))
+    return np.degrees(principal + 2.0 * np.pi * turns)[:-1]
 
 
 def bandwidth_3db(frf_or_tf, dc_reference: str = "dc_gain") -> float:
     """First frequency where gain drops 3 dB below the reference.
 
     dc_reference selects the 0-level: "dc_gain" uses the lowest-frequency
-    gain of the data (dense sweep from 1e-3 Hz for transfer functions),
-    "unity" uses 0 dB.  The crossing is located by linear interpolation
-    in log frequency.
+    gain (for a transfer function, the gain at 1e-3 Hz), "unity" uses
+    0 dB.  For an estimate the crossing is located by linear
+    interpolation in log frequency.  For a transfer function n/d it is
+    exact: the smallest x = w^2 in the 1e-3 .. 1e4 Hz band where
+    |n(jw)|^2 - g0^2 |d(jw)|^2 / 2 changes sign; a gain already below
+    the threshold at 1e-3 Hz gives 1e-3 Hz.
 
     Raises
     ------
@@ -194,14 +282,16 @@ def bandwidth_3db(frf_or_tf, dc_reference: str = "dc_gain") -> float:
     """
     if dc_reference not in ("dc_gain", "unity"):
         raise ValueError("dc_reference must be 'dc_gain' or 'unity'")
-    freqs, mag_db, _ = _as_response(frf_or_tf)
+    if isinstance(frf_or_tf, RationalTF):
+        return _tf_bandwidth(frf_or_tf, dc_reference)
+    freqs, mag_db = frf_or_tf.freqs_hz, frf_or_tf.magnitude_db
     ref_db = float(mag_db[0]) if dc_reference == "dc_gain" else 0.0
     thr = ref_db - _HALF_POWER_DB
     below = mag_db < thr
     if below[0]:
         return float(freqs[0])
     if not np.any(below):
-        raise ValueError("magnitude never crosses -3 dB in the evaluated range")
+        raise ValueError(_NO_CROSSING)
     i = int(np.argmax(below))
     f0, f1 = np.log10(freqs[i - 1]), np.log10(freqs[i])
     m0, m1 = mag_db[i - 1], mag_db[i]
@@ -209,46 +299,72 @@ def bandwidth_3db(frf_or_tf, dc_reference: str = "dc_gain") -> float:
     return float(10.0 ** (f0 + frac * (f1 - f0)))
 
 
+def _tf_bandwidth(tf: RationalTF, dc_reference: str) -> float:
+    ref = abs(tf(1j * _W_LO)) ** 2 if dc_reference == "dc_gain" else 1.0
+    f = _squared_gain(tf.num) - (0.5 * ref) * _squared_gain(tf.den)
+    if f(_W_LO**2) < 0.0:
+        return _F_LO
+    changes = _sign_changes(f, _W_LO**2, _W_HI**2)
+    if not changes:
+        raise ValueError(_NO_CROSSING)
+    return float(np.sqrt(changes[0][0]) / (2.0 * np.pi))
+
+
 def phase_at(frf_or_tf, f_hz: float) -> float:
-    """Unwrapped phase in degrees at one frequency, interpolated.
+    """Unwrapped phase in degrees at one frequency.
+
+    An estimate is interpolated linearly in log frequency.  A transfer
+    function is evaluated exactly: its principal angle there, unwrapped
+    by the turns its zeros and poles give since 1e-3 Hz, where the
+    branch is the principal one.
 
     Raises
     ------
     ValueError
-        If f_hz lies outside the data (or dense-sweep) range.
+        If f_hz lies outside the data (or the 1e-3 .. 1e4 Hz) range.
     """
-    freqs, _, phase_deg = _as_response(frf_or_tf)
-    if not (freqs[0] <= f_hz <= freqs[-1]):
-        raise ValueError(
-            f"{f_hz:.4g} Hz outside [{freqs[0]:.4g}, {freqs[-1]:.4g}] Hz"
-        )
-    return float(np.interp(np.log10(f_hz), np.log10(freqs), phase_deg))
+    if isinstance(frf_or_tf, RationalTF):
+        lo, hi = _F_LO, _F_HI
+    else:
+        freqs = frf_or_tf.freqs_hz
+        lo, hi = freqs[0], freqs[-1]
+    if not (lo <= f_hz <= hi):
+        raise ValueError(f"{f_hz:.4g} Hz outside [{lo:.4g}, {hi:.4g}] Hz")
+    if isinstance(frf_or_tf, RationalTF):
+        return float(_phase_deg(frf_or_tf, [2.0 * np.pi * f_hz])[0])
+    return float(
+        np.interp(np.log10(f_hz), np.log10(freqs), frf_or_tf.phase_deg)
+    )
 
 
 def loop_margins(loop_tf: RationalTF) -> tuple[float, float]:
-    """Classical stability margins of an open-loop transfer function.
+    """Classical stability margins of an open-loop transfer function n/d.
 
-    Returns (gain_margin_db, phase_margin_deg) from a dense sweep:
-    the phase margin is 180 deg plus the phase at the first unity-gain
-    crossing, the gain margin is the gain deficit at the first -180 deg
-    phase crossing.  Either is inf when its crossing never happens.
+    Returns (gain_margin_db, phase_margin_deg) over 1e-3 .. 1e4 Hz: the
+    phase margin is 180 deg plus the phase at the first fall of the gain
+    through 0 dB, the first root x = w^2 where |n|^2 - |d|^2 turns
+    negative; the gain margin is the gain deficit at the first fall of
+    the unwrapped phase through -180 deg, a root of Im(n(jw) conj d(jw)).
+    Either is inf when its crossing never happens.
     """
-    freqs, mag_db, phase_deg = _as_response(loop_tf)
-    pm = float("inf")
-    cross = np.nonzero((mag_db[:-1] >= 0.0) & (mag_db[1:] < 0.0))[0]
-    if len(cross):
-        i = cross[0]
-        frac = (0.0 - mag_db[i]) / (mag_db[i + 1] - mag_db[i])
-        ph = phase_deg[i] + frac * (phase_deg[i + 1] - phase_deg[i])
-        pm = 180.0 + ph
+    x_lo, x_hi = _W_LO**2, _W_HI**2
+    gain = _squared_gain(loop_tf.num) - _squared_gain(loop_tf.den)
+    first = [x for x, after in _sign_changes(gain, x_lo, x_hi) if after < 0.0][:1]
+    # Im(n conj d) / w has the sign of sin(phase): it turns from negative
+    # to positive where the phase falls through an odd multiple of 180
+    nr, ni = _on_axis(loop_tf.num)
+    dr, di = _on_axis(loop_tf.den)
+    flips = [x for x, after in _sign_changes(ni * dr - nr * di, x_lo, x_hi)
+             if after > 0.0]
+    # one phase evaluation: the first gain crossover, then every flip
+    w = np.sqrt(np.array(first + flips))
+    phase = _phase_deg(loop_tf, w)
+    pm = 180.0 + float(phase[0]) if first else float("inf")
+    at = np.nonzero(np.round(phase[len(first):] / 180.0) == -1.0)[0]
     gm = float("inf")
-    flip = np.nonzero(
-        (phase_deg[:-1] > -180.0) & (phase_deg[1:] <= -180.0)
-    )[0]
-    if len(flip):
-        i = flip[0]
-        frac = (-180.0 - phase_deg[i]) / (phase_deg[i + 1] - phase_deg[i])
-        gm = -(mag_db[i] + frac * (mag_db[i + 1] - mag_db[i]))
+    if len(at):
+        w_p = w[len(first) + at[0]]
+        gm = -20.0 * float(np.log10(abs(loop_tf(1j * w_p))))
     return gm, pm
 
 

@@ -232,25 +232,52 @@ class RootSet:
         return np.array(self.roots, dtype=complex)
 
 
-def _eval_scale(coeffs: np.ndarray, r: complex) -> float:
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    """|z| rounded as Python's abs(complex), which is hypot."""
+    return np.hypot(z.real, z.imag)
+
+
+def _eval_scale(coeffs: np.ndarray, rts: np.ndarray) -> np.ndarray:
     # Sum of |c_i| |r|^power bounds |p(r)| from roundoff alone; dividing by
     # it gives a scale-free residual even for huge/tiny coefficient spans.
     deg = len(coeffs) - 1
-    m = abs(r)
-    powers = m ** np.arange(deg, -1, -1, dtype=float)
-    s = float(np.sum(np.abs(coeffs) * powers))
-    return max(s, 1e-300)
+    powers = _magnitude(rts)[:, None] ** np.arange(deg, -1, -1, dtype=float)
+    s = np.sum(np.abs(coeffs) * powers, axis=1)
+    return np.maximum(s, 1e-300)
+
+
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b elementwise for nonzero b, rounded as Python's complex
+    division rounds (Smith's method, dividing by the scaled denominator
+    where numpy multiplies by its reciprocal), so that polishing all
+    roots at once gives the roots a polish of one Python complex at a
+    time gives, bit for bit."""
+    wide = np.abs(b.real) >= np.abs(b.imag)
+    big = np.where(wide, b.real, b.imag)
+    small = np.where(wide, b.imag, b.real)
+    ratio = small / big
+    denom = big + small * ratio
+    ar, ai = a.real, a.imag
+    q = (np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom).astype(complex)
+    q.imag = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
+    return q
 
 
 def _pair_conjugates(rts: np.ndarray) -> np.ndarray:
-    """Snap near-real roots to the axis and force exact conjugate pairs."""
+    """Snap near-real roots to the axis and force exact conjugate pairs.
+
+    A root is near-real when |imag| <= 1e-8 max(1, |r|), judged by its
+    own magnitude: a resonance at 1 rad/s stays complex beside a root at
+    1e9 rad/s.
+    """
     if rts.size == 0:
         return rts
-    scale = max(1.0, float(np.max(np.abs(rts))))
-    snap = 1e-8 * scale
-    real_part = [complex(r.real, 0.0) for r in rts if abs(r.imag) <= snap]
-    pos = sorted((r for r in rts if r.imag > snap), key=lambda r: (r.real, r.imag))
-    neg = sorted((r for r in rts if r.imag < -snap), key=lambda r: (r.real, -r.imag))
+    snap = 1e-8 * np.maximum(1.0, np.abs(rts))
+    real_part = [complex(r.real, 0.0) for r, t in zip(rts, snap) if abs(r.imag) <= t]
+    pos = sorted((r for r, t in zip(rts, snap) if r.imag > t),
+                 key=lambda r: (r.real, r.imag))
+    neg = sorted((r for r, t in zip(rts, snap) if r.imag < -t),
+                 key=lambda r: (r.real, -r.imag))
     paired = []
     # Real coefficients guarantee matching counts; if they differ the strays
     # are effectively real within tolerance.
@@ -284,28 +311,29 @@ def roots(p: Polynomial, rel_tol: float = 1e-8, newton_steps: int = 4) -> RootSe
     if p.degree < 1:
         raise ValueError("root extraction requires degree >= 1")
     coeffs = p.coeffs
-    der = p.derivative()
-    raw = np.roots(coeffs)
-    polished = []
-    for r in raw:
-        r = complex(r)
-        fr = complex(np.polyval(coeffs, r))
-        for _ in range(newton_steps):
-            dfr = complex(np.polyval(der.coeffs, r))
-            if abs(dfr) < 1e-14 * _eval_scale(der.coeffs, r):
-                break  # derivative too small: near-multiple root, keep as is
-            step = fr / dfr
-            cand = r - step
-            fc = complex(np.polyval(coeffs, cand))
-            if abs(fc) < abs(fr):
-                r, fr = cand, fc
-            else:
-                break
-        polished.append(r)
-    sym = _pair_conjugates(np.array(polished, dtype=complex))
-    residual = max(
-        abs(complex(np.polyval(coeffs, r))) / _eval_scale(coeffs, r) for r in sym
-    )
+    der = p.derivative().coeffs
+    r = np.roots(coeffs).astype(complex)
+    fr = np.polyval(coeffs, r)
+    # Every root takes its corrections at once; `live` holds the roots
+    # still being corrected, and a root leaves it for good.
+    live = np.arange(len(r))
+    for _ in range(newton_steps):
+        dfr = np.polyval(der, r[live])
+        # derivative too small: near-multiple root, keep as is
+        keep = ~(_magnitude(dfr) < 1e-14 * _eval_scale(der, r[live]))
+        live, dfr = live[keep], dfr[keep]
+        cand = r[live] - _quotient(fr[live], dfr)
+        fc = np.polyval(coeffs, cand)
+        better = _magnitude(fc) < _magnitude(fr[live])
+        live = live[better]
+        r[live] = cand[better]
+        fr[live] = fc[better]
+        if not len(live):
+            break
+    sym = _pair_conjugates(r)
+    residual = float(np.max(
+        _magnitude(np.polyval(coeffs, sym)) / _eval_scale(coeffs, sym)
+    ))
     if residual > rel_tol:
         raise NumericsError(
             f"root refinement residual {residual:.3e} exceeds {rel_tol:.1e}"

@@ -147,6 +147,20 @@ def test_scenario_fields_checked_at_load():
         ScenarioDef(kind="impedance")
 
 
+def test_scenario_def_rejects_unknown_kind():
+    # a misspelt kind used to materialize a torque loop, and save_config
+    # wrote a "type" that load_config then rejected
+    with pytest.raises(ValueError, match="^kind .*'impedence'"):
+        ScenarioDef(kind="impedence", i_d=0.5)
+
+
+def test_scenario_def_rejects_i_d_on_a_torque_loop():
+    # a torque loop has no virtual spring; its i_d used to be dropped
+    with pytest.raises(ValueError, match="^i_d "):
+        ScenarioDef(kind="torque_loop", i_d=0.5)
+    ScenarioDef(kind="torque_loop", i_d=0.0)
+
+
 def test_cli_rejects_impedance_scenario_without_i_d(tmp_path, capsys):
     path = tmp_path / "imp.json"
     path.write_text(json.dumps({"scenarios": {"imp": {"type": "impedance"}}}))

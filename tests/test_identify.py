@@ -1,19 +1,28 @@
 """Unit tests for FRF estimation and Bode metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import signal as sig
 
 from seakit import (
     FrfEstimate,
+    ProjectConfig,
     RationalTF,
     bandwidth_3db,
+    build_plant,
+    default_params,
     estimate_frf,
+    frequency_response,
     frf_to_csv,
+    h2_synthesize,
     loop_margins,
     phase_at,
+    series,
+    torque_loop_maps,
 )
-from seakit.identify import _segment_length
+from seakit.identify import _segment_length, _welch
 
 
 def _lowpass(fc_hz: float, gain: float = 1.0) -> RationalTF:
@@ -185,3 +194,190 @@ def test_frf_to_csv_round_trip(tmp_path):
     np.testing.assert_allclose(data[:, 1], est.magnitude_db, rtol=1e-8)
     np.testing.assert_allclose(data[:, 2], est.phase_deg, rtol=1e-8)
     np.testing.assert_allclose(data[:, 3], est.coherence, rtol=1e-8)
+
+
+def test_welch_spectra_match_scipy():
+    # a chirp well inside the band of the segments, with a lagged,
+    # noisy output
+    dt = 2e-4
+    t = np.arange(0.0, 42.0, dt)
+    u = sig.chirp(t, 0.1, 42.0, 30.0)
+    y = 0.8 * np.roll(u, 7) + 0.01 * np.random.default_rng(1).standard_normal(len(u))
+    nperseg = _segment_length(len(u))
+    kw = dict(fs=1.0 / dt, window="hann", nperseg=nperseg,
+              noverlap=nperseg // 2, detrend=False)
+    f, s_uu, s_yy, s_uy = _welch(u, y, 1.0 / dt, nperseg)
+    f_ref, uu_ref = sig.welch(u, **kw)
+    _, yy_ref = sig.welch(y, **kw)
+    _, uy_ref = sig.csd(u, y, **kw)
+    np.testing.assert_array_equal(f, f_ref)
+    band = (f > 0.2) & (f < 25.0)
+    for ours, ref in ((s_uu, uu_ref), (s_yy, yy_ref), (s_uy, uy_ref)):
+        assert ours.shape == ref.shape
+        err = np.abs(ours - ref)
+        # bin by bin inside the chirp's band, against the peak outside it
+        assert np.all(err[band] <= 1e-12 * np.abs(ref[band]))
+        assert np.max(err) <= 1e-12 * np.max(np.abs(ref))
+
+
+# The oracle for the closed-form metrics: a 100001-point log sweep over
+# 1e-3 .. 1e4 Hz, read by linear interpolation in log frequency.
+def _sweep(tf):
+    r = frequency_response(tf, np.logspace(-3.0, 4.0, 100001))
+    return r.freqs_hz, r.magnitude_db, r.phase_deg
+
+
+def _swept_bandwidth(tf, dc_reference):
+    freqs, mag, _ = _sweep(tf)
+    est = FrfEstimate(freqs, mag, np.zeros_like(freqs), np.ones_like(freqs))
+    return bandwidth_3db(est, dc_reference)
+
+
+def _swept_phase(tf, f_hz):
+    freqs, _, phase = _sweep(tf)
+    return float(np.interp(np.log10(f_hz), np.log10(freqs), phase))
+
+
+def _swept_margins(tf):
+    _, mag, phase = _sweep(tf)
+    gm = pm = np.inf
+    cross = np.nonzero((mag[:-1] >= 0.0) & (mag[1:] < 0.0))[0]
+    if len(cross):
+        i = cross[0]
+        frac = -mag[i] / (mag[i + 1] - mag[i])
+        pm = 180.0 + phase[i] + frac * (phase[i + 1] - phase[i])
+    flip = np.nonzero((phase[:-1] > -180.0) & (phase[1:] <= -180.0))[0]
+    if len(flip):
+        i = flip[0]
+        frac = (-180.0 - phase[i]) / (phase[i + 1] - phase[i])
+        gm = -(mag[i] + frac * (mag[i + 1] - mag[i]))
+    return gm, pm
+
+
+def _default_design():
+    model = build_plant(default_params())
+    ctrl = h2_synthesize(model.P, ProjectConfig().weights)
+    g1, _ = torque_loop_maps(model, ctrl, with_compensator=True)
+    return g1, series(model.P, ctrl.c2)
+
+
+def _resonance():
+    # a 1 Hz pole, then a zeta = 0.01 resonance at 20 Hz that lifts the
+    # gain back above -3 dB: three -3 dB crossings, and a phase that
+    # falls through -180 deg within about 1% of 20 Hz
+    wa, w0 = 2 * np.pi * 1.0, 2 * np.pi * 20.0
+    return RationalTF([wa * w0**2], np.polymul([1.0, wa], [1.0, 0.02 * w0, w0**2]))
+
+
+def _resonant_loop():
+    # an integrator into a zeta = 0.01 resonance at 10 Hz: the gain falls
+    # through 0 dB at 5 rad/s, comes back above it near 10 Hz and falls
+    # again, and the phase falls through -180 deg exactly at 10 Hz
+    w0 = 2 * np.pi * 10.0
+    return RationalTF([5.0 * w0**2], [1.0, 0.02 * w0, w0**2, 0.0])
+
+
+def _three_crossings():
+    # 1/s, a double zero at 3 rad/s, a triple pole at 20 and one at 1000:
+    # 0 dB crossings near 1, 9 and 30 rad/s
+    num = np.polymul([1 / 3, 1.0], [1 / 3, 1.0])
+    den = np.polymul([1.0, 0.0], np.polymul(np.poly([-20.0] * 3) / 8000.0,
+                                             [1e-3, 1.0]))
+    return RationalTF(num, den)
+
+
+def _far_pole_loop():
+    # an integrator into a zeta = 0.01 resonance at 1 Hz, with a pole at
+    # 1e4 Hz: the crossing polynomials span about 18 decades in w^2
+    w0, wp = 2 * np.pi, 2 * np.pi * 1e4
+    den = np.polymul([1.0, 0.0], np.polymul([1 / w0**2, 0.02 / w0, 1.0], [1 / wp, 1.0]))
+    return RationalTF([3.0], den)
+
+
+_CLASSIC = RationalTF([1.0], [1.0, 2.0, 1.0, 0.0])  # 1 / (s (s+1)^2)
+_INTEGRATOR = RationalTF([1.0], [1.0, 0.0])
+
+
+def _cases():
+    g1, loop = _default_design()
+    # (name, tf, tolerance in dB and deg): the sweep interpolates linearly
+    # across a transition only about 60 grid points wide at zeta = 0.01
+    return [
+        ("G1", g1, 1e-5),
+        ("P C2", loop, 1e-5),
+        ("classic", _CLASSIC, 1e-5),
+        ("resonance", _resonance(), 2e-3),
+        ("resonant loop", _resonant_loop(), 2e-3),
+        ("three crossings", _three_crossings(), 1e-5),
+        ("far pole", _far_pole_loop(), 2e-3),
+        ("integrator", _INTEGRATOR, 1e-5),
+    ]
+
+
+def test_closed_form_metrics_match_the_sweep():
+    for name, tf, tol in _cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as the design sweep runs them
+            for ref in ("dc_gain", "unity"):
+                bw = bandwidth_3db(tf, ref)
+                assert bw == pytest.approx(_swept_bandwidth(tf, ref), rel=1e-6), name
+            bw = bandwidth_3db(tf)
+            for f_hz in (1e-3, bw, 0.5, 9.9, 10.0, 19.9, 20.1, 1e4):
+                assert abs(phase_at(tf, f_hz) - _swept_phase(tf, f_hz)) <= tol, (
+                    name, f_hz)
+            gm, pm = loop_margins(tf)
+        gm_ref, pm_ref = _swept_margins(tf)
+        for got, ref in ((gm, gm_ref), (pm, pm_ref)):
+            assert got == ref if np.isinf(ref) else abs(got - ref) <= tol, name
+
+
+def test_closed_form_metrics_are_exact():
+    g1, loop = _default_design()
+    # the bandwidth halves the power of the gain at 1e-3 Hz
+    ratio = abs(g1(2j * np.pi * bandwidth_3db(g1))) / abs(g1(2j * np.pi * 1e-3))
+    assert ratio**2 == pytest.approx(0.5, rel=1e-12)
+    # -3 dB at 1.0051 Hz, not at the later crossings around 20 Hz
+    assert bandwidth_3db(_resonance()) == pytest.approx(1.005057, rel=1e-6)
+    # classic loop: -180 deg at 1 rad/s, where |L| = 1/2
+    gm, pm = loop_margins(_CLASSIC)
+    assert gm == pytest.approx(20 * np.log10(2.0), abs=1e-12)
+    # the first of three 0 dB crossings sets the phase margin
+    w = 2 * np.pi * 10.0
+    gm, pm = loop_margins(_resonant_loop())
+    assert gm == pytest.approx(-20 * np.log10(5.0 / (0.02 * w)), abs=1e-9)
+    assert 89.0 < pm < 90.0
+    assert phase_at(_resonant_loop(), 10.0) == pytest.approx(-180.0, abs=1e-9)
+    assert loop_margins(_INTEGRATOR) == (np.inf, pytest.approx(90.0, abs=1e-12))
+    assert bandwidth_3db(_INTEGRATOR) == pytest.approx(np.sqrt(2.0) * 1e-3, rel=1e-12)
+
+
+def test_closed_form_phase_is_unwrapped_through_the_band():
+    # the triple pole at 20 rad/s splits into roots about 1e-4 apart;
+    # the phase stays the exact angle of the loop, on the unwrapped branch
+    loop = _three_crossings()
+    for f_hz in (0.1, 1.0, 10.0, 1e3):
+        w = 2 * np.pi * f_hz
+        exact = -90.0 + np.degrees(2 * np.arctan(w / 3) - 3 * np.arctan(w / 20)
+                                   - np.arctan(w / 1000))
+        assert phase_at(loop, f_hz) == pytest.approx(exact, abs=1e-9)
+    # near -270 deg above the resonance, where the principal angle is
+    # near +90
+    loop = _resonant_loop()
+    principal = np.degrees(np.angle(loop(2j * np.pi * 100.0)))
+    assert phase_at(loop, 100.0) == pytest.approx(principal - 360.0, abs=1e-9)
+
+
+def test_touching_the_threshold_is_not_a_crossing():
+    # a notch of depth 1/sqrt(2) between unit gains: |G|^2 - 1/2 is
+    # (w0^2 - w^2)^2 / 2, whose double root rounding splits into two
+    # real roots 1e-8 apart, so the gain touches -3 dB and never falls
+    # below it
+    w0, z = 2 * np.pi * 5.0, 0.2
+    notch = RationalTF([1.0, 2 * z * w0, w0**2],
+                       [1.0, 2 * np.sqrt(2.0) * z * w0, w0**2])
+    with pytest.raises(ValueError, match="never crosses"):
+        bandwidth_3db(notch, dc_reference="unity")
+    # one part in 1e4 deeper and it crosses twice, first below w0
+    deeper = RationalTF([1.0, 2 * 0.9999 * z * w0, w0**2],
+                        [1.0, 2 * np.sqrt(2.0) * z * w0, w0**2])
+    assert 4.9 < bandwidth_3db(deeper, dc_reference="unity") < 5.0

@@ -12,6 +12,7 @@ from seakit import (
     roots,
     spectral_factor,
 )
+from seakit.polynomials import _pair_conjugates
 
 
 def test_construction_strips_exact_leading_zeros():
@@ -114,6 +115,63 @@ def test_roots_accuracy_on_clustered_pair():
     p = Polynomial.from_roots([-28.26, -28.288, -0.05])
     got = np.sort(roots(p).as_array.real)
     np.testing.assert_allclose(got, [-28.288, -28.26, -0.05], rtol=1e-9)
+
+
+def _scalar_polish_roots(p, newton_steps=4):
+    """The root polish one root at a time, with Python complex scalars:
+    the reference the array polish must reproduce bit for bit."""
+
+    def scale(c, r):
+        powers = abs(r) ** np.arange(len(c) - 1, -1, -1, dtype=float)
+        return max(float(np.sum(np.abs(c) * powers)), 1e-300)
+
+    coeffs, der = p.coeffs, p.derivative().coeffs
+    polished = []
+    for r in np.roots(coeffs):
+        r = complex(r)
+        fr = complex(np.polyval(coeffs, r))
+        for _ in range(newton_steps):
+            dfr = complex(np.polyval(der, r))
+            if abs(dfr) < 1e-14 * scale(der, r):
+                break
+            cand = r - fr / dfr
+            fc = complex(np.polyval(coeffs, cand))
+            if abs(fc) < abs(fr):
+                r, fr = cand, fc
+            else:
+                break
+        polished.append(r)
+    sym = _pair_conjugates(np.array(polished, dtype=complex))
+    residual = max(abs(complex(np.polyval(coeffs, r))) / scale(coeffs, r) for r in sym)
+    return sym, residual
+
+
+def test_array_polish_matches_scalar_polish_bit_for_bit():
+    rng = np.random.default_rng(7)
+    polys = [
+        Polynomial(rng.standard_normal(rng.integers(2, 14))
+                   * 10.0 ** rng.uniform(-6, 6))
+        for _ in range(400)
+    ]
+    for _ in range(200):
+        # repeated roots, where the polish stops on a vanishing derivative
+        base = np.round(rng.standard_normal(rng.integers(1, 5)), 1)
+        repeated = np.repeat(base, rng.integers(1, 4, len(base)))
+        polys.append(Polynomial(np.poly(repeated)))
+    for p in polys:
+        got = roots(p, rel_tol=np.inf)
+        want, residual = _scalar_polish_roots(p)
+        assert got.as_array.tobytes() == want.tobytes()
+        assert got.residual == residual
+
+
+def test_roots_keep_a_small_complex_pair_beside_a_large_root():
+    # near-real is judged per root: the pair at 1 rad/s is not snapped to
+    # the axis because another root lies at 1e9
+    p = Polynomial(np.polymul([1.0, 0.1, 1.0], [1.0, 1e9]))
+    got = roots(p).as_array
+    np.testing.assert_allclose(got, [-1e9, -0.05 - 0.99874922j, -0.05 + 0.99874922j],
+                               rtol=1e-8)
 
 
 def test_roots_rejects_constant():
