@@ -129,7 +129,8 @@ def estimate_frf(
     Raises
     ------
     ValueError
-        Length mismatch, insufficient data, a requested frequency
+        Length mismatch, a dt_s that is not finite and positive,
+        insufficient data, a requested frequency
         outside the resolvable band, or vanishing input power at a
         requested frequency.
     """
@@ -140,6 +141,8 @@ def estimate_frf(
     freqs = np.asarray(freqs_hz, dtype=float)
     if len(freqs) == 0 or np.any(freqs <= 0.0) or np.any(np.diff(freqs) <= 0.0):
         raise ValueError("freqs_hz must be positive and strictly ascending")
+    if not (np.isfinite(dt_s) and dt_s > 0.0):
+        raise ValueError("dt_s must be finite and positive")
     fs = 1.0 / dt_s
     if freqs[-1] > 0.5 * fs:
         raise ValueError("requested frequency exceeds Nyquist")

@@ -22,12 +22,12 @@ exogenous handle motion or the load state.  tau_L, u, phi_L and the
 recorded reference all come out of one product over [x, v].
 The saturation is the only nonlinearity, applied to the scalar
 velocity command at every stage of a fixed-step classical Runge-Kutta
-integrator; a step too large for RK4 is rejected up front.  While all
-four stage commands of a step stay inside the limit the loop is
-linear, and the RK4 step is exactly x+ = Phi x + G0 w0 + Gh wh + G1 w1
-with Phi the degree-4 Taylor polynomial of exp(hA); the input terms
-for all steps are one vectorized product.  A step whose stage commands
-would leave the limit is redone with the clamped stage function.
+integrator; a step too large for RK4 is rejected up front.  The RK4
+step is one linear map: closed through the unclamped command it is
+x+ = Phi x + G0 w0 + Gh wh + G1 w1, Phi the degree-4 Taylor polynomial
+of exp(hA), for every step whose four stage commands stay inside the
+limit.  Any other step is the same map opened at the clamp, its four
+stage commands clamped in sequence.
 Every input, phi_ref and handle motion included, is sampled once, by
 _step_inputs: deterministic signals on the half-step grid the
 integrator needs, seeded noise held constant across each step
@@ -248,6 +248,9 @@ class PiController:
     ki: float
 
     def __post_init__(self):
+        for name in ("kp", "ki"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.kp < 0.0 or self.ki < 0.0:
             raise ValueError("PI gains must be nonnegative")
 
@@ -425,15 +428,6 @@ class _LoopSystem:
     out_x: np.ndarray
     out_v: np.ndarray
 
-    def derivative(self, x: np.ndarray, v: np.ndarray, sat: float) -> np.ndarray:
-        """State derivative with the clamp applied to the velocity command."""
-        w = float(self.c_u @ x + self.d_u @ v)
-        if w > sat:
-            w = sat
-        elif w < -sat:
-            w = -sat
-        return self.A @ x + self.B @ v + self.b_w * w
-
 
 def _assemble(
     sc: TorqueLoopScenario, i_d: float | None, load: LoadModel | None
@@ -504,13 +498,13 @@ def _assemble(
     )
 
 
-def _check_step(loop: _LoopSystem, h: float) -> None:
-    """Reject h if RK4 grows a decaying mode of the unclamped loop.
+def _check_step(a: np.ndarray, h: float) -> None:
+    """Reject h if RK4 grows a decaying mode of the unclamped loop matrix a.
 
     RK4 scales a mode lambda by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
     z = h lambda, per step.
     """
-    lam = np.linalg.eigvals(loop.A + np.outer(loop.b_w, loop.c_u))
+    lam = np.linalg.eigvals(a)
     z = h * lam[lam.real < 0.0]
     amp = np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))
     if amp.size and amp.max() > 1.0:
@@ -520,69 +514,68 @@ def _check_step(loop: _LoopSystem, h: float) -> None:
         )
 
 
-def _rk4_step(f, x, v0, vh, v1, h):
-    """One classical Runge-Kutta step and its four stage states.
+def _step_maps(a, b, b_w, c_u, d_u, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 step of dx/dt = a x + b v + b_w w_i, run on linear maps.
 
-    v0, vh, v1 are the inputs at the start, midpoint and end of the step.
+    The maps act on [x, v0, vh, v1, w1, w2, w3, w4]: the inputs at the
+    start, midpoint and end of the step, then the command the plant
+    receives at each stage.  They give the next state (the degree-4
+    Taylor polynomial of exp(h a) on x) and the four stage commands
+    c_u x_i + d_u v_i, where stage i depends on w_j only for j < i.
     """
-    k1 = f(x, v0)
-    x2 = x + (0.5 * h) * k1
-    k2 = f(x2, vh)
-    x3 = x + (0.5 * h) * k2
-    k3 = f(x3, vh)
-    x4 = x + h * k3
-    k4 = f(x4, v1)
-    return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), (x, x2, x3, x4)
-
-
-def _clamped_step(loop: _LoopSystem, x, v0, vh, v1, h: float, sat: float):
-    """One RK4 step with the clamp applied at every stage."""
-    def f(xs, v):
-        return loop.derivative(xs, v, sat)
-
-    return _rk4_step(f, x, v0, vh, v1, h)[0]
-
-
-def _fused_maps(loop: _LoopSystem, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """The unclamped RK4 step and its four stage commands as linear maps.
-
-    Running the RK4 formula on maps instead of vectors gives, over
-    [x, v0, vh, v1], the step x+ = Phi x + G0 v0 + Gh vh + G1 v1
-    (Phi the degree-4 Taylor polynomial of exp(hA)) and the rows that
-    give u_presat at each of the four stages.
-    """
-    nx, ni = loop.B.shape
-    a = loop.A + np.outer(loop.b_w, loop.c_u)
-    b = loop.B + np.outer(loop.b_w, loop.d_u)
-    cols = nx + 3 * ni
-    ident = np.eye(nx, cols)
+    nx, ni = b.shape
+    cols = nx + 3 * ni + 4
+    x = np.eye(nx, cols)
     v0, vh, v1 = (np.eye(ni, cols, nx + j * ni) for j in range(3))
-    step, stages = _rk4_step(lambda s, v: a @ s + b @ v, ident, v0, vh, v1, h)
+    w = [np.outer(b_w, e) for e in np.eye(4, cols, nx + 3 * ni)]
+    k1 = a @ x + b @ v0 + w[0]
+    x2 = x + (0.5 * h) * k1
+    k2 = a @ x2 + b @ vh + w[1]
+    x3 = x + (0.5 * h) * k2
+    k3 = a @ x3 + b @ vh + w[2]
+    x4 = x + h * k3
+    k4 = a @ x4 + b @ v1 + w[3]
+    step = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     cmds = np.stack(
-        [loop.c_u @ s + loop.d_u @ v for s, v in zip(stages, (v0, vh, vh, v1))]
+        [c_u @ s + d_u @ v for s, v in zip((x, x2, x3, x4), (v0, vh, vh, v1))]
     )
     return step, cmds
 
 
-def _integrate(
-    loop: _LoopSystem, x0: np.ndarray, w0, wh, w1, h: float, sat: float
-) -> np.ndarray:
-    """States at every sample, from the fused step with a clamped fallback.
+def _clamped_step(xu: np.ndarray, n: np.ndarray, low: list, sat: float):
+    """Finish a step whose stage commands leave +-sat, clamping each in turn.
 
-    w0, wh, w1 hold the inputs at the start, midpoint and end of each
-    step, one row per step.  A step takes the fused linear map when all
-    four of its stage commands lie within +-sat, which is exactly when
-    the clamped RK4 step is linear; otherwise it is redone with the
-    clamped stages.  Integration stops once the state is non-finite,
-    leaving NaN in the samples after it.
+    xu is the open-loop step map with every w at zero: the state X, then
+    the commands U.  w_i = clamp(U_i + sum_j<i low[i][j] w_j); x+ = X + n w.
     """
-    nsteps, nx = len(w0), len(x0)
-    step, cmds = _fused_maps(loop, h)
-    q = np.vstack([step[:, :nx], cmds[:, :nx]])
+    w = []
+    for ui, row in zip(xu[-4:].tolist(), low):
+        ui += sum(c * wj for c, wj in zip(row, w))
+        w.append(min(max(ui, -sat), sat))
+    return xu[:-4] + n @ w
+
+
+def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
+               h: float, sat: float) -> np.ndarray:
+    """States at every sample, from the RK4 step maps of _step_maps.
+
+    a is the unclamped loop matrix A + b_w c_u; w0, wh, w1 hold the inputs
+    at the start, midpoint and end of each step, one row per step.  A step
+    whose four stage commands lie within +-sat takes the closed-loop map;
+    any other, the open-loop map of (A, B, b_w) through _clamped_step.
+    Integration stops once the state is non-finite, leaving NaN after it.
+    """
+    nsteps, (nx, ni) = len(w0), loop.B.shape
+    m = nx + 3 * ni
+    b = loop.B + np.outer(loop.b_w, loop.d_u)
+    closed = np.vstack(_step_maps(a, b, np.zeros(nx), loop.c_u, loop.d_u, h))
+    opened = np.vstack(_step_maps(loop.A, loop.B, loop.b_w, loop.c_u, loop.d_u, h))
+    o, n, low = opened[:, :m], opened[:nx, m:], opened[nx:, m:].tolist()
+    q = closed[:, :nx]
     # Row k + 1 holds x_(k+1) followed by the stage commands of step k;
     # it starts out as the input terms of step k.
-    z = np.empty((nsteps + 1, nx + len(cmds)))
-    z[1:] = np.hstack([w0, wh, w1]) @ np.vstack([step[:, nx:], cmds[:, nx:]]).T
+    z = np.empty((nsteps + 1, nx + 4))
+    z[1:] = np.hstack([w0, wh, w1]) @ closed[:, nx:m].T
     z[0, :nx] = x0
     xs = z[:, :nx]
     for k in range(nsteps):
@@ -594,7 +587,8 @@ def _integrate(
         if not np.isfinite(xs[k]).all():
             xs[k + 1:] = np.nan
             break
-        zk[:nx] = _clamped_step(loop, xs[k], w0[k], wh[k], w1[k], h, sat)
+        xv = np.concatenate((xs[k], w0[k], wh[k], w1[k]))
+        zk[:nx] = _clamped_step(o @ xv, n, low, sat)
     return xs
 
 
@@ -631,7 +625,8 @@ def _simulate(
     dt = ts.dt_s
     nsteps = int(round(ts.duration_s / dt))
     loop = _assemble(ts, i_d, load)
-    _check_step(loop, dt)
+    a = loop.A + np.outer(loop.b_w, loop.c_u)  # the loop with the clamp inactive
+    _check_step(a, dt)
 
     ins = [
         _step_inputs(spec, dt, nsteps)
@@ -641,7 +636,7 @@ def _simulate(
 
     x0 = phi0 * loop.out_x[2]
     sat = ts.saturation_rad_s
-    xs = _integrate(loop, x0, w0, wh, w1, dt, sat)
+    xs = _integrate(loop, a, x0, w0, wh, w1, dt, sat)
     tau, u, phi, r = loop.out_x @ xs.T + loop.out_v @ samples.T
 
     bad = ~(np.isfinite(tau) & np.isfinite(u) & np.isfinite(phi))

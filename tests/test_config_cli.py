@@ -177,6 +177,11 @@ def test_controller_parse_errors():
     with pytest.raises(ConfigError):
         parse_config({"scenarios": {"a": {"controller": {"type": "pi",
                                                          "kp": -1.0, "ki": 1.0}}}})
+    for key in ("kp", "ki"):
+        gains = {"type": "pi", "kp": 1.0, "ki": 1.0, key: float("nan")}
+        with pytest.raises(ConfigError, match=rf"^config\.scenarios\.a\.controller: "
+                                              rf"{key} must be finite$"):
+            parse_config({"scenarios": {"a": {"controller": gains}}})
 
 
 def test_params_fingerprint_stability():

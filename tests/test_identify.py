@@ -108,6 +108,9 @@ def test_estimate_frf_validation():
     # two periods fit but the frequency falls below the first Welch bin
     with pytest.raises(ValueError, match="resolvable"):
         estimate_frf(u, y, dt, np.array([0.05]))
+    for bad in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt_s must be finite and positive"):
+            estimate_frf(u, y, bad, np.array([1.0]))
 
 
 def test_estimate_frf_rejects_unexcited_frequency():

@@ -129,6 +129,10 @@ def test_white_noise_seeding():
 def test_pi_controller_validation_and_pair():
     with pytest.raises(ValueError):
         PiController(-1.0, 2.0)
+    for kp, ki, name in ((float("nan"), 1.0, "kp"), (1.0, float("inf"), "ki"),
+                         (float("-inf"), 1.0, "kp")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PiController(kp, ki)
     c1, c2 = PiController(204.0, 111.0).as_pair()
     assert c1 is c2
     assert np.isclose(c1(1j), 204.0 + 111.0 / 1j)
@@ -266,8 +270,10 @@ def test_divergence_raises_with_sample_index(model):
         reference=SignalSpec.step(1.0),
         duration_s=0.05,
     )
-    # the first non-finite sample, as the stage-by-stage integrator finds it
-    with pytest.raises(NumericsError, match=r"at sample 47 \(t = 0\.0047 s\)"):
+    # the first non-finite sample: the state at sample 47 is still finite
+    # (about 9e305), and the step map overflows on the step after it (a
+    # stage-by-stage RK4 overflows inside a stage one step earlier)
+    with pytest.raises(NumericsError, match=r"at sample 48 \(t = 0\.0048 s\)"):
         simulate_torque_loop(sc)
 
 
@@ -298,18 +304,31 @@ def test_assembled_state_counts(model, ctrl):
         assert simulation._assemble(sc, i_d, load).A.shape == (nx, nx)
 
 
-def _stagewise_integrate(loop, x0, w0, wh, w1, h, sat):
-    """Reference integrator: the clamped RK4 step on every step."""
+def _stagewise_integrate(loop, a, x0, w0, wh, w1, h, sat, clamped):
+    """Reference integrator: plain RK4 with the clamp applied at every
+    stage; appends to clamped the index of each step where it acts.  The
+    closed-loop matrix a that _integrate takes is not used."""
+    def f(x, v):
+        u = float(loop.c_u @ x + loop.d_u @ v)
+        acts.append(abs(u) > sat)
+        return loop.A @ x + loop.B @ v + loop.b_w * min(max(u, -sat), sat)
+
     xs = np.empty((len(w0) + 1, len(x0)))
     xs[0] = x0
-    for k in range(len(w0)):
-        xs[k + 1] = simulation._clamped_step(loop, xs[k], w0[k], wh[k], w1[k],
-                                             h, sat)
+    for k, (v0, vh, v1) in enumerate(zip(w0, wh, w1)):
+        acts, x = [], xs[k]
+        k1 = f(x, v0)
+        k2 = f(x + (0.5 * h) * k1, vh)
+        k3 = f(x + (0.5 * h) * k2, vh)
+        k4 = f(x + h * k3, v1)
+        xs[k + 1] = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if any(acts):
+            clamped.append(k)
     return xs
 
 
 def _parity_run(case, model, ctrl):
-    """Short runs covering every entry point and the saturating case."""
+    """Short runs covering every entry point and the saturating cases."""
     loop = dict(model=model, controller=ctrl, compensator_on=True, duration_s=0.5)
     swing = SignalSpec.sine(0.5, 2.0)
     if case == "pi_noise":  # the criterion-6 PI run, which saturates
@@ -319,6 +338,19 @@ def _parity_run(case, model, ctrl):
             reference=SignalSpec.sine(0.033, 2.0),
             noise=SignalSpec.white_noise(0.01, seed=321),
             duration_s=1.0,
+        ))
+    if case == "deep_saturation":  # |u_presat| reaches 40 times the limit
+        return simulate_torque_loop(TorqueLoopScenario(
+            model=model, controller=ctrl, reference=SignalSpec.step(1.0),
+            duration_s=0.2,
+        ))
+    if case == "pi_coarse":
+        # at a 1 ms step the terms coupling each stage command to the
+        # clamped earlier ones move the trace by ~1e-6 relative; at 0.1 ms
+        # they stay below the 1e-9 bound
+        return simulate_torque_loop(TorqueLoopScenario(
+            model=model, controller=PiController(204.0, 111.0),
+            reference=SignalSpec.sine(0.3, 2.0), dt_s=1e-3, duration_s=2.0,
         ))
     if case == "compensator":
         return simulate_torque_loop(TorqueLoopScenario(
@@ -334,11 +366,16 @@ def _parity_run(case, model, ctrl):
     )
 
 
+_SATURATING = ("pi_noise", "deep_saturation", "pi_coarse")
+
+
 @pytest.mark.parametrize(
-    "case", ["pi_noise", "compensator", "impedance", "free_response"]
+    "case",
+    [*_SATURATING, "compensator", "impedance", "free_response"],
 )
 def test_fused_step_matches_stagewise_rk4(model, ctrl, monkeypatch, case):
-    """The fused step with its clamped fallback reproduces plain RK4."""
+    """The RK4 step map, clamped where a step saturates, reproduces plain
+    RK4 with the clamp applied stage by stage."""
     clamped_step = simulation._clamped_step
     fallback_steps = []
 
@@ -348,20 +385,25 @@ def test_fused_step_matches_stagewise_rk4(model, ctrl, monkeypatch, case):
 
     monkeypatch.setattr(simulation, "_clamped_step", counting_step)
     fused = _parity_run(case, model, ctrl)
-    monkeypatch.setattr(simulation, "_clamped_step", clamped_step)
-    monkeypatch.setattr(simulation, "_integrate", _stagewise_integrate)
+    ref_clamped = []
+
+    def reference(*args):
+        return _stagewise_integrate(*args, ref_clamped)
+
+    monkeypatch.setattr(simulation, "_integrate", reference)
     ref = _parity_run(case, model, ctrl)
 
     for name in ("tau_L", "u_presat", "phi_L"):
         a, b = fused.channel(name), ref.channel(name)
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b)), name
     saturates = not np.array_equal(ref.channel("omega_d"), ref.channel("u_presat"))
-    assert saturates == (case == "pi_noise")
-    if saturates:
-        # only the saturating steps leave the fused path
-        assert 0 < len(fallback_steps) < ref.n_samples // 10
-    else:
-        assert not fallback_steps
+    assert saturates == (case in _SATURATING)
+    if case == "deep_saturation":
+        assert np.max(np.abs(ref.channel("u_presat"))) > 39 * 50.0
+    # only saturating steps leave the closed-loop map: as many as the
+    # reference clamps at some stage
+    assert len(fallback_steps) == len(ref_clamped)
+    assert bool(fallback_steps) == saturates
 
 
 def test_feedforward_does_not_touch_disturbance_response(model, ctrl):
