@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -145,13 +146,25 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _run_checked(name: str, cfg: ProjectConfig, out: str, seed) -> int:
-    """Run one preset, print its checks; EXIT_ACCEPTANCE if any failed."""
-    results = run_preset(name, cfg, os.path.join(out, name), seed=seed)
-    for r in results:
-        status = "pass" if r.passed else "FAIL"
-        print(f"[{status}] {r.preset}/{r.check}: {r.detail}")
+def _print_json_checks(results) -> None:
+    """The --json report of a preset command: one object, its checks."""
+    print(json.dumps({"checks": [asdict(r) for r in results]}, indent=2))
+
+
+def _verdict(results) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPTANCE
+
+
+def _run_checked(name: str, cfg: ProjectConfig, out: str, args) -> int:
+    """Run one preset, print its checks; EXIT_ACCEPTANCE if any failed."""
+    results = run_preset(name, cfg, os.path.join(out, name), seed=args.seed)
+    if args.json:
+        _print_json_checks(results)
+    else:
+        for r in results:
+            status = "pass" if r.passed else "FAIL"
+            print(f"[{status}] {r.preset}/{r.check}: {r.detail}")
+    return _verdict(results)
 
 
 def cmd_sim(args) -> int:
@@ -159,7 +172,7 @@ def cmd_sim(args) -> int:
     out = _out_dir(args, cfg)
     name = args.scenario
     if name in PRESET_NAMES:
-        return _run_checked(name, cfg, out, args.seed)
+        return _run_checked(name, cfg, out, args)
     if name not in cfg.scenarios:
         known = sorted(cfg.scenarios) + list(PRESET_NAMES)
         print(
@@ -184,7 +197,9 @@ def cmd_sim(args) -> int:
         ylabel="torque (Nm)",
         title=f"Scenario {name}",
     )
-    print(f"wrote {csv_path}")
+    if args.json:
+        _print_json_checks([])  # a config scenario carries no checks
+    print(f"wrote {csv_path}", file=sys.stderr if args.json else sys.stdout)
     return EXIT_OK
 
 
@@ -192,13 +207,16 @@ def cmd_bode(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
     name = "fig10_narrow" if args.narrow else "fig10"
-    return _run_checked(name, cfg, out, args.seed)
+    return _run_checked(name, cfg, out, args)
 
 
 def cmd_reproduce(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
     results = run_reproduce(cfg, out, seed=args.seed)
+    if args.json:
+        _print_json_checks(results)
+        return _verdict(results)
     width = max(len(f"{r.preset}/{r.check}") for r in results)
     print(f"\n{'check'.ljust(width)}  status  detail")
     for r in results:
@@ -206,9 +224,7 @@ def cmd_reproduce(args) -> int:
         print(f"{(r.preset + '/' + r.check).ljust(width)}  {status}  {r.detail}")
     failed = [r for r in results if not r.passed]
     print(f"\n{len(results) - len(failed)}/{len(results)} checks passed")
-    if failed:
-        return EXIT_ACCEPTANCE
-    return EXIT_OK
+    return _verdict(results)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,10 @@ step is one linear map: closed through the unclamped command it is
 x+ = Phi x + G0 w0 + Gh wh + G1 w1, Phi the degree-4 Taylor polynomial
 of exp(hA), for every step whose four stage commands stay inside the
 limit.  Any other step is the same map opened at the clamp, its four
-stage commands clamped in sequence.
+stage commands clamped in sequence.  The closed map is not stepped one
+step at a time: it is solved in closed form over blocks of steps (a
+chunked linear recurrence), and only the steps around a clamp episode
+are taken one by one.
 Every input, phi_ref and handle motion included, is sampled once, by
 _step_inputs: deterministic signals on the half-step grid the
 integrator needs, seeded noise held constant across each step
@@ -555,6 +558,42 @@ def _clamped_step(xu: np.ndarray, n: np.ndarray, low: list, sat: float):
     return xu[:-4] + n @ w
 
 
+# Steps per block of the closed-form solve.  Longer blocks take fewer
+# interpreter iterations but more flops per step in the forced response,
+# which grows with the block length.
+_BLOCK = 64
+# Blocks whose forced responses come out of one matrix product; the input
+# terms are formed one group at a time, never for the whole run at once.
+_GROUP = 32
+# In-range single steps after a clamped one before the block solve resumes,
+# so that a chattering clamp is not met by a block attempt at every step.
+_RESUME = 8
+
+
+def _block_maps(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maps of _BLOCK steps of the closed recurrence z_(k+1) = q x_k + f_k.
+
+    q is [Phi; C_q], z_(k+1) = [x_(k+1); u_k] and f_k = [f_x; f_u] the
+    input terms of step k.  Over a block starting at x_k, row j of the
+    solution is M_j x_k + f_(k+j) + sum_i<j M_(j-i-1) f_x,(k+i), with
+    M_j = q Phi^j = [Phi^(j+1); C_q Phi^j].  Returns M stacked over j and
+    the block-Toeplitz map of the stacked f_x onto the stacked rows.
+    """
+    nz, nx = q.shape
+    # Phi^j as Phi Phi^(j-1), the order of the step-by-step recursion: on
+    # the 14-state loop this keeps the states 3x closer to it than
+    # squaring up does
+    powers = [np.eye(nx)]
+    for _ in range(_BLOCK - 1):
+        powers.append(q[:nx] @ powers[-1])
+    m = q @ np.array(powers)
+    toe = np.zeros((_BLOCK, nz, _BLOCK, nx))
+    for d in range(1, _BLOCK):
+        i = np.arange(_BLOCK - d)
+        toe[i + d, :, i, :] = m[d - 1]
+    return m.reshape(-1, nx), toe.reshape(_BLOCK * nz, _BLOCK * nx)
+
+
 def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
                h: float, sat: float) -> np.ndarray:
     """States at every sample, from the RK4 step maps of _step_maps.
@@ -563,32 +602,69 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
     at the start, midpoint and end of each step, one row per step.  A step
     whose four stage commands lie within +-sat takes the closed-loop map;
     any other, the open-loop map of (A, B, b_w) through _clamped_step.
-    Integration stops once the state is non-finite, leaving NaN after it.
+
+    Unclamped stretches are solved in closed form, a block of _BLOCK
+    steps at a time (_block_maps): a block keeps its rows up to the first
+    one with a command outside +-sat or a non-finite state.  From there
+    the closed map steps one at a time, and _clamped_step takes each step
+    that leaves the limit, until _RESUME steps in a row stay inside it;
+    the block then resumes from the current state by superposition, the
+    unclamped block solution plus M (x - x_block).  Integration stops
+    once the state is non-finite, leaving NaN after it.
     """
     nsteps, (nx, ni) = len(w0), loop.B.shape
     m = nx + 3 * ni
+    nz = nx + 4
     b = loop.B + np.outer(loop.b_w, loop.d_u)
     closed = np.vstack(_step_maps(a, b, np.zeros(nx), loop.c_u, loop.d_u, h))
     opened = np.vstack(_step_maps(loop.A, loop.B, loop.b_w, loop.c_u, loop.d_u, h))
     o, n, low = opened[:, :m], opened[:nx, m:], opened[nx:, m:].tolist()
-    q = closed[:, :nx]
+    q, gam = closed[:, :nx], closed[:, nx:m]
+    mb, toe = _block_maps(q)
+    # a state row is accepted while finite, a command while inside +-sat
+    limit = np.r_[np.full(nx, np.finfo(float).max), np.full(4, sat)]
     # Row k + 1 holds x_(k+1) followed by the stage commands of step k;
     # it starts out as the input terms of step k.
-    z = np.empty((nsteps + 1, nx + 4))
-    z[1:] = np.hstack([w0, wh, w1]) @ closed[:, nx:m].T
+    z = np.empty((nsteps + 1, nz))
     z[0, :nx] = x0
     xs = z[:, :nx]
-    for k in range(nsteps):
-        zk = z[k + 1]
-        zk += q @ xs[k]
-        u = zk[nx:].tolist()
-        if max(u) <= sat and min(u) >= -sat:
-            continue
-        if not np.isfinite(xs[k]).all():
-            xs[k + 1:] = np.nan
-            break
-        xv = np.concatenate((xs[k], w0[k], wh[k], w1[k]))
-        zk[:nx] = _clamped_step(o @ xv, n, low, sat)
+    run = _RESUME  # steps inside the limit since a block last stopped
+    span = _BLOCK * _GROUP
+    for g in range(0, nsteps, span):
+        e = min(g + span, nsteps)
+        z[g + 1:e + 1] = np.hstack([w0[g:e], wh[g:e], w1[g:e]]) @ gam.T
+        nb = -(-(e - g) // _BLOCK)
+        f = np.zeros((nb * _BLOCK, nz))
+        f[:e - g] = z[g + 1:e + 1]
+        forced = f.reshape(nb, -1) + f[:, :nx].reshape(nb, -1) @ toe.T
+        for k, fk in zip(range(g, e, _BLOCK), forced):
+            steps = min(_BLOCK, nsteps - k)
+            zb = (mb @ xs[k] + fk).reshape(_BLOCK, nz)
+            j = 0
+            while j < steps:
+                if run >= _RESUME:
+                    if j:
+                        dx = xs[k + j] - zb[j - 1, :nx]
+                        zb[j:] += (mb[:(_BLOCK - j) * nz] @ dx).reshape(-1, nz)
+                    ok = (np.abs(zb[j:steps]) <= limit).all(1)
+                    good = len(ok) if ok.all() else int(ok.argmin())
+                    z[k + j + 1:k + j + good + 1] = zb[j:j + good]
+                    j += good
+                    if j == steps:
+                        break
+                    run = 0
+                zk = z[k + j + 1]
+                zk += q @ xs[k + j]
+                u = zk[nx:].tolist()
+                run += 1
+                if not (max(u) <= sat and min(u) >= -sat):
+                    run = 0
+                    if not np.isfinite(xs[k + j]).all():
+                        xs[k + j + 1:] = np.nan
+                        return xs
+                    xv = np.concatenate((xs[k + j], w0[k + j], wh[k + j], w1[k + j]))
+                    zk[:nx] = _clamped_step(o @ xv, n, low, sat)
+                j += 1
     return xs
 
 

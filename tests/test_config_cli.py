@@ -345,6 +345,26 @@ def test_cli_sim_scenario(tmp_path, capsys):
     assert header == ",".join(TRACE_CHANNELS)
 
 
+def test_cli_bode_narrow_json(tmp_path, capsys):
+    assert main(["bode", "--narrow", "--json", "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    obj = json.loads(captured.out)
+    assert set(obj) == {"checks"}
+    (check,) = obj["checks"]
+    assert set(check) == {"preset", "check", "passed", "detail"}
+    assert (check["preset"], check["check"], check["passed"]) == (
+        "fig10_narrow", "frf_matches_theory", True)
+    assert "coherent points" in check["detail"]
+
+
+def test_cli_sim_scenario_json(tmp_path, capsys):
+    cfg = _write_project(tmp_path)
+    assert main(["sim", "quick", "--config", cfg, "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"checks": []}
+    assert captured.err.startswith("wrote ")
+
+
 def test_cli_sim_seed_override(tmp_path):
     cfg = _write_project(tmp_path)
 
@@ -423,6 +443,24 @@ def test_cli_preset_commands_exit_4_on_failed_check(
     verdicts.append(False)
     assert main(argv) == 4
     assert f"[FAIL] {preset}/second" in capsys.readouterr().out
+    assert main(argv + ["--json"]) == 4
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["passed"] for c in checks] == [True, False]
+
+
+def test_cli_reproduce_json(tmp_path, monkeypatch, capsys):
+    from seakit import CheckResult
+    import seakit.cli as cli
+
+    results = [CheckResult("fig6", "a", True, "ok"),
+               CheckResult("fig10", "b", False, "-")]
+    monkeypatch.setattr(cli, "run_reproduce", lambda cfg, out, seed=None: results)
+    assert main(["reproduce", "--json", "--out", str(tmp_path)]) == 4
+    obj = json.loads(capsys.readouterr().out)
+    assert obj == {"checks": [
+        {"preset": "fig6", "check": "a", "passed": True, "detail": "ok"},
+        {"preset": "fig10", "check": "b", "passed": False, "detail": "-"},
+    ]}
 
 
 def test_cli_sim_unknown_scenario(tmp_path, capsys):

@@ -352,6 +352,33 @@ def _parity_run(case, model, ctrl):
             model=model, controller=PiController(204.0, 111.0),
             reference=SignalSpec.sine(0.3, 2.0), dt_s=1e-3, duration_s=2.0,
         ))
+    if case == "clamp_across_blocks":
+        # a clamp episode from step 31 to step 250, blocks 0 to 3, on a
+        # run of 2000 steps, whose last block is partial
+        return simulate_torque_loop(TorqueLoopScenario(
+            model=model, controller=ctrl,
+            reference=SignalSpec.step(0.3, start_s=0.00305), duration_s=0.2,
+        ))
+    if case == "pi_chatter":  # clamp episodes one or two steps apart
+        return simulate_torque_loop(TorqueLoopScenario(
+            model=model, controller=PiController(204.0, 111.0),
+            reference=SignalSpec.sine(0.3, 2.0),
+            noise=SignalSpec.white_noise(0.01, seed=321), duration_s=0.5,
+        ))
+    if case == "two_dof_blocks":  # the fig9 2-DOF run over 156 blocks
+        return simulate_torque_loop(TorqueLoopScenario(
+            model=model, controller=ctrl, reference=SignalSpec.sine(0.033, 2.0),
+            noise=SignalSpec.white_noise(0.01, seed=1101), duration_s=1.0,
+        ))
+    if case == "growing":
+        # a controller pole at +1000 rad/s: the state grows by about 600
+        # per block, 2e17 over the run, and the limit is never reached
+        unstable = RationalTF([1.0], [1.0, -1e3])
+        return simulate_torque_loop(TorqueLoopScenario(
+            model=model, controller=(unstable, unstable),
+            reference=SignalSpec.step(1e-9), saturation_rad_s=1e12,
+            duration_s=0.05,
+        ))
     if case == "compensator":
         return simulate_torque_loop(TorqueLoopScenario(
             reference=SignalSpec.sine(0.02, 3.0), handle_motion=swing, **loop
@@ -366,12 +393,25 @@ def _parity_run(case, model, ctrl):
     )
 
 
-_SATURATING = ("pi_noise", "deep_saturation", "pi_coarse")
+_SATURATING = ("pi_noise", "deep_saturation", "pi_coarse",
+               "clamp_across_blocks", "pi_chatter")
+
+
+def _episodes(steps):
+    """(first, last) step of each run of consecutive step indices."""
+    runs = []
+    for k in steps:
+        if runs and k == runs[-1][1] + 1:
+            runs[-1][1] = k
+        else:
+            runs.append([k, k])
+    return runs
 
 
 @pytest.mark.parametrize(
     "case",
-    [*_SATURATING, "compensator", "impedance", "free_response"],
+    [*_SATURATING, "compensator", "impedance", "free_response",
+     "two_dof_blocks", "growing"],
 )
 def test_fused_step_matches_stagewise_rk4(model, ctrl, monkeypatch, case):
     """The RK4 step map, clamped where a step saturates, reproduces plain
@@ -400,10 +440,97 @@ def test_fused_step_matches_stagewise_rk4(model, ctrl, monkeypatch, case):
     assert saturates == (case in _SATURATING)
     if case == "deep_saturation":
         assert np.max(np.abs(ref.channel("u_presat"))) > 39 * 50.0
+    block = simulation._BLOCK
+    episodes = _episodes(ref_clamped)
+    if case == "clamp_across_blocks":
+        assert (ref.n_samples - 1) % block != 0
+        assert any(a % block and a // block < b // block for a, b in episodes)
+    if case == "pi_chatter":
+        gaps = [b[0] - a[1] - 1 for a, b in zip(episodes, episodes[1:])]
+        assert sum(g in (1, 2) for g in gaps) > 100
+    if case == "two_dof_blocks":
+        assert ref.n_samples - 1 > 100 * block
+    if case == "growing":
+        tau = np.abs(ref.channel("tau_L"))
+        assert np.isfinite(tau).all() and tau[-1] > 1e10 * tau[block]
     # only saturating steps leave the closed-loop map: as many as the
     # reference clamps at some stage
     assert len(fallback_steps) == len(ref_clamped)
     assert bool(fallback_steps) == saturates
+
+
+def _closed_recurrence(loop, a, x0, w0, wh, w1, h):
+    """x_(k+1) = Phi x_k + f_k, one step at a time, with Phi and the input
+    terms f_k from the closed-loop RK4 step map."""
+    nx = len(x0)
+    b = loop.B + np.outer(loop.b_w, loop.d_u)
+    step, _ = simulation._step_maps(a, b, np.zeros(nx), loop.c_u, loop.d_u, h)
+    phi, gam = step[:, :nx], step[:, nx:nx + 3 * b.shape[1]]
+    xs = np.empty((len(w0) + 1, nx))
+    xs[0] = x0
+    for k, v in enumerate(np.hstack([w0, wh, w1])):
+        xs[k + 1] = phi @ xs[k] + gam @ v
+    return xs
+
+
+@pytest.mark.parametrize("case", ["fig9_two_dof", "free_response_14"])
+def test_block_solve_matches_the_plain_recurrence(model, ctrl, monkeypatch, case):
+    """Unsaturated runs: the blocked closed-form solve gives the states of
+    the closed map stepped one step at a time."""
+    integrate = simulation._integrate
+    runs = []
+
+    def recording(*args):
+        runs.append((args, integrate(*args)))
+        return runs[-1][1]
+
+    def no_clamp(*args):
+        raise AssertionError("an unsaturated run took a clamped step")
+
+    monkeypatch.setattr(simulation, "_integrate", recording)
+    monkeypatch.setattr(simulation, "_clamped_step", no_clamp)
+    if case == "fig9_two_dof":
+        simulate_torque_loop(TorqueLoopScenario(
+            model=model, controller=ctrl, reference=SignalSpec.sine(0.033, 2.0),
+            noise=SignalSpec.white_noise(0.01, seed=1101), duration_s=1.0,
+        ))
+    else:  # C_L and the load: 14 states, C_L's block nearly defective
+        inner = TorqueLoopScenario(model=model, controller=ctrl,
+                                   compensator_on=True, duration_s=1.0)
+        simulate_free_response(
+            ImpedanceScenario(inner, i_d=default_params().k_s), LoadModel(),
+            phi0=1.0,
+        )
+    (args, xs), = runs
+    loop, a, x0, w0, wh, w1, h, _ = args
+    assert len(x0) == (6 if case == "fig9_two_dof" else 14)
+    ref = _closed_recurrence(loop, a, x0, w0, wh, w1, h)
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.all(np.abs(xs - ref) <= 1e-12 * scale)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_overflowing_block_power_does_not_end_the_run_early():
+    """A mode that grows by ~1e7 a step from 1e-300 stays finite up to
+    step 86, while Phi^j of a block overflows from j = 44: the run must
+    stay finite exactly as long as the step-by-step recurrence does."""
+    h = 1e-4
+    lam = 124.0 / h  # RK4 amplification ~1e7 per step
+    loop = simulation._LoopSystem(
+        A=np.array([[lam]]), B=np.zeros((1, 4)), b_w=np.zeros(1),
+        c_u=np.zeros(1), d_u=np.zeros(4), out_x=np.zeros((4, 1)),
+        out_v=np.zeros((4, 4)),
+    )
+    w = np.zeros((200, 4))
+    x0 = np.array([1e-300])
+    xs = simulation._integrate(loop, loop.A, x0, w, w, w, h, 50.0)
+    ref = _closed_recurrence(loop, loop.A, x0, w, w, w, h)
+    finite = np.isfinite(ref[:, 0])
+    last = int(np.argmin(finite)) - 1  # the last finite state
+    assert 64 < last < 199
+    assert np.isfinite(xs[:last + 1, 0]).all() and not np.isfinite(xs[last + 1:]).any()
+    np.testing.assert_allclose(xs[:last + 1, 0], ref[:last + 1, 0], rtol=1e-12)
 
 
 def test_feedforward_does_not_touch_disturbance_response(model, ctrl):
