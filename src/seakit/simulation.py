@@ -26,11 +26,13 @@ integrator; a step too large for RK4 is rejected up front.  The RK4
 step is one linear map: closed through the unclamped command it is
 x+ = Phi x + G0 w0 + Gh wh + G1 w1, Phi the degree-4 Taylor polynomial
 of exp(hA), for every step whose four stage commands stay inside the
-limit.  Any other step is the same map opened at the clamp, its four
-stage commands clamped in sequence.  The closed map is not stepped one
-step at a time: it is solved in closed form over blocks of steps (a
-chunked linear recurrence), and only the steps around a clamp episode
-are taken one by one.
+limit.  A step whose four commands are all at or past one side of the
+limit is the same map opened at the clamp with w = +-sat at every stage,
+again affine in the state; any other step is the open map with its four
+stage commands clamped in sequence.  None of the three modes (inside,
++sat, -sat) is stepped one step at a time: each is solved in closed form
+over blocks of steps (a chunked linear recurrence), and only the steps
+where the mode changes are taken one by one.
 Every input, phi_ref and handle motion included, is sampled once, by
 _step_inputs: deterministic signals on the half-step grid the
 integrator needs, seeded noise held constant across each step
@@ -545,17 +547,35 @@ def _step_maps(a, b, b_w, c_u, d_u, h: float) -> tuple[np.ndarray, np.ndarray]:
     return step, cmds
 
 
-def _clamped_step(xu: np.ndarray, n: np.ndarray, low: list, sat: float):
-    """Finish a step whose stage commands leave +-sat, clamping each in turn.
+# Modes of a step.  _INSIDE: every stage command is within +-sat, and the
+# step is the closed-loop map.  _UPPER, _LOWER: every command is at or past
+# +sat, or -sat, and the step is the open-loop map with w = +sat, or -sat,
+# at every stage.  Each of the three is an affine recurrence.  A _MIXED
+# step is none of them.  A mode is also the sign of its clamped command,
+# and indexes the per-mode tables of _integrate (-1 the last entry).
+_INSIDE, _UPPER, _LOWER, _MIXED = 0, 1, -1, None
 
-    xu is the open-loop step map with every w at zero: the state X, then
-    the commands U.  w_i = clamp(U_i + sum_j<i low[i][j] w_j); x+ = X + n w.
+
+def _clamped_step(zk: np.ndarray, n: np.ndarray, low: list, sat: float):
+    """Clamp, in place, a closed-loop step whose stage commands leave +-sat.
+
+    zk is the step of the closed-loop map: the next state, then the four
+    stage commands u.  The closed map is the open map with w = u, so the
+    clamped commands are w_i = clamp(u_i + sum_j<i low[i][j] (w_j - u_j))
+    and the next state moves by n (w - u).  Returns the step's mode:
+    _UPPER or _LOWER when every w_i is +sat or every one is -sat, else
+    _MIXED.
     """
-    w = []
-    for ui, row in zip(xu[-4:].tolist(), low):
-        ui += sum(c * wj for c, wj in zip(row, w))
-        w.append(min(max(ui, -sat), sat))
-    return xu[:-4] + n @ w
+    nx = len(n)
+    w, dw = [], []
+    for ui, row in zip(zk[nx:].tolist(), low):
+        wi = min(max(ui + sum(c * d for c, d in zip(row, dw)), -sat), sat)
+        w.append(wi)
+        dw.append(wi - ui)
+    zk[:nx] += n @ dw
+    if min(w) == sat:
+        return _UPPER
+    return _LOWER if max(w) == -sat else _MIXED
 
 
 # Steps per block of the closed-form solve.  Longer blocks take fewer
@@ -565,13 +585,12 @@ _BLOCK = 64
 # Blocks whose forced responses come out of one matrix product; the input
 # terms are formed one group at a time, never for the whole run at once.
 _GROUP = 32
-# In-range single steps after a clamped one before the block solve resumes,
+# Single steps in one mode before the block solve resumes in that mode,
 # so that a chattering clamp is not met by a block attempt at every step.
 _RESUME = 8
 
-
 def _block_maps(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maps of _BLOCK steps of the closed recurrence z_(k+1) = q x_k + f_k.
+    """Maps of _BLOCK steps of the recurrence z_(k+1) = q x_k + f_k.
 
     q is [Phi; C_q], z_(k+1) = [x_(k+1); u_k] and f_k = [f_x; f_u] the
     input terms of step k.  Over a block starting at x_k, row j of the
@@ -594,23 +613,47 @@ def _block_maps(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m.reshape(-1, nx), toe.reshape(_BLOCK * nz, _BLOCK * nx)
 
 
+def _forced(f: np.ndarray, toe: np.ndarray) -> np.ndarray:
+    """Forced responses, from a zero state, of the consecutive blocks whose
+    input terms are the rows of f; one row of stacked block rows per block,
+    a partial last block padded with zero input terms."""
+    nb = -(-len(f) // _BLOCK)
+    pad = np.zeros((nb * _BLOCK, f.shape[1]))
+    pad[:len(f)] = f
+    nx = toe.shape[1] // _BLOCK
+    return pad.reshape(nb, -1) + pad[:, :nx].reshape(nb, -1) @ toe.T
+
+
 def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
-               h: float, sat: float) -> np.ndarray:
-    """States at every sample, from the RK4 step maps of _step_maps.
+               h: float, sat: float) -> tuple[np.ndarray, dict[str, int]]:
+    """States at every sample, from the RK4 step maps of _step_maps, and
+    the number of steps that took each path.
 
     a is the unclamped loop matrix A + b_w c_u; w0, wh, w1 hold the inputs
     at the start, midpoint and end of each step, one row per step.  A step
-    whose four stage commands lie within +-sat takes the closed-loop map;
-    any other, the open-loop map of (A, B, b_w) through _clamped_step.
+    whose four stage commands lie inside +-sat is the closed-loop map; one
+    whose four commands are all at or past +sat (-sat) is the open-loop map
+    of (A, B, b_w) with w = +sat (-sat) at every stage, its input terms
+    carrying that constant times the sum of the open map's w columns.
+    Each of these three modes is an affine recurrence z_(k+1) = p x_k +
+    f_k; a step in none of them is clamped stage by stage.
 
-    Unclamped stretches are solved in closed form, a block of _BLOCK
-    steps at a time (_block_maps): a block keeps its rows up to the first
-    one with a command outside +-sat or a non-finite state.  From there
-    the closed map steps one at a time, and _clamped_step takes each step
-    that leaves the limit, until _RESUME steps in a row stay inside it;
-    the block then resumes from the current state by superposition, the
-    unclamped block solution plus M (x - x_block).  Integration stops
-    once the state is non-finite, leaving NaN after it.
+    Each mode is solved in closed form, a block of _BLOCK steps at a time
+    (_block_maps, _forced): a block keeps its rows up to the first one that
+    leaves its mode (a command outside +-sat inside, below +sat at +sat,
+    above -sat at -sat) or has a non-finite state.  From there the closed
+    map steps one at a time, and _clamped_step clamps each step that
+    leaves the limit and names its mode, until _RESUME steps in a row share
+    one mode; the block then resumes in that mode from the current state
+    by superposition, its forced response F plus M (x - F_(j-1)).  The
+    open-map block maps are built on the first saturated block, and their
+    forced responses one group at a time, when a block of the group needs
+    them.  Integration stops once the state is non-finite, leaving NaN
+    after it.
+
+    The counts are keyed closed_block, upper_block and lower_block (steps
+    solved in blocks, by mode), closed_single and clamped_single (steps
+    taken one at a time, inside the limit or clamped).
     """
     nsteps, (nx, ni) = len(w0), loop.B.shape
     m = nx + 3 * ni
@@ -618,37 +661,54 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
     b = loop.B + np.outer(loop.b_w, loop.d_u)
     closed = np.vstack(_step_maps(a, b, np.zeros(nx), loop.c_u, loop.d_u, h))
     opened = np.vstack(_step_maps(loop.A, loop.B, loop.b_w, loop.c_u, loop.d_u, h))
-    o, n, low = opened[:, :m], opened[:nx, m:], opened[nx:, m:].tolist()
+    n, low = opened[:nx, m:], opened[nx:, m:].tolist()
     q, gam = closed[:, :nx], closed[:, nx:m]
     mb, toe = _block_maps(q)
-    # a state row is accepted while finite, a command while inside +-sat
-    limit = np.r_[np.full(nx, np.finfo(float).max), np.full(4, sat)]
+    sat_maps = None  # the open map's (M, Toeplitz map, forced response to w = 1)
+    # a row is accepted while its state is finite and its commands lie in
+    # [lo, hi] of the mode
+    big = np.finfo(float).max
+    lo, hi = np.full((3, nz), -big), np.full((3, nz), big)
+    lo[:, nx:] = [[-sat], [sat], [-np.inf]]
+    hi[:, nx:] = [[sat], [np.inf], [-sat]]
+    block_path = ("closed_block", "upper_block", "lower_block")
+    counts = dict.fromkeys(block_path + ("closed_single", "clamped_single"), 0)
     # Row k + 1 holds x_(k+1) followed by the stage commands of step k;
-    # it starts out as the input terms of step k.
+    # it starts out as the closed map's input terms of step k.
     z = np.empty((nsteps + 1, nz))
     z[0, :nx] = x0
     xs = z[:, :nx]
-    run = _RESUME  # steps inside the limit since a block last stopped
+    mode, run = _INSIDE, _RESUME  # run: steps in mode since a block stopped
     span = _BLOCK * _GROUP
     for g in range(0, nsteps, span):
         e = min(g + span, nsteps)
         z[g + 1:e + 1] = np.hstack([w0[g:e], wh[g:e], w1[g:e]]) @ gam.T
-        nb = -(-(e - g) // _BLOCK)
-        f = np.zeros((nb * _BLOCK, nz))
-        f[:e - g] = z[g + 1:e + 1]
-        forced = f.reshape(nb, -1) + f[:, :nx].reshape(nb, -1) @ toe.T
-        for k, fk in zip(range(g, e, _BLOCK), forced):
+        forced, sat_forced = _forced(z[g + 1:e + 1], toe), None
+        for i, k in enumerate(range(g, e, _BLOCK)):
             steps = min(_BLOCK, nsteps - k)
-            zb = (mb @ xs[k] + fk).reshape(_BLOCK, nz)
             j = 0
             while j < steps:
                 if run >= _RESUME:
-                    if j:
-                        dx = xs[k + j] - zb[j - 1, :nx]
-                        zb[j:] += (mb[:(_BLOCK - j) * nz] @ dx).reshape(-1, nz)
-                    ok = (np.abs(zb[j:steps]) <= limit).all(1)
-                    good = len(ok) if ok.all() else int(ok.argmin())
-                    z[k + j + 1:k + j + good + 1] = zb[j:j + good]
+                    if mode == _INSIDE:
+                        mm, fb = mb, forced[i]
+                    else:
+                        if sat_maps is None:
+                            ms, toes = _block_maps(opened[:, :nx])
+                            # each step's input terms with w = 1 at every stage
+                            terms = np.tile(opened[:, m:].sum(1), (_BLOCK, 1))
+                            sat_maps = ms, toes, _forced(terms, toes)[0]
+                        ms, toes, unit = sat_maps
+                        if sat_forced is None:
+                            v = np.hstack([w0[g:e], wh[g:e], w1[g:e]])
+                            sat_forced = _forced(v @ opened[:, nx:m].T, toes)
+                        mm, fb = ms, sat_forced[i] + (mode * sat) * unit
+                    r0, r1 = j * nz, steps * nz  # rows j to steps, flattened
+                    dx = xs[k + j] - fb[r0 - nz:r0 - nz + nx] if j else xs[k]
+                    rows = (fb[r0:r1] + mm[:r1 - r0] @ dx).reshape(-1, nz)
+                    ok = (rows >= lo[mode]) & (rows <= hi[mode])
+                    good = len(ok) if ok.all() else int(ok.all(1).argmin())
+                    z[k + j + 1:k + j + good + 1] = rows[:good]
+                    counts[block_path[mode]] += good
                     j += good
                     if j == steps:
                         break
@@ -656,16 +716,23 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
                 zk = z[k + j + 1]
                 zk += q @ xs[k + j]
                 u = zk[nx:].tolist()
-                run += 1
-                if not (max(u) <= sat and min(u) >= -sat):
-                    run = 0
+                if max(u) <= sat and min(u) >= -sat:
+                    step = _INSIDE
+                    counts["closed_single"] += 1
+                else:
                     if not np.isfinite(xs[k + j]).all():
                         xs[k + j + 1:] = np.nan
-                        return xs
-                    xv = np.concatenate((xs[k + j], w0[k + j], wh[k + j], w1[k + j]))
-                    zk[:nx] = _clamped_step(o @ xv, n, low, sat)
+                        return xs, counts
+                    step = _clamped_step(zk, n, low, sat)
+                    counts["clamped_single"] += 1
+                if step is _MIXED:
+                    run = 0
+                elif step == mode:
+                    run += 1
+                else:
+                    mode, run = step, 1
                 j += 1
-    return xs
+    return xs, counts
 
 
 def _step_inputs(spec: SignalSpec, dt_s: float, nsteps: int):
@@ -712,7 +779,7 @@ def _simulate(
 
     x0 = phi0 * loop.out_x[2]
     sat = ts.saturation_rad_s
-    xs = _integrate(loop, a, x0, w0, wh, w1, dt, sat)
+    xs, _ = _integrate(loop, a, x0, w0, wh, w1, dt, sat)
     tau, u, phi, r = loop.out_x @ xs.T + loop.out_v @ samples.T
 
     bad = ~(np.isfinite(tau) & np.isfinite(u) & np.isfinite(phi))

@@ -28,3 +28,10 @@ def test_fig6_bound_is_taken_on_the_jw_axis(tmp_path):
         i_d = frac * cfg.plant.k_s
         expected.append("%.9g" % (abs((1.0 - g1(s)) * i_d + h_phi(s)) / i_d))
     assert written == expected
+
+
+def test_fig9_reports_clamped_samples_per_controller(tmp_path):
+    (check,) = run_preset("fig9", ProjectConfig(), str(tmp_path))
+    assert check.detail.endswith(
+        "velocity clamp: 2-DOF 0, PI 1610 of 100001 samples"
+    )

@@ -304,10 +304,10 @@ def test_assembled_state_counts(model, ctrl):
         assert simulation._assemble(sc, i_d, load).A.shape == (nx, nx)
 
 
-def _stagewise_integrate(loop, a, x0, w0, wh, w1, h, sat, clamped):
+def _stagewise_integrate(loop, a, x0, w0, wh, w1, h, sat):
     """Reference integrator: plain RK4 with the clamp applied at every
-    stage; appends to clamped the index of each step where it acts.  The
-    closed-loop matrix a that _integrate takes is not used."""
+    stage.  Returns the states and the index of each step where the clamp
+    acts.  The closed-loop matrix a that _integrate takes is not used."""
     def f(x, v):
         u = float(loop.c_u @ x + loop.d_u @ v)
         acts.append(abs(u) > sat)
@@ -315,6 +315,7 @@ def _stagewise_integrate(loop, a, x0, w0, wh, w1, h, sat, clamped):
 
     xs = np.empty((len(w0) + 1, len(x0)))
     xs[0] = x0
+    clamped = []
     for k, (v0, vh, v1) in enumerate(zip(w0, wh, w1)):
         acts, x = [], xs[k]
         k1 = f(x, v0)
@@ -324,7 +325,21 @@ def _stagewise_integrate(loop, a, x0, w0, wh, w1, h, sat, clamped):
         xs[k + 1] = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if any(acts):
             clamped.append(k)
-    return xs
+    return xs, clamped
+
+
+def _record_integrate(monkeypatch, integrate=None):
+    """Route _simulate through integrate (default: simulation._integrate);
+    returns the list that collects (args, result) of every call."""
+    integrate = integrate or simulation._integrate
+    runs = []
+
+    def recording(*args):
+        runs.append((args, integrate(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(simulation, "_integrate", recording)
+    return runs
 
 
 def _parity_run(case, model, ctrl):
@@ -365,6 +380,13 @@ def _parity_run(case, model, ctrl):
             reference=SignalSpec.sine(0.3, 2.0),
             noise=SignalSpec.white_noise(0.01, seed=321), duration_s=0.5,
         ))
+    if case == "saturated_blocks":
+        # the sim_saturating 2-DOF run: clamp episodes at +sat and -sat of
+        # several blocks each, one across the first group boundary
+        return simulate_torque_loop(TorqueLoopScenario(
+            model=model, controller=ctrl, reference=SignalSpec.sine(0.3, 2.0),
+            noise=SignalSpec.white_noise(0.01, seed=5), duration_s=0.5,
+        ))
     if case == "two_dof_blocks":  # the fig9 2-DOF run over 156 blocks
         return simulate_torque_loop(TorqueLoopScenario(
             model=model, controller=ctrl, reference=SignalSpec.sine(0.033, 2.0),
@@ -394,7 +416,7 @@ def _parity_run(case, model, ctrl):
 
 
 _SATURATING = ("pi_noise", "deep_saturation", "pi_coarse",
-               "clamp_across_blocks", "pi_chatter")
+               "clamp_across_blocks", "pi_chatter", "saturated_blocks")
 
 
 def _episodes(steps):
@@ -424,14 +446,12 @@ def test_fused_step_matches_stagewise_rk4(model, ctrl, monkeypatch, case):
         return clamped_step(*args)
 
     monkeypatch.setattr(simulation, "_clamped_step", counting_step)
+    runs = _record_integrate(monkeypatch)
     fused = _parity_run(case, model, ctrl)
-    ref_clamped = []
-
-    def reference(*args):
-        return _stagewise_integrate(*args, ref_clamped)
-
-    monkeypatch.setattr(simulation, "_integrate", reference)
+    (_, (_, counts)), = runs
+    ref_runs = _record_integrate(monkeypatch, _stagewise_integrate)
     ref = _parity_run(case, model, ctrl)
+    (_, (_, ref_clamped)), = ref_runs
 
     for name in ("tau_L", "u_presat", "phi_L"):
         a, b = fused.channel(name), ref.channel(name)
@@ -448,15 +468,24 @@ def test_fused_step_matches_stagewise_rk4(model, ctrl, monkeypatch, case):
     if case == "pi_chatter":
         gaps = [b[0] - a[1] - 1 for a, b in zip(episodes, episodes[1:])]
         assert sum(g in (1, 2) for g in gaps) > 100
+    if case == "saturated_blocks":
+        group = block * simulation._GROUP
+        assert any(b - a > 2 * block for a, b in episodes)
+        assert any(a < group <= b for a, b in episodes)
+        assert counts["upper_block"] > 0 and counts["lower_block"] > 0
     if case == "two_dof_blocks":
         assert ref.n_samples - 1 > 100 * block
     if case == "growing":
         tau = np.abs(ref.channel("tau_L"))
         assert np.isfinite(tau).all() and tau[-1] > 1e10 * tau[block]
-    # only saturating steps leave the closed-loop map: as many as the
+    # every step is counted once, and the steps that leave the closed-loop
+    # map, in saturated blocks or clamped one at a time, are as many as the
     # reference clamps at some stage
-    assert len(fallback_steps) == len(ref_clamped)
-    assert bool(fallback_steps) == saturates
+    assert sum(counts.values()) == ref.n_samples - 1
+    saturated = counts["upper_block"] + counts["lower_block"]
+    assert saturated + counts["clamped_single"] == len(ref_clamped)
+    assert counts["clamped_single"] == len(fallback_steps)
+    assert bool(saturated or fallback_steps) == saturates
 
 
 def _closed_recurrence(loop, a, x0, w0, wh, w1, h):
@@ -476,19 +505,21 @@ def _closed_recurrence(loop, a, x0, w0, wh, w1, h):
 @pytest.mark.parametrize("case", ["fig9_two_dof", "free_response_14"])
 def test_block_solve_matches_the_plain_recurrence(model, ctrl, monkeypatch, case):
     """Unsaturated runs: the blocked closed-form solve gives the states of
-    the closed map stepped one step at a time."""
-    integrate = simulation._integrate
-    runs = []
+    the closed map stepped one step at a time, and builds no block maps
+    but the closed map's."""
+    block_maps = simulation._block_maps
+    built = []
 
-    def recording(*args):
-        runs.append((args, integrate(*args)))
-        return runs[-1][1]
+    def recording_maps(q):
+        built.append(q)
+        return block_maps(q)
 
     def no_clamp(*args):
         raise AssertionError("an unsaturated run took a clamped step")
 
-    monkeypatch.setattr(simulation, "_integrate", recording)
+    monkeypatch.setattr(simulation, "_block_maps", recording_maps)
     monkeypatch.setattr(simulation, "_clamped_step", no_clamp)
+    runs = _record_integrate(monkeypatch)
     if case == "fig9_two_dof":
         simulate_torque_loop(TorqueLoopScenario(
             model=model, controller=ctrl, reference=SignalSpec.sine(0.033, 2.0),
@@ -501,12 +532,89 @@ def test_block_solve_matches_the_plain_recurrence(model, ctrl, monkeypatch, case
             ImpedanceScenario(inner, i_d=default_params().k_s), LoadModel(),
             phi0=1.0,
         )
-    (args, xs), = runs
+    (args, (xs, counts)), = runs
     loop, a, x0, w0, wh, w1, h, _ = args
     assert len(x0) == (6 if case == "fig9_two_dof" else 14)
     ref = _closed_recurrence(loop, a, x0, w0, wh, w1, h)
     scale = np.max(np.abs(ref), axis=0)
     assert np.all(np.abs(xs - ref) <= 1e-12 * scale)
+    assert counts["closed_block"] == len(w0)
+    q, = built
+    closed, _ = simulation._step_maps(a, loop.B + np.outer(loop.b_w, loop.d_u),
+                                      np.zeros(len(x0)), loop.c_u, loop.d_u, h)
+    np.testing.assert_array_equal(q[:len(x0)], closed[:, :len(x0)])
+
+
+def test_saturated_block_matches_the_open_recurrence(model, ctrl, monkeypatch):
+    """Where every stage command of a step is past one side of the limit,
+    the states follow x+ = X + n (+-sat) 1 of the open-loop step map,
+    stepped one at a time from the first state of each such stretch."""
+    runs = _record_integrate(monkeypatch)
+    simulate_torque_loop(TorqueLoopScenario(
+        model=model, controller=ctrl, reference=SignalSpec.sine(0.3, 2.0),
+        noise=SignalSpec.white_noise(0.01, seed=5), duration_s=0.5,
+    ))
+    (args, (xs, counts)), = runs
+    loop, _, _, w0, wh, w1, h, sat = args
+    step, cmds = simulation._step_maps(loop.A, loop.B, loop.b_w, loop.c_u,
+                                       loop.d_u, h)
+    m = step.shape[1] - 4  # the columns of [x, v0, vh, v1]; then w1..w4
+    v = np.hstack([w0, wh, w1])
+    # the side of each step: 1 (-1) if its stage commands with every w at
+    # +sat (-sat) are all at or past that limit, else 0
+    free = np.hstack([xs[:-1], v]) @ cmds[:, :m].T
+    past = sat * cmds[:, m:].sum(1)
+    side = (free + past >= sat).all(1).astype(int) - (free - past <= -sat).all(1)
+    scale = np.max(np.abs(xs), axis=0)
+    stretches = []
+    for s in (1, -1):
+        stretches += [(s, a, b) for a, b in _episodes(np.flatnonzero(side == s))]
+    for s, first, last in stretches:
+        x = xs[first]
+        for k in range(first, last + 1):
+            x = step[:, :m] @ np.r_[x, v[k]] + step[:, m:] @ np.full(4, s * sat)
+            assert np.all(np.abs(x - xs[k + 1]) <= 1e-12 * scale), k
+    assert max(b - a for _, a, b in stretches) > 2 * simulation._BLOCK
+    assert counts["upper_block"] > 0 and counts["lower_block"] > 0
+
+
+def test_clamped_step_is_the_stagewise_clamped_step(model, monkeypatch):
+    """From the closed-loop step, _clamped_step gives the RK4 step with the
+    clamp applied stage by stage, and the step's mode.  A PI run at 1 ms
+    deep in the clamp: there the stage commands depend most on the clamped
+    earlier ones."""
+    runs = _record_integrate(monkeypatch)
+    simulate_torque_loop(TorqueLoopScenario(
+        model=model, controller=PiController(204.0, 111.0),
+        reference=SignalSpec.sine(3.0, 2.0), dt_s=1e-3, duration_s=1.0,
+    ))
+    (args, (xs, _)), = runs
+    loop, a, _, w0, wh, w1, h, sat = args
+    nx = xs.shape[1]
+    b = loop.B + np.outer(loop.b_w, loop.d_u)
+    closed = np.vstack(simulation._step_maps(a, b, np.zeros(nx), loop.c_u,
+                                             loop.d_u, h))
+    step, cmds = simulation._step_maps(loop.A, loop.B, loop.b_w, loop.c_u,
+                                       loop.d_u, h)
+    m = step.shape[1] - 4
+    n, low = step[:, m:], cmds[:, m:].tolist()
+    scale = np.max(np.abs(xs), axis=0)
+    modes = []
+    for k, v in enumerate(np.hstack([w0, wh, w1])):
+        zk = closed[:, :m] @ np.r_[xs[k], v]
+        if np.all(np.abs(zk[nx:]) <= sat):
+            continue
+        modes.append(simulation._clamped_step(zk, n, low, sat))
+        ref, _ = _stagewise_integrate(loop, a, xs[k], w0[k:k + 1], wh[k:k + 1],
+                                      w1[k:k + 1], h, sat)
+        assert np.all(np.abs(zk[:nx] - ref[1]) <= 1e-12 * scale), k
+        # every command past +sat (-sat) with the earlier ones at +sat (-sat)
+        free, past = cmds[:, :m] @ np.r_[xs[k], v], sat * cmds[:, m:].sum(1)
+        up, down = (free + past >= sat).all(), (free - past <= -sat).all()
+        side = (simulation._UPPER if up else
+                simulation._LOWER if down else simulation._MIXED)
+        assert modes[-1] == side, k
+    assert {simulation._UPPER, simulation._LOWER, simulation._MIXED} <= set(modes)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -524,7 +632,7 @@ def test_overflowing_block_power_does_not_end_the_run_early():
     )
     w = np.zeros((200, 4))
     x0 = np.array([1e-300])
-    xs = simulation._integrate(loop, loop.A, x0, w, w, w, h, 50.0)
+    xs, _ = simulation._integrate(loop, loop.A, x0, w, w, w, h, 50.0)
     ref = _closed_recurrence(loop, loop.A, x0, w, w, w, h)
     finite = np.isfinite(ref[:, 0])
     last = int(np.argmin(finite)) - 1  # the last finite state
