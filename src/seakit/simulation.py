@@ -7,32 +7,25 @@ omega_d = clamp(u + d, +-sat), the plant responds with tau_L through P
 torque reference is tau_d = I_d (phi_ref - phi_L), optionally corrected by
 the load-motion compensator C_L.
 
-The linear blocks are realized in observable canonical form and
-assembled once into a single state-space system over the inputs
-[r, d, n, phi_L].  The state vector is, in order: the plant pair P and
-G as one 3-state block over their shared actuator denominator, driven
-by the clamped command and phi_L; the controller pair C1, C2 as one
-block over their shared denominator p, u = (n1 r - q y) / p; C_L when
-it is on; the load angle and rate when a load model is simulated: 6
-states for the 2-DOF loop, 4 for PI, 12 with C_L, 14 with the load too.
-The virtual spring is one more row of that system: the R input is the
-torque reference itself in torque mode and phi_ref in impedance mode,
-where the loop forms tau_d = I_d (phi_ref - phi_L) from phi_L, the
-exogenous handle motion or the load state.  tau_L, u, phi_L and the
+The linear blocks are assembled once, by _assemble, into a single
+state-space system over the inputs [r, d, n, phi_L]: 6 states for the
+2-DOF loop, 4 for PI, 12 with C_L, 14 with the load too.  The virtual
+spring is one more row of that system, and tau_L, u, phi_L and the
 recorded reference all come out of one product over [x, v].
 The saturation is the only nonlinearity, applied to the scalar
 velocity command at every stage of a fixed-step classical Runge-Kutta
 integrator; a step too large for RK4 is rejected up front.  The RK4
-step is one linear map: closed through the unclamped command it is
-x+ = Phi x + G0 w0 + Gh wh + G1 w1, Phi the degree-4 Taylor polynomial
-of exp(hA), for every step whose four stage commands stay inside the
-limit.  A step whose four commands are all at or past one side of the
-limit is the same map opened at the clamp with w = +-sat at every stage,
-again affine in the state; any other step is the open map with its four
-stage commands clamped in sequence.  None of the three modes (inside,
-+sat, -sat) is stepped one step at a time: each is solved in closed form
-over blocks of steps (a chunked linear recurrence), and only the steps
-where the mode changes are taken one by one.
+step is one linear map, and a step runs in one of three affine modes.
+Inside: its four stage commands stay within the limit, and it is the
+map closed through the unclamped command, x+ = Phi x + G0 w0 + Gh wh +
+G1 w1, Phi the degree-4 Taylor polynomial of exp(hA).  +sat and -sat:
+its four commands are all at or past that side of the limit, and it is
+the map opened at the clamp with the command held at the limit.  Each
+mode is solved in closed form over blocks of 64 steps, a chunked linear
+recurrence in two levels (sub-blocks of 8 steps, then the carries
+between them).  Only where the mode changes does the loop step one step
+at a time, clamping the four stage commands of a step in none of the
+modes in sequence, until 8 steps in a row share a mode.
 Every input, phi_ref and handle motion included, is sampled once, by
 _step_inputs: deterministic signals on the half-step grid the
 integrator needs, seeded noise held constant across each step
@@ -547,41 +540,44 @@ def _step_maps(a, b, b_w, c_u, d_u, h: float) -> tuple[np.ndarray, np.ndarray]:
     return step, cmds
 
 
-# Modes of a step.  _INSIDE: every stage command is within +-sat, and the
-# step is the closed-loop map.  _UPPER, _LOWER: every command is at or past
-# +sat, or -sat, and the step is the open-loop map with w = +sat, or -sat,
-# at every stage.  Each of the three is an affine recurrence.  A _MIXED
-# step is none of them.  A mode is also the sign of its clamped command,
-# and indexes the per-mode tables of _integrate (-1 the last entry).
+# The modes of a step (inside, +sat, -sat; a _MIXED step is in none).  A
+# mode is also the sign of its clamped command, and indexes the per-mode
+# tables of _integrate (-1 the last entry).
 _INSIDE, _UPPER, _LOWER, _MIXED = 0, 1, -1, None
 
 
-def _clamped_step(zk: np.ndarray, n: np.ndarray, low: list, sat: float):
+def _clamped_step(zk: np.ndarray, u: list, n: np.ndarray, low: tuple, sat: float):
     """Clamp, in place, a closed-loop step whose stage commands leave +-sat.
 
-    zk is the step of the closed-loop map: the next state, then the four
-    stage commands u.  The closed map is the open map with w = u, so the
-    clamped commands are w_i = clamp(u_i + sum_j<i low[i][j] (w_j - u_j))
-    and the next state moves by n (w - u).  Returns the step's mode:
-    _UPPER or _LOWER when every w_i is +sat or every one is -sat, else
-    _MIXED.
+    zk is the closed-loop step: the next state, then the four stage
+    commands, also given as the list u.  The closed map is the open map
+    with w = u, so w_i = clamp(u_i + sum_j<i l_ij (w_j - u_j)), low being
+    (l_10, l_20, l_21, l_30, l_31, l_32), and the state moves by n (w - u).
+    Returns _UPPER or _LOWER when every w_i is +sat or -sat, else _MIXED.
     """
-    nx = len(n)
-    w, dw = [], []
-    for ui, row in zip(zk[nx:].tolist(), low):
-        wi = min(max(ui + sum(c * d for c, d in zip(row, dw)), -sat), sat)
-        w.append(wi)
-        dw.append(wi - ui)
-    zk[:nx] += n @ dw
-    if min(w) == sat:
+    u0, u1, u2, u3 = u
+    l10, l20, l21, l30, l31, l32 = low
+    # clamp(v) as max(v, -sat), then min(., sat), NaN passing through
+    w0 = sat if u0 > sat else -sat if u0 < -sat else u0
+    d0 = w0 - u0
+    v = u1 + l10 * d0
+    w1 = sat if v > sat else -sat if v < -sat else v
+    d1 = w1 - u1
+    v = u2 + (l20 * d0 + l21 * d1)
+    w2 = sat if v > sat else -sat if v < -sat else v
+    d2 = w2 - u2
+    v = u3 + (l30 * d0 + l31 * d1 + l32 * d2)
+    w3 = sat if v > sat else -sat if v < -sat else v
+    zk[:len(n)] += n @ (d0, d1, d2, w3 - u3)
+    if w0 == w1 == w2 == w3 == sat:
         return _UPPER
-    return _LOWER if max(w) == -sat else _MIXED
+    return _LOWER if w0 == w1 == w2 == w3 == -sat else _MIXED
 
 
 # Steps per block of the closed-form solve.  Longer blocks take fewer
-# interpreter iterations but more flops per step in the forced response,
-# which grows with the block length.
+# interpreter iterations but more forced-response flops per step.
 _BLOCK = 64
+_SUB = math.isqrt(_BLOCK)  # steps per sub-block of _forced, _BLOCK = _SUB^2
 # Blocks whose forced responses come out of one matrix product; the input
 # terms are formed one group at a time, never for the whole run at once.
 _GROUP = 32
@@ -596,7 +592,8 @@ def _block_maps(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     input terms of step k.  Over a block starting at x_k, row j of the
     solution is M_j x_k + f_(k+j) + sum_i<j M_(j-i-1) f_x,(k+i), with
     M_j = q Phi^j = [Phi^(j+1); C_q Phi^j].  Returns M stacked over j and
-    the block-Toeplitz map of the stacked f_x onto the stacked rows.
+    the block-Toeplitz map of a sub-block's stacked f_x onto its stacked
+    rows: _forced solves a block as _SUB sub-blocks of _SUB steps.
     """
     nz, nx = q.shape
     # Phi^j as Phi Phi^(j-1), the order of the step-by-step recursion: on
@@ -606,50 +603,53 @@ def _block_maps(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(_BLOCK - 1):
         powers.append(q[:nx] @ powers[-1])
     m = q @ np.array(powers)
-    toe = np.zeros((_BLOCK, nz, _BLOCK, nx))
-    for d in range(1, _BLOCK):
-        i = np.arange(_BLOCK - d)
+    toe = np.zeros((_SUB, nz, _SUB, nx))
+    for d in range(1, _SUB):
+        i = np.arange(_SUB - d)
         toe[i + d, :, i, :] = m[d - 1]
-    return m.reshape(-1, nx), toe.reshape(_BLOCK * nz, _BLOCK * nx)
+    return m.reshape(-1, nx), toe.reshape(_SUB * nz, _SUB * nx)
 
 
-def _forced(f: np.ndarray, toe: np.ndarray) -> np.ndarray:
+def _forced(f: np.ndarray, m: np.ndarray, toe: np.ndarray) -> np.ndarray:
     """Forced responses, from a zero state, of the consecutive blocks whose
     input terms are the rows of f; one row of stacked block rows per block,
-    a partial last block padded with zero input terms."""
+    a partial last block padded with zero input terms.
+
+    m and toe are the block maps of _block_maps.  Each sub-block of _SUB
+    steps is first solved from a zero state through toe; its true start
+    state c then follows from the previous sub-block's, c <- x_end +
+    Phi^_SUB c, for all blocks at once, and adds M_j c to its row j.
+    """
     nb = -(-len(f) // _BLOCK)
-    pad = np.zeros((nb * _BLOCK, f.shape[1]))
+    nz, nx = f.shape[1], m.shape[1]
+    pad = np.zeros((nb * _BLOCK, nz))
     pad[:len(f)] = f
-    nx = toe.shape[1] // _BLOCK
-    return pad.reshape(nb, -1) + pad[:, :nx].reshape(nb, -1) @ toe.T
+    rows = pad.reshape(-1, _SUB * nz)  # one sub-block per row
+    rows += pad[:, :nx].reshape(-1, _SUB * nx) @ toe.T
+    ends = rows[:, -nz:-nz + nx].reshape(nb, _SUB, nx)  # x at each end
+    phi_t = m[(_SUB - 1) * nz:(_SUB - 1) * nz + nx].T  # (Phi^_SUB)^T
+    starts = np.zeros((nb, _SUB, nx))
+    for s in range(1, _SUB):
+        starts[:, s] = ends[:, s - 1] + starts[:, s - 1] @ phi_t
+    rows += starts.reshape(-1, nx) @ m[:_SUB * nz].T
+    return rows.reshape(nb, -1)
 
 
 def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
                h: float, sat: float) -> tuple[np.ndarray, dict[str, int]]:
-    """States at every sample, from the RK4 step maps of _step_maps, and
-    the number of steps that took each path.
+    """States at every sample, in the three modes of the module docstring,
+    and the number of steps that took each path.
 
     a is the unclamped loop matrix A + b_w c_u; w0, wh, w1 hold the inputs
-    at the start, midpoint and end of each step, one row per step.  A step
-    whose four stage commands lie inside +-sat is the closed-loop map; one
-    whose four commands are all at or past +sat (-sat) is the open-loop map
-    of (A, B, b_w) with w = +sat (-sat) at every stage, its input terms
-    carrying that constant times the sum of the open map's w columns.
-    Each of these three modes is an affine recurrence z_(k+1) = p x_k +
-    f_k; a step in none of them is clamped stage by stage.
-
-    Each mode is solved in closed form, a block of _BLOCK steps at a time
-    (_block_maps, _forced): a block keeps its rows up to the first one that
-    leaves its mode (a command outside +-sat inside, below +sat at +sat,
-    above -sat at -sat) or has a non-finite state.  From there the closed
-    map steps one at a time, and _clamped_step clamps each step that
-    leaves the limit and names its mode, until _RESUME steps in a row share
-    one mode; the block then resumes in that mode from the current state
-    by superposition, its forced response F plus M (x - F_(j-1)).  The
-    open-map block maps are built on the first saturated block, and their
-    forced responses one group at a time, when a block of the group needs
-    them.  Integration stops once the state is non-finite, leaving NaN
-    after it.
+    at the start, midpoint and end of each step, one row per step.  The
+    saturated modes are the open map of (A, B, b_w), their input terms
+    carrying +-sat times the sum of its w columns, and are built only when
+    a block needs them.  A block keeps its rows up to the first one that
+    leaves its mode or has a non-finite state.  From there the closed map
+    steps one at a time, _clamped_step clamping each step that leaves the
+    limit, until _RESUME steps in a row share one mode; the block resumes
+    in that mode by superposition, its forced response F plus
+    M (x - F_(j-1)).  Integration stops at a non-finite state, NaN after.
 
     The counts are keyed closed_block, upper_block and lower_block (steps
     solved in blocks, by mode), closed_single and clamped_single (steps
@@ -661,7 +661,7 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
     b = loop.B + np.outer(loop.b_w, loop.d_u)
     closed = np.vstack(_step_maps(a, b, np.zeros(nx), loop.c_u, loop.d_u, h))
     opened = np.vstack(_step_maps(loop.A, loop.B, loop.b_w, loop.c_u, loop.d_u, h))
-    n, low = opened[:nx, m:], opened[nx:, m:].tolist()
+    n, low = opened[:nx, m:], tuple(opened[nx:, m:][np.tril_indices(4, -1)].tolist())
     q, gam = closed[:, :nx], closed[:, nx:m]
     mb, toe = _block_maps(q)
     sat_maps = None  # the open map's (M, Toeplitz map, forced response to w = 1)
@@ -683,7 +683,7 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
     for g in range(0, nsteps, span):
         e = min(g + span, nsteps)
         z[g + 1:e + 1] = np.hstack([w0[g:e], wh[g:e], w1[g:e]]) @ gam.T
-        forced, sat_forced = _forced(z[g + 1:e + 1], toe), None
+        forced, sat_forced = _forced(z[g + 1:e + 1], mb, toe), None
         for i, k in enumerate(range(g, e, _BLOCK)):
             steps = min(_BLOCK, nsteps - k)
             j = 0
@@ -696,11 +696,11 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
                             ms, toes = _block_maps(opened[:, :nx])
                             # each step's input terms with w = 1 at every stage
                             terms = np.tile(opened[:, m:].sum(1), (_BLOCK, 1))
-                            sat_maps = ms, toes, _forced(terms, toes)[0]
+                            sat_maps = ms, toes, _forced(terms, ms, toes)[0]
                         ms, toes, unit = sat_maps
                         if sat_forced is None:
                             v = np.hstack([w0[g:e], wh[g:e], w1[g:e]])
-                            sat_forced = _forced(v @ opened[:, nx:m].T, toes)
+                            sat_forced = _forced(v @ opened[:, nx:m].T, ms, toes)
                         mm, fb = ms, sat_forced[i] + (mode * sat) * unit
                     r0, r1 = j * nz, steps * nz  # rows j to steps, flattened
                     dx = xs[k + j] - fb[r0 - nz:r0 - nz + nx] if j else xs[k]
@@ -723,7 +723,7 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
                     if not np.isfinite(xs[k + j]).all():
                         xs[k + j + 1:] = np.nan
                         return xs, counts
-                    step = _clamped_step(zk, n, low, sat)
+                    step = _clamped_step(zk, u, n, low, sat)
                     counts["clamped_single"] += 1
                 if step is _MIXED:
                     run = 0

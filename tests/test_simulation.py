@@ -9,6 +9,7 @@ from seakit import (
     LoadModel,
     NumericsError,
     PiController,
+    ProjectConfig,
     RationalTF,
     SignalSpec,
     SimTrace,
@@ -22,6 +23,7 @@ from seakit import (
     h2_synthesize,
     peak_envelope,
     rms_error,
+    run_preset,
     simulate_free_response,
     simulate_impedance,
     simulate_torque_loop,
@@ -502,11 +504,12 @@ def _closed_recurrence(loop, a, x0, w0, wh, w1, h):
     return xs
 
 
-@pytest.mark.parametrize("case", ["fig9_two_dof", "free_response_14"])
+@pytest.mark.parametrize("case", ["fig9_two_dof", "forced_12", "free_response_14"])
 def test_block_solve_matches_the_plain_recurrence(model, ctrl, monkeypatch, case):
     """Unsaturated runs: the blocked closed-form solve gives the states of
     the closed map stepped one step at a time, and builds no block maps
-    but the closed map's."""
+    but the closed map's.  forced_12 drives all 12 states over 1003 steps,
+    a multiple of neither the block nor the sub-block length."""
     block_maps = simulation._block_maps
     built = []
 
@@ -525,6 +528,12 @@ def test_block_solve_matches_the_plain_recurrence(model, ctrl, monkeypatch, case
             model=model, controller=ctrl, reference=SignalSpec.sine(0.033, 2.0),
             noise=SignalSpec.white_noise(0.01, seed=1101), duration_s=1.0,
         ))
+    elif case == "forced_12":  # C_L on, driven by the handle motion
+        simulate_torque_loop(TorqueLoopScenario(
+            model=model, controller=ctrl, compensator_on=True,
+            reference=SignalSpec.sine(0.02, 3.0),
+            handle_motion=SignalSpec.sine(0.5, 2.0), duration_s=0.1003,
+        ))
     else:  # C_L and the load: 14 states, C_L's block nearly defective
         inner = TorqueLoopScenario(model=model, controller=ctrl,
                                    compensator_on=True, duration_s=1.0)
@@ -534,7 +543,9 @@ def test_block_solve_matches_the_plain_recurrence(model, ctrl, monkeypatch, case
         )
     (args, (xs, counts)), = runs
     loop, a, x0, w0, wh, w1, h, _ = args
-    assert len(x0) == (6 if case == "fig9_two_dof" else 14)
+    assert len(x0) == {"fig9_two_dof": 6, "forced_12": 12}.get(case, 14)
+    if case == "forced_12":
+        assert len(w0) == 1003
     ref = _closed_recurrence(loop, a, x0, w0, wh, w1, h)
     scale = np.max(np.abs(ref), axis=0)
     assert np.all(np.abs(xs - ref) <= 1e-12 * scale)
@@ -543,6 +554,10 @@ def test_block_solve_matches_the_plain_recurrence(model, ctrl, monkeypatch, case
     closed, _ = simulation._step_maps(a, loop.B + np.outer(loop.b_w, loop.d_u),
                                       np.zeros(len(x0)), loop.c_u, loop.d_u, h)
     np.testing.assert_array_equal(q[:len(x0)], closed[:, :len(x0)])
+    # the forced response is solved in sub-blocks of sqrt(_BLOCK) = 8
+    # steps: its Toeplitz map is (8 nz x 8 nx), not (64 nz x 64 nx)
+    _, toe = block_maps(q)
+    assert simulation._BLOCK == 64 and toe.shape == (8 * len(q), 8 * len(x0))
 
 
 def test_saturated_block_matches_the_open_recurrence(model, ctrl, monkeypatch):
@@ -597,14 +612,14 @@ def test_clamped_step_is_the_stagewise_clamped_step(model, monkeypatch):
     step, cmds = simulation._step_maps(loop.A, loop.B, loop.b_w, loop.c_u,
                                        loop.d_u, h)
     m = step.shape[1] - 4
-    n, low = step[:, m:], cmds[:, m:].tolist()
+    n, low = step[:, m:], tuple(cmds[:, m:][np.tril_indices(4, -1)].tolist())
     scale = np.max(np.abs(xs), axis=0)
     modes = []
     for k, v in enumerate(np.hstack([w0, wh, w1])):
         zk = closed[:, :m] @ np.r_[xs[k], v]
         if np.all(np.abs(zk[nx:]) <= sat):
             continue
-        modes.append(simulation._clamped_step(zk, n, low, sat))
+        modes.append(simulation._clamped_step(zk, zk[nx:].tolist(), n, low, sat))
         ref, _ = _stagewise_integrate(loop, a, xs[k], w0[k:k + 1], wh[k:k + 1],
                                       w1[k:k + 1], h, sat)
         assert np.all(np.abs(zk[:nx] - ref[1]) <= 1e-12 * scale), k
@@ -615,6 +630,18 @@ def test_clamped_step_is_the_stagewise_clamped_step(model, monkeypatch):
                 simulation._LOWER if down else simulation._MIXED)
         assert modes[-1] == side, k
     assert {simulation._UPPER, simulation._LOWER, simulation._MIXED} <= set(modes)
+
+
+def test_fig9_path_counts_at_the_default_seed(tmp_path, monkeypatch):
+    """The steps of each fig9 run, by the path _integrate took: the 2-DOF
+    run never reaches the clamp, and the PI run chatters across it."""
+    runs = _record_integrate(monkeypatch)
+    run_preset("fig9", ProjectConfig(), str(tmp_path))
+    two_dof, pi = (counts for _, (_, counts) in runs)
+    assert two_dof == dict(closed_block=100000, upper_block=0, lower_block=0,
+                           closed_single=0, clamped_single=0)
+    assert pi == dict(closed_block=86453, upper_block=0, lower_block=0,
+                      closed_single=11936, clamped_single=1611)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
