@@ -108,7 +108,7 @@ def cmd_synth(args) -> int:
     write_bundle(bundle, bundle_path)
 
     char = ctrl.d_rho * ctrl.d_lambda_k
-    cl_poles = roots(char).as_array
+    cl_poles = roots(char)
     gm, pm = loop_margins(series(model.P, ctrl.c2))
     pole_re = np.array([p.real for p in cl_poles])
     pole_im = np.array([p.imag for p in cl_poles])

@@ -40,6 +40,7 @@ from .simulation import (
     PiController,
     SignalSpec,
     TorqueLoopScenario,
+    _SIGNAL_FIELDS,
     _check_i_d,
     _check_timing,
 )
@@ -134,17 +135,6 @@ def _dump_numbers(obj, keys: dict) -> dict:
     return {key: getattr(obj, attr) for key, attr in keys.items()}
 
 
-_SIGNAL_FIELDS = {
-    "zero": (),
-    "constant": ("amplitude", "offset"),
-    "sine": ("amplitude", "frequency_hz", "offset"),
-    "chirp": ("amplitude", "f0_hz", "f1_hz", "sweep_s", "offset"),
-    "step": ("amplitude", "start_s", "offset"),
-    "white_noise": ("variance", "seed", "offset"),
-    "piecewise_linear": ("breakpoints", "offset"),
-}
-
-
 def _parse_signal(d, ctx: str) -> SignalSpec:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"{ctx} must be an object with a 'kind' key")
@@ -204,9 +194,6 @@ def _dump_controller(ctrl):
     return "two_dof"
 
 
-_SCENARIO_KINDS = ("torque_loop", "impedance")
-
-
 @dataclass(frozen=True)
 class ScenarioDef:
     """Declarative scenario: everything but the plant and the controller
@@ -234,7 +221,7 @@ class ScenarioDef:
     i_d: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _SCENARIO_KINDS:
+        if self.kind not in ("torque_loop", "impedance"):
             raise ValueError(
                 f"kind must be 'torque_loop' or 'impedance', not {self.kind!r}"
             )
@@ -271,7 +258,7 @@ def _parse_scenario(d, ctx: str) -> ScenarioDef:
         raise ConfigError(f"{ctx} must be an object")
     _check_keys(d, {"type", *_SCENARIO_FIELDS}, ctx)
     kind = d.get("type", "torque_loop")
-    if kind not in _SCENARIO_KINDS:
+    if kind not in ("torque_loop", "impedance"):
         raise ConfigError(f"{ctx}.type must be 'torque_loop' or 'impedance'")
     if kind == "torque_loop" and any(name in d for name in _IMPEDANCE_FIELDS):
         raise ConfigError(

@@ -7,12 +7,10 @@ across segments is what makes the estimate usable on the noisy
 closed-loop traces; a single-shot quotient would be hopeless there.
 The spectra are computed with numpy's FFT alone.
 
-Bandwidth and phase metrics accept either an estimate or an analytic
-transfer function, so the same code scores theory and simulation.  An
-estimate is interpolated on its own grid.  A transfer function n/d is
-scored in closed form over 1e-3 .. 1e4 Hz: each crossing is a real root
-x = w^2 of a polynomial built from n(jw) and d(jw), and the unwrapped
-phase comes from the roots of n and d.  No frequency grid is swept.
+The Bode metrics score a transfer function n/d in closed form over
+1e-3 .. 1e4 Hz: each crossing is a real root x = w^2 of a polynomial
+built from n(jw) and d(jw), and the unwrapped phase comes from the
+roots of n and d.  No frequency grid is swept.
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ __all__ = [
     "frf_to_csv",
 ]
 
-# -3 dB means half power, i.e. 20 log10(sqrt(2)) below the reference.
-_HALF_POWER_DB = 20.0 * np.log10(np.sqrt(2.0))
 _NO_CROSSING = "magnitude never crosses -3 dB in the evaluated range"
 
 
@@ -187,7 +183,8 @@ def estimate_frf(
 
 
 # The band the Bode metrics of a transfer function are taken over, in
-# decades of Hz: 1e-3 to 1e4 Hz; "dc_gain" is the gain at its low end.
+# decades of Hz: 1e-3 to 1e4 Hz; the bandwidth's reference is the gain
+# at its low end.
 _SWEEP_DECADES = (-3.0, 4.0)
 _F_LO, _F_HI = 10.0 ** _SWEEP_DECADES[0], 10.0 ** _SWEEP_DECADES[1]
 _W_LO, _W_HI = 2.0 * np.pi * _F_LO, 2.0 * np.pi * _F_HI
@@ -222,7 +219,7 @@ def _sign_changes(f: Polynomial, x_lo: float, x_hi: float):
     sign = -1.0 if f(x_lo) < 0.0 else 1.0
     if f.degree < 1:
         return []
-    rts = roots(f).as_array
+    rts = roots(f)
     xs = np.sort(rts.real[np.abs(rts.imag) <= _CLUSTER_REL * np.abs(rts)])
     xs = xs[(xs > x_lo) & (xs <= x_hi)]
     out = []
@@ -241,7 +238,7 @@ def _arg_sum(p: Polynomial, w: np.ndarray) -> np.ndarray:
     exact up to a constant."""
     if p.degree < 1:
         return np.zeros_like(w)
-    z = roots(p).as_array
+    z = roots(p)
     jw = 1j * w[:, None]
     # jw - z crosses the negative real axis when Re z > 0: measure those
     # as arg(z - jw), which is continuous there and off by pi
@@ -267,77 +264,40 @@ def _phase_deg(tf: RationalTF, w) -> np.ndarray:
     return np.degrees(principal + 2.0 * np.pi * turns)[:-1]
 
 
-def bandwidth_3db(frf_or_tf, dc_reference: str = "dc_gain") -> float:
-    """First frequency where gain drops 3 dB below the reference.
+def bandwidth_3db(tf: RationalTF) -> float:
+    """First frequency where the gain of tf = n/d drops 3 dB below g0, its
+    gain at 1e-3 Hz.
 
-    dc_reference selects the 0-level: "dc_gain" uses the lowest-frequency
-    gain (for a transfer function, the gain at 1e-3 Hz), "unity" uses
-    0 dB.  For an estimate the crossing is located by linear
-    interpolation in log frequency.  For a transfer function n/d it is
-    exact: the smallest x = w^2 in the 1e-3 .. 1e4 Hz band where
-    |n(jw)|^2 - g0^2 |d(jw)|^2 / 2 changes sign; a gain already below
-    the threshold at 1e-3 Hz gives 1e-3 Hz.
+    Exact: the smallest x = w^2 in the 1e-3 .. 1e4 Hz band where
+    |n(jw)|^2 - g0^2 |d(jw)|^2 / 2 changes sign.  At 1e-3 Hz that
+    polynomial is |n|^2 / 2 >= 0, so its first change is a fall.
 
     Raises
     ------
     ValueError
         If the magnitude never crosses the threshold in range.
     """
-    if dc_reference not in ("dc_gain", "unity"):
-        raise ValueError("dc_reference must be 'dc_gain' or 'unity'")
-    if isinstance(frf_or_tf, RationalTF):
-        return _tf_bandwidth(frf_or_tf, dc_reference)
-    freqs, mag_db = frf_or_tf.freqs_hz, frf_or_tf.magnitude_db
-    ref_db = float(mag_db[0]) if dc_reference == "dc_gain" else 0.0
-    thr = ref_db - _HALF_POWER_DB
-    below = mag_db < thr
-    if below[0]:
-        return float(freqs[0])
-    if not np.any(below):
-        raise ValueError(_NO_CROSSING)
-    i = int(np.argmax(below))
-    f0, f1 = np.log10(freqs[i - 1]), np.log10(freqs[i])
-    m0, m1 = mag_db[i - 1], mag_db[i]
-    frac = (thr - m0) / (m1 - m0)
-    return float(10.0 ** (f0 + frac * (f1 - f0)))
-
-
-def _tf_bandwidth(tf: RationalTF, dc_reference: str) -> float:
-    ref = abs(tf(1j * _W_LO)) ** 2 if dc_reference == "dc_gain" else 1.0
+    ref = abs(tf(1j * _W_LO)) ** 2
     f = _squared_gain(tf.num) - (0.5 * ref) * _squared_gain(tf.den)
-    if f(_W_LO**2) < 0.0:
-        return _F_LO
     changes = _sign_changes(f, _W_LO**2, _W_HI**2)
     if not changes:
         raise ValueError(_NO_CROSSING)
     return float(np.sqrt(changes[0][0]) / (2.0 * np.pi))
 
 
-def phase_at(frf_or_tf, f_hz: float) -> float:
-    """Unwrapped phase in degrees at one frequency.
-
-    An estimate is interpolated linearly in log frequency.  A transfer
-    function is evaluated exactly: its principal angle there, unwrapped
-    by the turns its zeros and poles give since 1e-3 Hz, where the
-    branch is the principal one.
+def phase_at(tf: RationalTF, f_hz: float) -> float:
+    """Unwrapped phase of tf in degrees at one frequency, exactly: its
+    principal angle there, unwrapped by the turns its zeros and poles
+    give since 1e-3 Hz, where the branch is the principal one.
 
     Raises
     ------
     ValueError
-        If f_hz lies outside the data (or the 1e-3 .. 1e4 Hz) range.
+        If f_hz lies outside 1e-3 .. 1e4 Hz.
     """
-    if isinstance(frf_or_tf, RationalTF):
-        lo, hi = _F_LO, _F_HI
-    else:
-        freqs = frf_or_tf.freqs_hz
-        lo, hi = freqs[0], freqs[-1]
-    if not (lo <= f_hz <= hi):
-        raise ValueError(f"{f_hz:.4g} Hz outside [{lo:.4g}, {hi:.4g}] Hz")
-    if isinstance(frf_or_tf, RationalTF):
-        return float(_phase_deg(frf_or_tf, [2.0 * np.pi * f_hz])[0])
-    return float(
-        np.interp(np.log10(f_hz), np.log10(freqs), frf_or_tf.phase_deg)
-    )
+    if not (_F_LO <= f_hz <= _F_HI):
+        raise ValueError(f"{f_hz:.4g} Hz outside [{_F_LO:.4g}, {_F_HI:.4g}] Hz")
+    return float(_phase_deg(tf, [2.0 * np.pi * f_hz])[0])
 
 
 def loop_margins(loop_tf: RationalTF) -> tuple[float, float]:

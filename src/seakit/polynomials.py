@@ -14,7 +14,6 @@ meaning between the physical parameter scale (coefficients spanning
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +22,6 @@ from .errors import NumericsError
 
 __all__ = [
     "Polynomial",
-    "RootSet",
     "format_poly",
     "roots",
     "is_hurwitz",
@@ -212,26 +210,6 @@ def format_poly(p: Polynomial, var: str = "s", fmt: str = "%.6g") -> str:
     return out
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Roots of a polynomial with multiplicities as repeated entries.
-
-    Attributes
-    ----------
-    roots : tuple of complex
-        Conjugate-symmetric, sorted by (real, imag) for determinism.
-    residual : float
-        max over roots of |p(r)| relative to the evaluation scale at r.
-    """
-
-    roots: tuple
-    residual: float
-
-    @property
-    def as_array(self) -> np.ndarray:
-        return np.array(self.roots, dtype=complex)
-
-
 def _magnitude(z: np.ndarray) -> np.ndarray:
     """|z| rounded as Python's abs(complex), which is hypot."""
     return np.hypot(z.real, z.imag)
@@ -293,13 +271,15 @@ def _pair_conjugates(rts: np.ndarray) -> np.ndarray:
     return np.array(sorted(out, key=lambda r: (r.real, r.imag)), dtype=complex)
 
 
-def roots(p: Polynomial, rel_tol: float = 1e-8, newton_steps: int = 4) -> RootSet:
+def roots(p: Polynomial, rel_tol: float = 1e-8, newton_steps: int = 4) -> np.ndarray:
     """All roots of ``p`` via the balanced companion matrix, polished.
 
     Each eigenvalue gets up to ``newton_steps`` Newton corrections which
     are only accepted while they reduce |p(r)|; the polish is skipped
     near-multiple roots where p'(r) underflows the local scale.  The
-    final set is conjugate-symmetrized.
+    result is a complex array of the deg p roots, multiplicities
+    repeated, in exact conjugate pairs (near-real roots snapped to the
+    axis) and sorted by (real, imag).
 
     Raises
     ------
@@ -338,7 +318,7 @@ def roots(p: Polynomial, rel_tol: float = 1e-8, newton_steps: int = 4) -> RootSe
         raise NumericsError(
             f"root refinement residual {residual:.3e} exceeds {rel_tol:.1e}"
         )
-    return RootSet(tuple(sym), float(residual))
+    return sym
 
 
 def is_hurwitz(p: Polynomial, margin: float | None = None) -> bool:
@@ -353,7 +333,7 @@ def is_hurwitz(p: Polynomial, margin: float | None = None) -> bool:
         raise ValueError("the zero polynomial has no stability classification")
     if p.degree == 0:
         return True
-    rs = roots(p).as_array
+    rs = roots(p)
     scale = max(1.0, float(np.max(np.abs(rs))))
     m = 1e-9 * scale if margin is None else margin
     return bool(np.all(rs.real < -m))
@@ -398,8 +378,8 @@ def gcd_degree(p: Polynomial, q: Polynomial, tol: float = 1e-6) -> int:
         raise ValueError("gcd_degree requires nonzero polynomials")
     if p.degree == 0 or q.degree == 0:
         return 0
-    rp = roots(p).as_array
-    rq = roots(q).as_array
+    rp = roots(p)
+    rq = roots(q)
     return len(_match_pairs(rp, rq, tol))
 
 
@@ -454,7 +434,7 @@ def spectral_factor(
             raise NumericsError("even part is not positive at s = 0")
         return Polynomial([math.sqrt(e0)])
 
-    rts = list(roots(E).as_array)
+    rts = list(roots(E))
     scale = max(1.0, max(abs(r) for r in rts))
     axis_tol = 1e-7
     selected = []

@@ -257,7 +257,7 @@ def _run_chirp_frf(cfg, out_dir, f0, f1, sweep_s, duration_s, grid, preset):
         )
     ]
 
-    bw_hz = bandwidth_3db(g1, dc_reference="dc_gain")
+    bw_hz = bandwidth_3db(g1)
     lag_deg = -phase_at(g1, bw_hz)
     vline = [(bw_hz, f"-3 dB at {bw_hz:.2f} Hz")]
     plot_bode(

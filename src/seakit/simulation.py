@@ -59,21 +59,22 @@ __all__ = [
     "simulate_impedance",
     "simulate_free_response",
     "rms_error",
-    "steady_state_error",
     "peak_envelope",
     "fit_sine",
     "trace_to_csv",
 ]
 
-_KINDS = (
-    "constant",
-    "sine",
-    "chirp",
-    "step",
-    "white_noise",
-    "piecewise_linear",
-    "zero",
-)
+# Each signal kind and the fields it reads; config parses and writes
+# exactly these keys.
+_SIGNAL_FIELDS = {
+    "zero": (),
+    "constant": ("amplitude", "offset"),
+    "sine": ("amplitude", "frequency_hz", "offset"),
+    "chirp": ("amplitude", "f0_hz", "f1_hz", "sweep_s", "offset"),
+    "step": ("amplitude", "start_s", "offset"),
+    "white_noise": ("variance", "seed", "offset"),
+    "piecewise_linear": ("breakpoints", "offset"),
+}
 
 _NUMERIC_FIELDS = ("amplitude", "frequency_hz", "f0_hz", "f1_hz", "sweep_s",
                    "offset", "start_s", "variance")
@@ -83,12 +84,9 @@ _NUMERIC_FIELDS = ("amplitude", "frequency_hz", "f0_hz", "f1_hz", "sweep_s",
 class SignalSpec:
     """Declarative description of one scalar excitation.
 
-    kind selects the generator; the remaining fields are read only where
-    they make sense for that kind (amplitude and offset nearly always,
-    frequency_hz for sine, the f0/f1/sweep triple for chirp, start_s for
-    step, variance and seed for white_noise, breakpoints for
-    piecewise_linear).  Instances are immutable and hashable so scenarios
-    can be compared and reused.
+    kind selects the generator, which reads only the fields
+    _SIGNAL_FIELDS lists for it.  Instances are immutable and hashable
+    so scenarios can be compared and reused.
     """
 
     kind: str
@@ -104,7 +102,7 @@ class SignalSpec:
     breakpoints: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _SIGNAL_FIELDS:
             raise ValueError(f"unknown signal kind {self.kind!r}")
         for name in _NUMERIC_FIELDS:
             if not math.isfinite(getattr(self, name)):
@@ -257,12 +255,6 @@ class PiController:
         return c, c
 
 
-def _controller_blocks(controller) -> tuple[RationalTF, RationalTF]:
-    if isinstance(controller, PiController):
-        return controller.as_pair()
-    return _controller_pair(controller)
-
-
 @dataclass(frozen=True)
 class LoadModel:
     """Inertia-damper load driven by the delivered torque.
@@ -324,7 +316,7 @@ class TorqueLoopScenario:
 
     def __post_init__(self):
         _check_timing(self.dt_s, self.duration_s, self.saturation_rad_s)
-        c1, c2 = _controller_blocks(self.controller)
+        c1, c2 = _controller_pair(self.controller)
         if c1.den != c2.den:
             raise ValueError("controller: C1 and C2 must share one denominator")
 
@@ -442,7 +434,7 @@ def _assemble(
     Every scalar signal of the loop is built as a row over [x, v].
     """
     model = sc.model
-    c1, c2 = _controller_blocks(sc.controller)
+    c1, c2 = _controller_pair(sc.controller)
     pg = to_state_space(model.P, model.G * RationalTF([1.0, 0.0], [1.0, 0.0]))
     ctl = to_state_space(c1, -c2)
     comp = None
@@ -869,13 +861,6 @@ def rms_error(trace: SimTrace, from_t: float = 0.0) -> float:
     mask = t >= from_t
     e = trace.channel("e")[mask]
     return float(np.sqrt(np.mean(e * e)))
-
-
-def steady_state_error(trace: SimTrace) -> float:
-    """Mean tracking error over the last 10% of the trace."""
-    n = trace.n_samples
-    tail = max(1, n // 10)
-    return float(np.mean(trace.channel("e")[n - tail:]))
 
 
 def peak_envelope(

@@ -128,9 +128,12 @@ class ClosedLoopMaps:
 
 
 def _controller_pair(ctrl) -> tuple[RationalTF, RationalTF]:
-    """Accept a TwoDofController or a bare (C1, C2) pair."""
+    """Accept a TwoDofController, a PiController (through its as_pair) or
+    a bare (C1, C2) pair."""
     if isinstance(ctrl, TwoDofController):
         return ctrl.c1, ctrl.c2
+    if hasattr(ctrl, "as_pair"):
+        return ctrl.as_pair()
     c1, c2 = ctrl
     return c1, c2
 
@@ -334,7 +337,7 @@ def coprime_factorize(P: RationalTF, C0: RationalTF) -> CoprimeFactorization:
 
     if c.degree < n:
         raise NumericsError("characteristic degree collapsed below deg(a)")
-    c_roots = roots(c).as_array if c.degree >= 1 else np.zeros(0, complex)
+    c_roots = roots(c)
     units = _conjugate_units(c_roots)
     units.sort(
         key=lambda u: (-abs(u[0].real), -abs(u[0].imag), u[0].real, u[0].imag)

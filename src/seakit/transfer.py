@@ -164,13 +164,13 @@ def poles(tf: RationalTF) -> np.ndarray:
     """Denominator roots (of the stored, possibly non-minimal form)."""
     if tf.den.degree < 1:
         return np.zeros(0, dtype=complex)
-    return roots(tf.den).as_array
+    return roots(tf.den)
 
 
 def zeros(tf: RationalTF) -> np.ndarray:
     if tf.num.degree < 1:
         return np.zeros(0, dtype=complex)
-    return roots(tf.num).as_array
+    return roots(tf.num)
 
 
 def minimal_form(tf: RationalTF, tol: float = 1e-7) -> RationalTF:
@@ -182,8 +182,7 @@ def minimal_form(tf: RationalTF, tol: float = 1e-7) -> RationalTF:
     if tf.num.is_zero:
         return RationalTF([0.0], [1.0], tf.units)
     gain = float(tf.num.coeffs[0])  # den is monic, so this is the HF gain ratio
-    zs = roots(tf.num).as_array if tf.num.degree >= 1 else np.zeros(0, complex)
-    ps = roots(tf.den).as_array if tf.den.degree >= 1 else np.zeros(0, complex)
+    zs, ps = zeros(tf), poles(tf)
     matches = _match_pairs(zs, ps, tol)
     if not matches:
         return tf  # nothing cancels; keep exact coefficients, skip re-expansion

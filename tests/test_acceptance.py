@@ -184,7 +184,7 @@ def test_criterion_03_synthesis_identities(model, criterion_report):
         )
         assert is_hurwitz(target)
         worst["pole_re"] = max(
-            worst["pole_re"], float(np.max(roots(target).as_array.real))
+            worst["pole_re"], float(np.max(roots(target).real))
         )
         bez = max(
             abs(fact.M(s) * fact.X(s) + fact.N(s) * fact.Y(s) - 1.0) for s in grid

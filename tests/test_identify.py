@@ -25,9 +25,9 @@ from seakit import (
 from seakit.identify import _segment_length, _welch
 
 
-def _lowpass(fc_hz: float, gain: float = 1.0) -> RationalTF:
+def _lowpass(fc_hz: float) -> RationalTF:
     w0 = 2 * np.pi * fc_hz
-    return RationalTF([gain * w0], [1.0, w0])
+    return RationalTF([w0], [1.0, w0])
 
 
 def _simulated_pair(tf: RationalTF, dt: float, n: int, seed: int):
@@ -127,33 +127,9 @@ def test_bandwidth_on_first_order_lowpass():
     assert np.isclose(bandwidth_3db(_lowpass(12.0)), 12.0, rtol=1e-3)
 
 
-def test_bandwidth_unity_reference():
-    # DC gain 2: the unity-referenced -3 dB point sits at sqrt(7) f0
-    tf = _lowpass(1.0, gain=2.0)
-    assert np.isclose(bandwidth_3db(tf, dc_reference="unity"),
-                      np.sqrt(7.0), rtol=1e-3)
-    # already below the threshold at the low end of the sweep
-    low = RationalTF([0.1], [1.0])
-    assert bandwidth_3db(low, dc_reference="unity") == pytest.approx(1e-3)
-    with pytest.raises(ValueError):
-        bandwidth_3db(tf, dc_reference="nominal")
-
-
 def test_bandwidth_requires_a_crossing():
     with pytest.raises(ValueError, match="never crosses"):
         bandwidth_3db(RationalTF([0.5], [1.0]))
-
-
-def test_bandwidth_from_estimate_arrays():
-    freqs = np.logspace(-1, 2, 400)
-    mag = -20 * np.log10(np.sqrt(1 + (freqs / 10.0) ** 2))
-    est = FrfEstimate(
-        freqs_hz=freqs,
-        magnitude_db=mag,
-        phase_deg=np.zeros_like(freqs),
-        coherence=np.ones_like(freqs),
-    )
-    assert np.isclose(bandwidth_3db(est), 10.0, rtol=1e-3)
 
 
 def test_phase_at():
@@ -230,10 +206,16 @@ def _sweep(tf):
     return r.freqs_hz, r.magnitude_db, r.phase_deg
 
 
-def _swept_bandwidth(tf, dc_reference):
+def _swept_bandwidth(tf):
+    # the first grid point 3 dB below the first one, interpolated back
+    # to the threshold in log frequency
     freqs, mag, _ = _sweep(tf)
-    est = FrfEstimate(freqs, mag, np.zeros_like(freqs), np.ones_like(freqs))
-    return bandwidth_3db(est, dc_reference)
+    thr = mag[0] - 20.0 * np.log10(np.sqrt(2.0))
+    i = int(np.argmax(mag < thr))
+    assert i > 0
+    frac = (thr - mag[i - 1]) / (mag[i] - mag[i - 1])
+    f0, f1 = np.log10(freqs[i - 1]), np.log10(freqs[i])
+    return float(10.0 ** (f0 + frac * (f1 - f0)))
 
 
 def _swept_phase(tf, f_hz):
@@ -321,10 +303,8 @@ def test_closed_form_metrics_match_the_sweep():
     for name, tf, tol in _cases():
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # as the design sweep runs them
-            for ref in ("dc_gain", "unity"):
-                bw = bandwidth_3db(tf, ref)
-                assert bw == pytest.approx(_swept_bandwidth(tf, ref), rel=1e-6), name
             bw = bandwidth_3db(tf)
+            assert bw == pytest.approx(_swept_bandwidth(tf), rel=1e-6), name
             for f_hz in (1e-3, bw, 0.5, 9.9, 10.0, 19.9, 20.1, 1e4):
                 assert abs(phase_at(tf, f_hz) - _swept_phase(tf, f_hz)) <= tol, (
                     name, f_hz)
@@ -371,16 +351,21 @@ def test_closed_form_phase_is_unwrapped_through_the_band():
 
 
 def test_touching_the_threshold_is_not_a_crossing():
-    # a notch of depth 1/sqrt(2) between unit gains: |G|^2 - 1/2 is
-    # (w0^2 - w^2)^2 / 2, whose double root rounding splits into two
-    # real roots 1e-8 apart, so the gain touches -3 dB and never falls
-    # below it
-    w0, z = 2 * np.pi * 5.0, 0.2
-    notch = RationalTF([1.0, 2 * z * w0, w0**2],
-                       [1.0, 2 * np.sqrt(2.0) * z * w0, w0**2])
-    with pytest.raises(ValueError, match="never crosses"):
-        bandwidth_3db(notch, dc_reference="unity")
-    # one part in 1e4 deeper and it crosses twice, first below w0
-    deeper = RationalTF([1.0, 2 * 0.9999 * z * w0, w0**2],
-                        [1.0, 2 * np.sqrt(2.0) * z * w0, w0**2])
-    assert 4.9 < bandwidth_3db(deeper, dc_reference="unity") < 5.0
+    # a loop of gain sqrt(2) with a notch of depth 1/sqrt(2): |L|^2 - 1
+    # has a double root at w0^2, which rounding splits by about 5e-8
+    # relative, into two real roots at 4 Hz and a complex pair at 5 Hz,
+    # so the gain touches 0 dB and never falls below it; the phase
+    # stays near 0
+    z = 0.2
+
+    def loop(f0_hz, depth=1.0):
+        w0 = 2 * np.pi * f0_hz
+        num = np.sqrt(2.0) * np.array([1.0, 2 * depth * z * w0, w0**2])
+        return RationalTF(num, [1.0, 2 * np.sqrt(2.0) * z * w0, w0**2])
+
+    for f0_hz in (4.0, 5.0):
+        assert loop_margins(loop(f0_hz)) == (np.inf, np.inf), f0_hz
+    # one part in 1e4 deeper and it falls through 0 dB just below w0,
+    # where the phase lags by less than a degree
+    gm, pm = loop_margins(loop(5.0, depth=0.9999))
+    assert gm == np.inf and 179.0 < pm < 180.0

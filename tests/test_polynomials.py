@@ -87,7 +87,7 @@ def test_multiplication_by_scalar_and_zero():
 def test_from_roots_round_trip():
     r = np.array([-1.0, -2.0 + 1.0j, -2.0 - 1.0j])
     p = Polynomial.from_roots(r, leading=2.0)
-    got = np.sort_complex(roots(p).as_array)
+    got = np.sort_complex(roots(p))
     np.testing.assert_allclose(got, np.sort_complex(r), atol=1e-10)
     assert p.coeffs[0] == 2.0
 
@@ -113,7 +113,7 @@ def test_derivative():
 def test_roots_accuracy_on_clustered_pair():
     # two real roots 1e-3 apart must come back distinct and accurate
     p = Polynomial.from_roots([-28.26, -28.288, -0.05])
-    got = np.sort(roots(p).as_array.real)
+    got = np.sort(roots(p).real)
     np.testing.assert_allclose(got, [-28.288, -28.26, -0.05], rtol=1e-9)
 
 
@@ -159,17 +159,19 @@ def test_array_polish_matches_scalar_polish_bit_for_bit():
         repeated = np.repeat(base, rng.integers(1, 4, len(base)))
         polys.append(Polynomial(np.poly(repeated)))
     for p in polys:
-        got = roots(p, rel_tol=np.inf)
         want, residual = _scalar_polish_roots(p)
-        assert got.as_array.tobytes() == want.tobytes()
-        assert got.residual == residual
+        # the scalar residual is the one roots enforces: the same bytes
+        # at rel_tol = residual, an error one ulp below it
+        assert roots(p, rel_tol=residual).tobytes() == want.tobytes()
+        with pytest.raises(NumericsError):
+            roots(p, rel_tol=np.nextafter(residual, -1.0))
 
 
 def test_roots_keep_a_small_complex_pair_beside_a_large_root():
     # near-real is judged per root: the pair at 1 rad/s is not snapped to
     # the axis because another root lies at 1e9
     p = Polynomial(np.polymul([1.0, 0.1, 1.0], [1.0, 1e9]))
-    got = roots(p).as_array
+    got = roots(p)
     np.testing.assert_allclose(got, [-1e9, -0.05 - 0.99874922j, -0.05 + 0.99874922j],
                                rtol=1e-8)
 
