@@ -197,8 +197,8 @@ def cmd_sim(args) -> int:
         ylabel="torque (Nm)",
         title=f"Scenario {name}",
     )
-    if args.json:
-        _print_json_checks([])  # a config scenario carries no checks
+    if args.json:  # a config scenario carries no checks, only its run's stats
+        print(json.dumps({"checks": [], "stats": asdict(trace.stats)}, indent=2))
     print(f"wrote {csv_path}", file=sys.stderr if args.json else sys.stdout)
     return EXIT_OK
 

@@ -21,11 +21,17 @@ map closed through the unclamped command, x+ = Phi x + G0 w0 + Gh wh +
 G1 w1, Phi the degree-4 Taylor polynomial of exp(hA).  +sat and -sat:
 its four commands are all at or past that side of the limit, and it is
 the map opened at the clamp with the command held at the limit.  Each
-mode is solved in closed form over blocks of 64 steps, a chunked linear
-recurrence in two levels (sub-blocks of 8 steps, then the carries
-between them).  Only where the mode changes does the loop step one step
-at a time, clamping the four stage commands of a step in none of the
-modes in sequence, until 8 steps in a row share a mode.
+mode is solved in closed form, a chunked linear recurrence in three
+levels: sub-blocks of 8 steps, blocks of 64 and groups of 32 blocks,
+each level carrying the start states of the one below.  A group that
+starts inside the limit, after a group with no single step, is solved
+whole; any other solve runs to the end of its block.  A solve keeps its
+steps up to the first that leaves its mode.  From there the loop steps
+one at a time, clamping the four stage commands of a step in none of
+the modes in sequence, and solves again after 8 steps in a row at +sat
+or -sat, or after `wait` steps inside.  wait starts at 1, doubles up to
+8 after an inside solve that keeps fewer than 8 steps, and drops back to
+1 after a solve that keeps at least 8.
 Every input, phi_ref and handle motion included, is sampled once, by
 _step_inputs: deterministic signals on the half-step grid the
 integrator needs, seeded noise held constant across each step
@@ -53,6 +59,7 @@ __all__ = [
     "TorqueLoopScenario",
     "ImpedanceScenario",
     "LoadModel",
+    "SimStats",
     "SimTrace",
     "TRACE_CHANNELS",
     "simulate_torque_loop",
@@ -358,6 +365,24 @@ TRACE_CHANNELS = (
 
 
 @dataclass(frozen=True)
+class SimStats:
+    """What one run did: its steps by the path the integrator took, solved
+    in closed-form blocks in a mode (inside, +sat, -sat) or taken one at a
+    time inside the limit or clamped; the samples with |u_presat| past the
+    limit saturation_rad_s, and the largest |u_presat|.  A step can clamp
+    at an inner RK4 stage while its end sample stays inside the limit."""
+
+    closed_block: int
+    upper_block: int
+    lower_block: int
+    closed_single: int
+    clamped_single: int
+    clamped_samples: int
+    peak_u_presat: float
+    saturation_rad_s: float
+
+
+@dataclass(frozen=True)
 class SimTrace:
     """Uniformly sampled simulation record.
 
@@ -366,10 +391,12 @@ class SimTrace:
     u_presat = u + d, the saturated command omega_d, the injected d and
     n, the delivered torque tau_L, the measured torque y_meas = tau_L +
     n, the load angle phi_L, and the tracking error e = r - tau_L.
+    stats, set by the simulator, is no channel and holds no wall time.
     """
 
     dt_s: float
     channels: dict[str, np.ndarray]
+    stats: SimStats | None = None
 
     def __post_init__(self):
         lengths = {len(v) for v in self.channels.values()}
@@ -573,8 +600,9 @@ _SUB = math.isqrt(_BLOCK)  # steps per sub-block of _forced, _BLOCK = _SUB^2
 # Blocks whose forced responses come out of one matrix product; the input
 # terms are formed one group at a time, never for the whole run at once.
 _GROUP = 32
-# Single steps in one mode before the block solve resumes in that mode,
-# so that a chattering clamp is not met by a block attempt at every step.
+# Single steps in a saturated mode before the block solve resumes in it,
+# and the inside mode's longest wait: a chattering clamp is not met by a
+# block attempt at every step.
 _RESUME = 8
 
 def _block_maps(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -627,25 +655,53 @@ def _forced(f: np.ndarray, m: np.ndarray, toe: np.ndarray) -> np.ndarray:
     return rows.reshape(nb, -1)
 
 
+def _attempt(forced: np.ndarray, m: np.ndarray, x: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray, steps: int) -> np.ndarray:
+    """The first of steps rows of consecutive blocks, up to the first row
+    that leaves [lo, hi]: past the mode's limit, or with a non-finite state.
+
+    Row i of forced holds block i's forced response, stacked, from its
+    first row on: only a lone block may start past its row 0.  Its start
+    state s_i, relative to that response, is x for block 0, and Phi^_BLOCK
+    s_(i-1) plus block i - 1's last forced state after.  The rows are
+    forced + S M^T, S stacking the s_i.
+    """
+    nz, nx = len(lo), len(x)
+    starts = [x]
+    for f in forced[:-1]:
+        starts.append(m[-nz:nx - nz] @ starts[-1] + f[-nz:nx - nz])
+    s = np.array(starts) if len(starts) > 1 else x  # a lone block: one gemv
+    rows = (forced + s @ m[:forced.shape[1]].T).reshape(-1, nz)[:steps]
+    ok = (rows >= lo) & (rows <= hi)
+    return rows if ok.all() else rows[:ok.all(1).argmin()]
+
+
+def _single_step(zk: np.ndarray, x: np.ndarray, q: np.ndarray, n: np.ndarray,
+                 low: tuple, sat: float):
+    """One closed-map step from x onto zk, its input terms, clamped by
+    _clamped_step where it leaves the limit.  Returns the step's mode, or
+    False where it leaves the limit from a non-finite x."""
+    zk += q @ x
+    u = zk[len(x):].tolist()
+    if max(u) <= sat and min(u) >= -sat:
+        return _INSIDE
+    if not np.isfinite(x).all():
+        return False
+    return _clamped_step(zk, u, n, low, sat)
+
+
 def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
                h: float, sat: float) -> tuple[np.ndarray, dict[str, int]]:
-    """States at every sample, in the three modes of the module docstring,
-    and the number of steps that took each path.
+    """States at every sample, solved as the module docstring describes, and
+    the number of steps that took each path, keyed as the first five
+    fields of SimStats.
 
     a is the unclamped loop matrix A + b_w c_u; w0, wh, w1 hold the inputs
-    at the start, midpoint and end of each step, one row per step.  The
-    saturated modes are the open map of (A, B, b_w), their input terms
-    carrying +-sat times the sum of its w columns, and are built only when
-    a block needs them.  A block keeps its rows up to the first one that
-    leaves its mode or has a non-finite state.  From there the closed map
-    steps one at a time, _clamped_step clamping each step that leaves the
-    limit, until _RESUME steps in a row share one mode; the block resumes
-    in that mode by superposition, its forced response F plus
-    M (x - F_(j-1)).  Integration stops at a non-finite state, NaN after.
-
-    The counts are keyed closed_block, upper_block and lower_block (steps
-    solved in blocks, by mode), closed_single and clamped_single (steps
-    taken one at a time, inside the limit or clamped).
+    at the start, midpoint and end of each step, one row per step.  An
+    attempt from row j of a block resumes by superposition, its forced
+    response F plus M (x - F_(j-1)).  The saturated modes, the open map of
+    (A, B, b_w) with w = +-sat, are built when first met.  Integration
+    stops at a non-finite state, NaN after.
     """
     nsteps, (nx, ni) = len(w0), loop.B.shape
     m = nx + 3 * ni
@@ -655,8 +711,7 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
     opened = np.vstack(_step_maps(loop.A, loop.B, loop.b_w, loop.c_u, loop.d_u, h))
     n, low = opened[:nx, m:], tuple(opened[nx:, m:][np.tril_indices(4, -1)].tolist())
     q, gam = closed[:, :nx], closed[:, nx:m]
-    mb, toe = _block_maps(q)
-    sat_maps = None  # the open map's (M, Toeplitz map, forced response to w = 1)
+    maps = {_INSIDE: _block_maps(q)}  # per mode: M and the Toeplitz map
     # a row is accepted while its state is finite and its commands lie in
     # [lo, hi] of the mode
     big = np.finfo(float).max
@@ -670,60 +725,57 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
     z = np.empty((nsteps + 1, nz))
     z[0, :nx] = x0
     xs = z[:, :nx]
-    mode, run = _INSIDE, _RESUME  # run: steps in mode since a block stopped
+    # run: steps in mode since a block stopped; wait: the run that resumes
+    # the inside mode; clean: no single step since the group began
+    mode, run, wait, clean = _INSIDE, _RESUME, 1, True
     span = _BLOCK * _GROUP
     for g in range(0, nsteps, span):
         e = min(g + span, nsteps)
-        z[g + 1:e + 1] = np.hstack([w0[g:e], wh[g:e], w1[g:e]]) @ gam.T
-        forced, sat_forced = _forced(z[g + 1:e + 1], mb, toe), None
-        for i, k in enumerate(range(g, e, _BLOCK)):
-            steps = min(_BLOCK, nsteps - k)
-            j = 0
-            while j < steps:
-                if run >= _RESUME:
-                    if mode == _INSIDE:
-                        mm, fb = mb, forced[i]
-                    else:
-                        if sat_maps is None:
-                            ms, toes = _block_maps(opened[:, :nx])
-                            # each step's input terms with w = 1 at every stage
-                            terms = np.tile(opened[:, m:].sum(1), (_BLOCK, 1))
-                            sat_maps = ms, toes, _forced(terms, ms, toes)[0]
-                        ms, toes, unit = sat_maps
-                        if sat_forced is None:
-                            v = np.hstack([w0[g:e], wh[g:e], w1[g:e]])
-                            sat_forced = _forced(v @ opened[:, nx:m].T, ms, toes)
-                        mm, fb = ms, sat_forced[i] + (mode * sat) * unit
-                    r0, r1 = j * nz, steps * nz  # rows j to steps, flattened
-                    dx = xs[k + j] - fb[r0 - nz:r0 - nz + nx] if j else xs[k]
-                    rows = (fb[r0:r1] + mm[:r1 - r0] @ dx).reshape(-1, nz)
-                    ok = (rows >= lo[mode]) & (rows <= hi[mode])
-                    good = len(ok) if ok.all() else int(ok.all(1).argmin())
-                    z[k + j + 1:k + j + good + 1] = rows[:good]
-                    counts[block_path[mode]] += good
-                    j += good
-                    if j == steps:
-                        break
-                    run = 0
-                zk = z[k + j + 1]
-                zk += q @ xs[k + j]
-                u = zk[nx:].tolist()
-                if max(u) <= sat and min(u) >= -sat:
-                    step = _INSIDE
-                    counts["closed_single"] += 1
-                else:
-                    if not np.isfinite(xs[k + j]).all():
-                        xs[k + j + 1:] = np.nan
-                        return xs, counts
-                    step = _clamped_step(zk, u, n, low, sat)
-                    counts["clamped_single"] += 1
-                if step is _MIXED:
-                    run = 0
-                elif step == mode:
-                    run += 1
-                else:
-                    mode, run = step, 1
-                j += 1
+        v = np.hstack([w0[g:e], wh[g:e], w1[g:e]])
+        z[g + 1:e + 1] = v @ gam.T
+        forced = {_INSIDE: _forced(z[g + 1:e + 1], *maps[_INSIDE])}
+        whole, clean, k = clean, True, g
+        while k < e:
+            if run >= (wait if mode == _INSIDE else _RESUME):
+                if mode not in forced:  # +-sat, first met in this group
+                    if _UPPER not in maps:
+                        maps[_UPPER] = maps[_LOWER] = _block_maps(opened[:, :nx])
+                        # each step's input terms with w = 1 at every stage
+                        terms = np.tile(opened[:, m:].sum(1), (_BLOCK, 1))
+                        unit = _forced(terms, *maps[_UPPER])[0]
+                    free = _forced(v @ opened[:, nx:m].T, *maps[_UPPER])
+                    for side in (_UPPER, _LOWER):
+                        forced[side] = free + (side * sat) * unit
+                # the whole group, or the rest of block i from its row j
+                fb, (i, j) = forced[mode], divmod(k - g, _BLOCK)
+                nb = len(fb) if whole and k == g and mode == _INSIDE else 1
+                r, end = j * nz, min(k - j + nb * _BLOCK, e)
+                x = xs[k] - fb[i, r - nz:r - nz + nx] if j else xs[k]
+                rows = _attempt(fb[i:i + nb, r:], maps[mode][0], x, lo[mode],
+                                hi[mode], end - k)
+                z[k + 1:k + len(rows) + 1] = rows
+                counts[block_path[mode]] += len(rows)
+                k += len(rows)
+                if len(rows) >= _SUB:
+                    wait = 1
+                elif mode == _INSIDE:
+                    wait = min(2 * wait, _RESUME)
+                if k == end:
+                    continue
+                run = 0
+            step = _single_step(z[k + 1], xs[k], q, n, low, sat)
+            if step is False:
+                xs[k + 1:] = np.nan
+                return xs, counts
+            counts["closed_single" if step == _INSIDE else "clamped_single"] += 1
+            if step is _MIXED:
+                run = 0
+            elif step == mode:
+                run += 1
+            else:
+                mode, run = step, 1
+            clean = False
+            k += 1
     return xs, counts
 
 
@@ -771,7 +823,7 @@ def _simulate(
 
     x0 = phi0 * loop.out_x[2]
     sat = ts.saturation_rad_s
-    xs, _ = _integrate(loop, a, x0, w0, wh, w1, dt, sat)
+    xs, counts = _integrate(loop, a, x0, w0, wh, w1, dt, sat)
     tau, u, phi, r = loop.out_x @ xs.T + loop.out_v @ samples.T
 
     bad = ~(np.isfinite(tau) & np.isfinite(u) & np.isfinite(phi))
@@ -783,11 +835,15 @@ def _simulate(
         )
     u_presat = u + samples[:, _D]
     n = samples[:, _N]
+    omega_d = np.clip(u_presat, -sat, sat)
+    clamped = int(np.count_nonzero(omega_d != u_presat))
+    stats = SimStats(**counts, clamped_samples=clamped, saturation_rad_s=sat,
+                     peak_u_presat=float(max(u_presat.max(), -u_presat.min())))
     rec = {
         "t": np.arange(nsteps + 1) * dt,
         "r": r,
         "u_presat": u_presat,
-        "omega_d": np.clip(u_presat, -sat, sat),
+        "omega_d": omega_d,
         "d": samples[:, _D],
         "n": n,
         "tau_L": tau,
@@ -795,7 +851,7 @@ def _simulate(
         "phi_L": phi,
         "e": r - tau,
     }
-    return SimTrace(dt_s=dt, channels=rec)
+    return SimTrace(dt_s=dt, channels=rec, stats=stats)
 
 
 def simulate_torque_loop(sc: TorqueLoopScenario) -> SimTrace:

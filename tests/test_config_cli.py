@@ -361,7 +361,13 @@ def test_cli_sim_scenario_json(tmp_path, capsys):
     cfg = _write_project(tmp_path)
     assert main(["sim", "quick", "--config", cfg, "--json"]) == 0
     captured = capsys.readouterr()
-    assert json.loads(captured.out) == {"checks": []}
+    report = json.loads(captured.out)
+    assert report["checks"] == []
+    steps = sum(report["stats"][k] for k in ("closed_block", "upper_block",
+                                             "lower_block", "closed_single",
+                                             "clamped_single"))
+    assert set(report) == {"checks", "stats"} and steps > 0
+    assert report["stats"]["saturation_rad_s"] > 0
     assert captured.err.startswith("wrote ")
 
 

@@ -259,6 +259,17 @@ def test_saturation_clamps_velocity_command(model, ctrl):
     assert np.all(np.abs(w) <= 50.0)
     clipped = np.abs(u) <= 50.0
     np.testing.assert_array_equal(w[clipped], u[clipped])
+    # the trace's stats: every step counted once by its path, the samples
+    # where the clamp acts, the largest command and the limit, no channel
+    stats = trace.stats
+    paths = (stats.closed_block, stats.upper_block, stats.lower_block,
+             stats.closed_single, stats.clamped_single)
+    assert sum(paths) == trace.n_samples - 1
+    assert stats.upper_block > 0 and stats.clamped_single > 0
+    assert stats.clamped_samples == np.count_nonzero(~clipped)
+    assert stats.peak_u_presat == np.max(np.abs(u))
+    assert stats.saturation_rad_s == 50.0
+    assert not set(TRACE_CHANNELS) & set(vars(stats))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -307,10 +318,12 @@ def test_assembled_state_counts(model, ctrl):
         assert simulation._assemble(sc, i_d, load).A.shape == (nx, nx)
 
 
-def _stagewise_integrate(loop, a, x0, w0, wh, w1, h, sat):
+def _stagewise_integrate(loop, a, x0, w0, wh, w1, h, sat, clamped=None):
     """Reference integrator: plain RK4 with the clamp applied at every
-    stage.  Returns the states and the index of each step where the clamp
-    acts.  The closed-loop matrix a that _integrate takes is not used."""
+    stage.  Returns the states and path counts as _integrate does, every
+    step a single one, and appends to clamped the index of each step where
+    the clamp acts.  The closed-loop matrix a that _integrate takes is not
+    used."""
     def f(x, v):
         u = float(loop.c_u @ x + loop.d_u @ v)
         acts.append(abs(u) > sat)
@@ -318,7 +331,7 @@ def _stagewise_integrate(loop, a, x0, w0, wh, w1, h, sat):
 
     xs = np.empty((len(w0) + 1, len(x0)))
     xs[0] = x0
-    clamped = []
+    clamped = [] if clamped is None else clamped
     for k, (v0, vh, v1) in enumerate(zip(w0, wh, w1)):
         acts, x = [], xs[k]
         k1 = f(x, v0)
@@ -328,7 +341,9 @@ def _stagewise_integrate(loop, a, x0, w0, wh, w1, h, sat):
         xs[k + 1] = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if any(acts):
             clamped.append(k)
-    return xs, clamped
+    return xs, dict(closed_block=0, upper_block=0, lower_block=0,
+                    closed_single=len(w0) - len(clamped),
+                    clamped_single=len(clamped))
 
 
 def _record_integrate(monkeypatch, integrate=None):
@@ -452,9 +467,11 @@ def test_fused_step_matches_stagewise_rk4(model, ctrl, monkeypatch, case):
     runs = _record_integrate(monkeypatch)
     fused = _parity_run(case, model, ctrl)
     (_, (_, counts)), = runs
-    ref_runs = _record_integrate(monkeypatch, _stagewise_integrate)
+    ref_clamped = []
+    ref_runs = _record_integrate(
+        monkeypatch, lambda *args: _stagewise_integrate(*args, ref_clamped))
     ref = _parity_run(case, model, ctrl)
-    (_, (_, ref_clamped)), = ref_runs
+    assert len(ref_runs) == 1
 
     for name in ("tau_L", "u_presat", "phi_L"):
         a, b = fused.channel(name), ref.channel(name)
@@ -471,6 +488,12 @@ def test_fused_step_matches_stagewise_rk4(model, ctrl, monkeypatch, case):
     if case == "pi_chatter":
         gaps = [b[0] - a[1] - 1 for a, b in zip(episodes, episodes[1:])]
         assert sum(g in (1, 2) for g in gaps) > 100
+        # resuming the inside mode only after _RESUME single steps took
+        # 2297 + 1092 single steps here; the back-off must take no more
+        assert counts["closed_single"] + counts["clamped_single"] <= 3389
+    if case == "pi_noise":
+        # isolated clamps: resuming after _RESUME inside steps took 1195
+        assert counts["closed_single"] < 1195
     if case == "saturated_blocks":
         group = block * simulation._GROUP
         assert any(b - a > 2 * block for a, b in episodes)
@@ -508,20 +531,26 @@ def _closed_recurrence(loop, a, x0, w0, wh, w1, h):
 @pytest.mark.parametrize("case", ["fig9_two_dof", "forced_12", "free_response_14"])
 def test_block_solve_matches_the_plain_recurrence(model, ctrl, monkeypatch, case):
     """Unsaturated runs: the blocked closed-form solve gives the states of
-    the closed map stepped one step at a time, and builds no block maps
-    but the closed map's.  forced_12 drives all 12 states over 1003 steps,
-    a multiple of neither the block nor the sub-block length."""
-    block_maps = simulation._block_maps
-    built = []
+    the closed map stepped one step at a time, builds no block maps but
+    the closed map's, and solves each group in one attempt.  forced_12
+    drives all 12 states over 1003 steps, a multiple of neither the block
+    nor the sub-block length."""
+    block_maps, attempt = simulation._block_maps, simulation._attempt
+    built, attempts = [], []
 
     def recording_maps(q):
         built.append(q)
         return block_maps(q)
 
+    def recording_attempt(*args):
+        attempts.append(len(args[0]))  # the blocks it solves
+        return attempt(*args)
+
     def no_clamp(*args):
         raise AssertionError("an unsaturated run took a clamped step")
 
     monkeypatch.setattr(simulation, "_block_maps", recording_maps)
+    monkeypatch.setattr(simulation, "_attempt", recording_attempt)
     monkeypatch.setattr(simulation, "_clamped_step", no_clamp)
     runs = _record_integrate(monkeypatch)
     if case == "fig9_two_dof":
@@ -551,6 +580,10 @@ def test_block_solve_matches_the_plain_recurrence(model, ctrl, monkeypatch, case
     scale = np.max(np.abs(ref), axis=0)
     assert np.all(np.abs(xs - ref) <= 1e-12 * scale)
     assert counts["closed_block"] == len(w0)
+    span = simulation._BLOCK * simulation._GROUP
+    assert len(attempts) == -(-len(w0) // span)
+    assert sum(attempts) == -(-len(w0) // simulation._BLOCK)
+    assert (len(attempts) > 1) == (case != "forced_12")
     q, = built
     closed, _ = simulation._step_maps(a, loop.B + np.outer(loop.b_w, loop.d_u),
                                       np.zeros(len(x0)), loop.c_u, loop.d_u, h)
@@ -635,14 +668,17 @@ def test_clamped_step_is_the_stagewise_clamped_step(model, monkeypatch):
 
 def test_fig9_path_counts_at_the_default_seed(tmp_path, monkeypatch):
     """The steps of each fig9 run, by the path _integrate took: the 2-DOF
-    run never reaches the clamp, and the PI run chatters across it."""
+    run never reaches the clamp, and the PI run chatters across it.  Its
+    clamps are isolated, so the inside mode resumes after one step and
+    takes fewer closed single steps than twice the clamped ones."""
     runs = _record_integrate(monkeypatch)
     run_preset("fig9", ProjectConfig(), str(tmp_path))
     two_dof, pi = (counts for _, (_, counts) in runs)
     assert two_dof == dict(closed_block=100000, upper_block=0, lower_block=0,
                            closed_single=0, clamped_single=0)
-    assert pi == dict(closed_block=86453, upper_block=0, lower_block=0,
-                      closed_single=11936, clamped_single=1611)
+    assert pi == dict(closed_block=96015, upper_block=0, lower_block=0,
+                      closed_single=2374, clamped_single=1611)
+    assert pi["closed_single"] < 2 * pi["clamped_single"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
