@@ -40,7 +40,7 @@ from .simulation import (
 )
 from .svgplot import Curve, plot_lines
 from .synthesis import build_compensator, h2_synthesize
-from .transfer import RationalTF, poles, series, zeros
+from .transfer import RationalTF, poles, zeros
 
 __all__ = ["main"]
 
@@ -109,7 +109,7 @@ def cmd_synth(args) -> int:
 
     char = ctrl.d_rho * ctrl.d_lambda_k
     cl_poles = roots(char)
-    gm, pm = loop_margins(series(model.P, ctrl.c2))
+    gm, pm = loop_margins(model.P * ctrl.c2)
     pole_re = np.array([p.real for p in cl_poles])
     pole_im = np.array([p.imag for p in cl_poles])
     write_csv(

@@ -23,13 +23,16 @@ one JSON codec:
 The key lists of scenarios and bundles are the field lists of their
 dataclasses.
 
-write_csv is the package's one writer of numeric CSV tables.
+write_csv is the package's one writer of numeric CSV tables.  The
+numerics are single-process; write_csv shares the text of a large table
+with one forked helper, byte for byte as one process writes it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
@@ -478,10 +481,32 @@ def read_bundle(path: str) -> ControllerBundle:
 _CSV_BLOCK_ROWS = 4096
 
 
+def _csv_blocks(rows: np.ndarray, line: str):
+    """The CSV text of rows, one %-operation per _CSV_BLOCK_ROWS rows."""
+    for i in range(0, len(rows), _CSV_BLOCK_ROWS):
+        block = rows[i:i + _CSV_BLOCK_ROWS]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def write_csv(path: str, header: list[str], columns: list) -> None:
     """Numeric columns as CSV: 9 significant digits, LF line endings.
 
     Rows are formatted a block at a time with one %-operation per block.
+    From 4 * _CSV_BLOCK_ROWS rows up, on a host with os.fork and 2 usable
+    CPUs, a forked helper writes the first half of the rows through the
+    shared descriptor while this process formats the second half, which
+    it writes once the helper is reaped; the bytes are those of the
+    one-process loop.  The helper is reaped before this returns or
+    raises, and if it failed, OSError names the path.  It makes no BLAS
+    call and takes no lock, so CPython's warning (Python >= 3.12) about
+    fork in a process with threads, such as OpenBLAS's, does not apply.
+
     Tables that mix text and numbers (plant.csv, summary.csv) are written
     by the commands that make them.
     """
@@ -489,6 +514,26 @@ def write_csv(path: str, header: list[str], columns: list) -> None:
     line = ",".join(["%.9g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[i:i + _CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        if len(rows) < 4 * _CSV_BLOCK_ROWS or not hasattr(os, "fork") \
+                or _usable_cpus() < 2:
+            fh.writelines(_csv_blocks(rows, line))
+            return
+        fh.flush()  # the helper inherits a copy of fh's buffer
+        half = len(rows) // 2
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                fh.writelines(_csv_blocks(rows[:half], line))
+                fh.flush()  # os._exit does not flush
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            tail = list(_csv_blocks(rows[half:], line))
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if status != 0:
+            raise OSError(f"cannot write {path}: the CSV helper process exited "
+                          f"with status {os.waitstatus_to_exitcode(status)}")
+        fh.writelines(tail)

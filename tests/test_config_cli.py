@@ -1,6 +1,8 @@
 """Unit tests for config parsing, controller bundles, and the CLI."""
 
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from seakit import (
     save_config,
     write_bundle,
 )
+from seakit import config
 from seakit.cli import main
 from seakit.config import write_csv
 
@@ -275,6 +278,89 @@ def test_write_csv_format(tmp_path):
     assert lines[0] == "a,b" and lines[-1] == "" and len(lines) == 9002
     assert lines[1:6] == ["-0,0", "nan,0.1", "inf,0.2", "-inf,0.3", "0,0.4"]
     assert lines[1:-1] == ["%.9g,%.9g" % (x, y) for x, y in zip(a, b)]
+
+
+def _csv_columns(n):
+    """Three columns of n rows with -0, nan and +-inf near both ends."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+    for i in (0, n - 4):
+        a[i:i + 4] = [-0.0, np.nan, np.inf, -np.inf]
+    return [a, np.arange(n) * 1e-4, -a[::-1]]
+
+
+def _counting_fork(monkeypatch):
+    """Count the os.fork calls made by this process."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+needs_split = pytest.mark.skipif(
+    not hasattr(os, "fork") or config._usable_cpus() < 2,
+    reason="the split path needs os.fork and two usable CPUs")
+
+
+@needs_split
+@pytest.mark.parametrize("n", [16383, 16384, 16385, 16386, 60001])
+def test_write_csv_split_rows_equal_per_value_format(tmp_path, monkeypatch, n):
+    # From 4 formatting blocks of rows up, a forked helper writes the
+    # first half of the rows; below that, one process writes them all.
+    # At 16386 rows the helper's last block is one short row, which stays
+    # in the file object's buffer until the helper flushes it.
+    forks = _counting_fork(monkeypatch)
+    cols = _csv_columns(n)
+    path = tmp_path / "split.csv"
+    write_csv(str(path), ["a", "t", "b"], cols)
+    assert forks == ([] if n < 16384 else [os.getpid()])
+    lines = path.read_bytes().decode().split("\n")
+    assert lines[0] == "a,t,b" and lines[-1] == "" and len(lines) == n + 2
+    assert lines[1:-1] == ["%.9g,%.9g,%.9g" % row for row in zip(*cols)]
+    assert lines[1].startswith("-0,") and lines[n].startswith("-inf,")
+
+
+@pytest.mark.parametrize("serial", ["one_cpu", "no_fork"])
+def test_write_csv_serial_fallback_writes_same_bytes(tmp_path, monkeypatch, serial):
+    cols = _csv_columns(60001)
+    write_csv(str(tmp_path / "default.csv"), ["a", "t", "b"], cols)
+    forks = _counting_fork(monkeypatch)
+    if serial == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.delattr(os, "fork")
+    write_csv(str(tmp_path / "serial.csv"), ["a", "t", "b"], cols)
+    assert forks == []
+    assert (tmp_path / "serial.csv").read_bytes() == \
+        (tmp_path / "default.csv").read_bytes()
+
+
+@needs_split
+@pytest.mark.parametrize("helper_fails", [False, True])
+def test_write_csv_leaves_no_child(tmp_path, monkeypatch, helper_fails):
+    path = tmp_path / "reaped.csv"
+    if helper_fails:
+        # The helper inherits this patch through fork; only it raises.
+        parent = os.getpid()
+        blocks = config._csv_blocks
+
+        def failing_in_helper(rows, line):
+            if os.getpid() != parent:
+                raise RuntimeError("helper failure")
+            return blocks(rows, line)
+
+        monkeypatch.setattr(config, "_csv_blocks", failing_in_helper)
+        with pytest.raises(OSError, match=re.escape(str(path))):
+            write_csv(str(path), ["a", "t", "b"], _csv_columns(60001))
+    else:
+        write_csv(str(path), ["a", "t", "b"], _csv_columns(60001))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------- cli
