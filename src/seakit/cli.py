@@ -22,7 +22,6 @@ import numpy as np
 from .config import (
     ConfigError,
     ProjectConfig,
-    bundle_from_synthesis,
     load_config,
     write_bundle,
     write_csv,
@@ -103,9 +102,8 @@ def cmd_synth(args) -> int:
     comp = build_compensator(model, ctrl)
     out = _out_dir(args, cfg)
 
-    bundle = bundle_from_synthesis(ctrl, comp, cfg.plant)
     bundle_path = os.path.join(out, "controller.json")
-    write_bundle(bundle, bundle_path)
+    write_bundle(bundle_path, ctrl, comp, cfg.plant)
 
     char = ctrl.d_rho * ctrl.d_lambda_k
     cl_poles = roots(char)
@@ -155,9 +153,9 @@ def _verdict(results) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPTANCE
 
 
-def _run_checked(name: str, cfg: ProjectConfig, out: str, args) -> int:
+def _run_checked(name: str, cfg: ProjectConfig, out: str, args, seed) -> int:
     """Run one preset, print its checks; EXIT_ACCEPTANCE if any failed."""
-    results = run_preset(name, cfg, os.path.join(out, name), seed=args.seed)
+    results = run_preset(name, cfg, os.path.join(out, name), seed=seed)
     if args.json:
         _print_json_checks(results)
     else:
@@ -172,7 +170,7 @@ def cmd_sim(args) -> int:
     out = _out_dir(args, cfg)
     name = args.scenario
     if name in PRESET_NAMES:
-        return _run_checked(name, cfg, out, args)
+        return _run_checked(name, cfg, out, args, seed=args.seed)
     if name not in cfg.scenarios:
         known = sorted(cfg.scenarios) + list(PRESET_NAMES)
         print(
@@ -207,7 +205,7 @@ def cmd_bode(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
     name = "fig10_narrow" if args.narrow else "fig10"
-    return _run_checked(name, cfg, out, args)
+    return _run_checked(name, cfg, out, args, seed=None)  # no noise in fig10
 
 
 def cmd_reproduce(args) -> int:
@@ -240,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON project config (defaults otherwise)")
         p.add_argument("--out", help="output directory (default from config)")
-        p.add_argument("--seed", type=int, help="override noise seeds")
         p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
     p = sub.add_parser("plant", help="print and export the plant model")
@@ -253,6 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="run one scenario or preset")
     common(p)
+    p.add_argument("--seed", type=int, help="override noise seeds")
     p.add_argument("scenario", help="scenario name from config, or a preset")
     p.set_defaults(func=cmd_sim)
 
@@ -267,6 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run every preset and summarize")
     common(p)
+    p.add_argument("--seed", type=int, help="override noise seeds")
     p.set_defaults(func=cmd_reproduce)
     return parser
 

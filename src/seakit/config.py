@@ -1,4 +1,4 @@
-"""Strict JSON configuration and controller-bundle files.
+"""Strict JSON configuration files, and the controller-bundle writer.
 
 Configs describe the plant parameters, synthesis weights, and named
 scenarios; they never contain computed results.  Parsing is strict:
@@ -9,19 +9,18 @@ it loads, by the simulator's own model-free checks (step, duration,
 velocity limit, and i_d for an impedance scenario), and the error names
 the field: config.scenarios.<name>.<field>.
 
-Controller bundles store synthesized coefficient arrays plus a
-fingerprint of the plant they were designed for, so stale bundles are
+write_bundle writes the synthesized coefficient arrays plus a
+fingerprint of the plant they were designed for, so a stale bundle is
 detectable.  Both formats carry an explicit format_version and share
 one JSON codec:
-- _read_json maps a file that cannot be opened or parsed to ConfigError
-  ("cannot read ..." / "invalid JSON in ...");
+- _read_json maps a config that cannot be opened or parsed to
+  ConfigError ("cannot read ..." / "invalid JSON in ...");
 - _write_json writes indent-2 JSON with LF line endings and a trailing
   newline;
 - _parse_numbers / _dump_numbers translate the {"rho", "lambda", "k"}
   weights object to SynthesisWeights and back, and the plant object to
   SeaParams.
-The key lists of scenarios and bundles are the field lists of their
-dataclasses.
+The key lists of scenarios are the field lists of their dataclasses.
 
 write_csv is the package's one writer of numeric CSV tables.  The
 numerics are single-process; write_csv shares the text of a large table
@@ -58,10 +57,7 @@ __all__ = [
     "dump_config",
     "load_config",
     "save_config",
-    "ControllerBundle",
-    "bundle_from_synthesis",
     "write_bundle",
-    "read_bundle",
     "params_fingerprint",
     "write_csv",
 ]
@@ -70,7 +66,7 @@ FORMAT_VERSION = 1
 
 
 class ConfigError(ValueError):
-    """Malformed configuration or bundle content."""
+    """Malformed configuration content."""
 
 
 def _names(cls, *skip: str) -> tuple[str, ...]:
@@ -90,17 +86,21 @@ def _get_num(d: dict, key: str, ctx: str, default=None):
             raise ConfigError(f"missing key {key!r} in {ctx}")
         return default
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigError(f"{ctx}.{key} must be a number")
     return float(v)
 
 
-def _read_json(path: str, what: str):
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _read_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
@@ -118,14 +118,14 @@ _WEIGHT_KEYS = {"rho": "rho", "lambda": "lam", "k": "k"}
 _DEFAULT_WEIGHTS = SynthesisWeights(rho=5e-4, lam=1.0, k=1.0)
 
 
-def _parse_numbers(d, ctx: str, cls, keys: dict, base=None):
+def _parse_numbers(d, ctx: str, cls, keys: dict, base):
     """A cls from a JSON object of numbers; a missing key takes its value
-    from base, and is an error without one."""
+    from base."""
     if not isinstance(d, dict):
         raise ConfigError(f"{ctx} must be an object")
     _check_keys(d, keys, ctx)
     kw = {
-        attr: _get_num(d, key, ctx, None if base is None else getattr(base, attr))
+        attr: _get_num(d, key, ctx, getattr(base, attr))
         for key, attr in keys.items()
     }
     try:
@@ -154,10 +154,13 @@ def _parse_signal(d, ctx: str) -> SignalSpec:
                 raise ConfigError(f"{ctx}.seed must be an integer")
             kw[name] = d[name]
         elif name == "breakpoints":
-            try:
-                kw[name] = tuple((float(t), float(v)) for t, v in d[name])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{ctx}.breakpoints must be [t, value] pairs") from exc
+            pairs = d[name]
+            if not isinstance(pairs, list) or not all(
+                isinstance(bp, list) and len(bp) == 2 and all(map(_is_number, bp))
+                for bp in pairs
+            ):
+                raise ConfigError(f"{ctx}.breakpoints must be [t, value] number pairs")
+            kw[name] = tuple((float(t), float(v)) for t, v in pairs)
         else:
             kw[name] = _get_num(d, name, ctx)
     try:
@@ -367,7 +370,7 @@ def dump_config(cfg: ProjectConfig) -> dict:
 
 
 def load_config(path: str) -> ProjectConfig:
-    return parse_config(_read_json(path, "config"))
+    return parse_config(_read_json(path))
 
 
 def save_config(cfg: ProjectConfig, path: str) -> None:
@@ -383,99 +386,17 @@ def params_fingerprint(params: SeaParams) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-# Transfer functions of a bundle, each stored as <tag>_num and <tag>_den.
-_BUNDLE_TFS = ("c1", "c2", "cl")
-
-
-@dataclass(frozen=True)
-class ControllerBundle:
-    """Synthesized controller coefficients, highest degree first.
-
-    Raw arrays round-trip exactly through JSON; the tf accessors wrap
-    them without renormalizing (the denominators are stored monic).
-    """
-
-    weights: SynthesisWeights
-    c1_num: tuple[float, ...]
-    c1_den: tuple[float, ...]
-    c2_num: tuple[float, ...]
-    c2_den: tuple[float, ...]
-    cl_num: tuple[float, ...]
-    cl_den: tuple[float, ...]
-    plant_fingerprint: str
-    format_version: int = FORMAT_VERSION
-
-    def __post_init__(self):
-        for tag in _BUNDLE_TFS:
-            arr = getattr(self, f"{tag}_den")
-            if not arr or arr[0] == 0.0:
-                raise ConfigError(f"bundle {tag}_den has a zero leading coefficient")
-        if self.c1_den != self.c2_den:
-            raise ConfigError("bundle c1 and c2 must share one denominator")
-
-    def c1(self) -> RationalTF:
-        return RationalTF(list(self.c1_num), list(self.c1_den))
-
-    def c2(self) -> RationalTF:
-        return RationalTF(list(self.c2_num), list(self.c2_den))
-
-    def cl(self) -> RationalTF:
-        return RationalTF(list(self.cl_num), list(self.cl_den))
-
-
-# The JSON keys, format_version first, then the fields in order.
-_BUNDLE_KEYS = ("format_version", *_names(ControllerBundle, "format_version"))
-_BUNDLE_ARRAYS = tuple(
-    f"{tag}_{part}" for tag in _BUNDLE_TFS for part in ("num", "den")
-)
-
-
-def bundle_from_synthesis(
-    ctrl: TwoDofController, cl: RationalTF, params: SeaParams
-) -> ControllerBundle:
-    return ControllerBundle(
-        weights=ctrl.weights,
-        c1_num=tuple(ctrl.c1.num.coeffs),
-        c1_den=tuple(ctrl.c1.den.coeffs),
-        c2_num=tuple(ctrl.c2.num.coeffs),
-        c2_den=tuple(ctrl.c2.den.coeffs),
-        cl_num=tuple(cl.num.coeffs),
-        cl_den=tuple(cl.den.coeffs),
-        plant_fingerprint=params_fingerprint(params),
-    )
-
-
-def write_bundle(bundle: ControllerBundle, path: str) -> None:
-    obj = {key: getattr(bundle, key) for key in _BUNDLE_KEYS}
-    obj["weights"] = _dump_numbers(bundle.weights, _WEIGHT_KEYS)
-    _write_json(obj, path)  # the coefficient tuples become JSON arrays
-
-
-def read_bundle(path: str) -> ControllerBundle:
-    raw = _read_json(path, "bundle")
-    if not isinstance(raw, dict):
-        raise ConfigError("bundle root must be an object")
-    _check_keys(raw, _BUNDLE_KEYS, "bundle")
-    missing = sorted(set(_BUNDLE_KEYS) - set(raw))
-    if missing:
-        raise ConfigError(f"bundle missing key(s) {missing}")
-    if raw["format_version"] != FORMAT_VERSION:
-        raise ConfigError(f"unsupported format_version {raw['format_version']!r}")
-    if not isinstance(raw["plant_fingerprint"], str):
-        raise ConfigError("bundle.plant_fingerprint must be a string")
-    weights = _parse_numbers(
-        raw["weights"], "bundle.weights", SynthesisWeights, _WEIGHT_KEYS
-    )
-    kw = dict(raw, weights=weights)
-    for name in _BUNDLE_ARRAYS:
-        v = raw[name]
-        if not isinstance(v, list) or not v:
-            raise ConfigError(f"bundle.{name} must be a nonempty array")
-        try:
-            kw[name] = tuple(float(x) for x in v)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bundle.{name} must be numeric") from exc
-    return ControllerBundle(**kw)
+def write_bundle(
+    path: str, ctrl: TwoDofController, cl: RationalTF, params: SeaParams
+) -> None:
+    """controller.json: weights, C1/C2/C_L coefficient arrays, plant fingerprint."""
+    obj = {"format_version": FORMAT_VERSION,
+           "weights": _dump_numbers(ctrl.weights, _WEIGHT_KEYS)}
+    for tag, tf in (("c1", ctrl.c1), ("c2", ctrl.c2), ("cl", cl)):
+        obj[f"{tag}_num"] = tf.num.coeffs.tolist()
+        obj[f"{tag}_den"] = tf.den.coeffs.tolist()
+    obj["plant_fingerprint"] = params_fingerprint(params)
+    _write_json(obj, path)
 
 
 _CSV_BLOCK_ROWS = 4096

@@ -128,11 +128,9 @@ def build_plant(params: SeaParams) -> SeaModel:
     p = RationalTF(
         [ks * kpv, ks * kiv],
         [j, bf + kpv, ks + kiv, 0.0],
-        units="Nm per rad/s",
     )
     g = RationalTF(
         [-j * ks, -ks * (bf + kpv), -ks * kiv],
         [j, bf + kpv, ks + kiv],
-        units="Nm per rad",
     )
     return SeaModel(P=p, G=g, params=params)

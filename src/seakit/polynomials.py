@@ -36,6 +36,11 @@ __all__ = [
 # of their trailing terms) must survive products and one-sided sums.
 _STRIP_REL = 1e-12
 
+_ROOT_REL_TOL = 1e-8  # bound on the scaled residual of a root
+_NEWTON_STEPS = 4  # Newton corrections per root
+_GCD_TOL = 1e-6  # relative distance within which gcd_degree matches roots
+_SPECTRAL_REL_TOL = 1e-8  # bound on a spectral factor's reconstruction error
+
 
 class Polynomial:
     """Immutable dense real polynomial, coefficients highest degree first.
@@ -184,7 +189,7 @@ class Polynomial:
         return format_poly(self)
 
 
-def format_poly(p: Polynomial, var: str = "s", fmt: str = "%.6g") -> str:
+def format_poly(p: Polynomial) -> str:
     """Human-readable rendering, e.g. ``3.2056 s + 94.38``."""
     if p.is_zero:
         return "0"
@@ -194,13 +199,13 @@ def format_poly(p: Polynomial, var: str = "s", fmt: str = "%.6g") -> str:
         if c == 0.0:
             continue
         power = deg - i
-        mag = fmt % abs(c)
+        mag = "%.6g" % abs(c)
         if power == 0:
             term = mag
         elif power == 1:
-            term = f"{mag} {var}" if abs(c) != 1.0 else var
+            term = f"{mag} s" if abs(c) != 1.0 else "s"
         else:
-            term = f"{mag} {var}^{power}" if abs(c) != 1.0 else f"{var}^{power}"
+            term = f"{mag} s^{power}" if abs(c) != 1.0 else f"s^{power}"
         sign = "-" if c < 0 else "+"
         parts.append((sign, term))
     sign0, term0 = parts[0]
@@ -271,10 +276,10 @@ def _pair_conjugates(rts: np.ndarray) -> np.ndarray:
     return np.array(sorted(out, key=lambda r: (r.real, r.imag)), dtype=complex)
 
 
-def roots(p: Polynomial, rel_tol: float = 1e-8, newton_steps: int = 4) -> np.ndarray:
+def roots(p: Polynomial) -> np.ndarray:
     """All roots of ``p`` via the balanced companion matrix, polished.
 
-    Each eigenvalue gets up to ``newton_steps`` Newton corrections which
+    Each eigenvalue gets up to ``_NEWTON_STEPS`` Newton corrections which
     are only accepted while they reduce |p(r)|; the polish is skipped
     near-multiple roots where p'(r) underflows the local scale.  The
     result is a complex array of the deg p roots, multiplicities
@@ -286,7 +291,7 @@ def roots(p: Polynomial, rel_tol: float = 1e-8, newton_steps: int = 4) -> np.nda
     ValueError
         If ``p`` has degree < 1.
     NumericsError
-        If the scaled residual max |p(r)| / scale(r) exceeds ``rel_tol``.
+        If the scaled residual max |p(r)| / scale(r) exceeds ``_ROOT_REL_TOL``.
     """
     if p.degree < 1:
         raise ValueError("root extraction requires degree >= 1")
@@ -297,7 +302,7 @@ def roots(p: Polynomial, rel_tol: float = 1e-8, newton_steps: int = 4) -> np.nda
     # Every root takes its corrections at once; `live` holds the roots
     # still being corrected, and a root leaves it for good.
     live = np.arange(len(r))
-    for _ in range(newton_steps):
+    for _ in range(_NEWTON_STEPS):
         dfr = np.polyval(der, r[live])
         # derivative too small: near-multiple root, keep as is
         keep = ~(_magnitude(dfr) < 1e-14 * _eval_scale(der, r[live]))
@@ -314,18 +319,18 @@ def roots(p: Polynomial, rel_tol: float = 1e-8, newton_steps: int = 4) -> np.nda
     residual = float(np.max(
         _magnitude(np.polyval(coeffs, sym)) / _eval_scale(coeffs, sym)
     ))
-    if residual > rel_tol:
+    if residual > _ROOT_REL_TOL:
         raise NumericsError(
-            f"root refinement residual {residual:.3e} exceeds {rel_tol:.1e}"
+            f"root refinement residual {residual:.3e} exceeds {_ROOT_REL_TOL:.1e}"
         )
     return sym
 
 
-def is_hurwitz(p: Polynomial, margin: float | None = None) -> bool:
+def is_hurwitz(p: Polynomial) -> bool:
     """True when every root lies strictly in the open left half plane.
 
-    ``margin`` defaults to ``1e-9 * max(1, max|root|)``; a root must
-    satisfy Re(r) < -margin to count as stable, so axis roots fail.
+    A root must satisfy Re(r) < -1e-9 * max(1, max|root|) to count as
+    stable, so axis roots fail.
 
     Degree-0 polynomials have no roots and are vacuously Hurwitz.
     """
@@ -335,8 +340,7 @@ def is_hurwitz(p: Polynomial, margin: float | None = None) -> bool:
         return True
     rs = roots(p)
     scale = max(1.0, float(np.max(np.abs(rs))))
-    m = 1e-9 * scale if margin is None else margin
-    return bool(np.all(rs.real < -m))
+    return bool(np.all(rs.real < -1e-9 * scale))
 
 
 def _match_pairs(
@@ -367,10 +371,10 @@ def _match_pairs(
     return out
 
 
-def gcd_degree(p: Polynomial, q: Polynomial, tol: float = 1e-6) -> int:
-    """Degree of the approximate GCD: count of root matches within ``tol``.
+def gcd_degree(p: Polynomial, q: Polynomial) -> int:
+    """Degree of the approximate GCD: count of root matches within ``_GCD_TOL``.
 
-    Roots r_p, r_q match when |r_p - r_q| <= tol * max(1, |r_p|, |r_q|),
+    Roots r_p, r_q match when |r_p - r_q| <= _GCD_TOL * max(1, |r_p|, |r_q|),
     matched greedily closest-first.  Returns 0 for coprime inputs; either
     argument of degree 0 is coprime to everything.
     """
@@ -380,7 +384,7 @@ def gcd_degree(p: Polynomial, q: Polynomial, tol: float = 1e-6) -> int:
         return 0
     rp = roots(p)
     rq = roots(q)
-    return len(_match_pairs(rp, rq, tol))
+    return len(_match_pairs(rp, rq, _GCD_TOL))
 
 
 def spectral_factor(
@@ -388,7 +392,6 @@ def spectral_factor(
     b: Polynomial,
     weight_a: float,
     weight_b: float,
-    rel_tol: float = 1e-8,
 ) -> Polynomial:
     """Stable spectral factor d of  wa^2 a(-s)a(s) + wb^2 b(-s)b(s).
 
@@ -404,15 +407,13 @@ def spectral_factor(
         real polynomial, not both zero.
     weight_a, weight_b : float
         Strictly positive scalar weights.
-    rel_tol : float
-        Bound on the coefficient-wise reconstruction error of
-        d(-s)d(s) - E relative to max|E|.
 
     Raises
     ------
     NumericsError
         If E has a root on (or within tolerance of) the imaginary axis,
-        if the +/- pairing fails, or if reconstruction misses ``rel_tol``.
+        if the +/- pairing fails, or if a coefficient of d(-s)d(s) - E
+        exceeds ``_SPECTRAL_REL_TOL`` max|E|.
     """
     if weight_a <= 0.0 or weight_b <= 0.0:
         raise ValueError("weights must be strictly positive")
@@ -465,7 +466,7 @@ def spectral_factor(
     recon = d.negate_argument() * d
     err_poly = recon - E
     err = float(np.max(np.abs(err_poly.coeffs))) if not err_poly.is_zero else 0.0
-    bound = rel_tol * float(np.max(np.abs(E.coeffs)))
+    bound = _SPECTRAL_REL_TOL * float(np.max(np.abs(E.coeffs)))
     if err > bound:
         raise NumericsError(
             f"spectral factor reconstruction error {err:.3e} exceeds {bound:.3e}"

@@ -16,6 +16,9 @@ __all__ = ["Curve", "plot_lines", "plot_bode"]
 
 _PALETTE = ("#1b6ca8", "#d1495b", "#2e933c", "#8a4fff", "#e0851e", "#555555")
 _MAX_POINTS = 1500  # decimate beyond this; plots are for inspection only
+_WIDTH = 880  # canvas size in px, as the heights below
+_LINES_HEIGHT = 420
+_BODE_HEIGHT = 640
 
 
 @dataclass(frozen=True, eq=False)  # array fields make generated __eq__ ambiguous
@@ -217,19 +220,15 @@ def plot_lines(
     xlabel: str = "",
     ylabel: str = "",
     title: str = "",
-    xlog: bool = False,
-    vlines: list[tuple[float, str]] | None = None,
-    width: int = 880,
-    height: int = 420,
 ) -> None:
-    """Write a single-axes line plot of the given curves."""
+    """Write a single-axes line plot of the given curves, on a linear x axis."""
     if not curves:
         raise ValueError("need at least one curve")
-    xlim = _limits([c.x for c in curves], log=xlog)
+    xlim = _limits([c.x for c in curves])
     ylim = _limits([c.y for c in curves])
-    panel = _Panel(64, 30, width - 64 - 18, height - 30 - 48, xlim, ylim, xlog)
-    body = _panel_svg(panel, curves, xlabel, ylabel, vlines or [])
-    _write_svg(path, width, height, title, body)
+    panel = _Panel(64, 30, _WIDTH - 64 - 18, _LINES_HEIGHT - 30 - 48, xlim, ylim, False)
+    body = _panel_svg(panel, curves, xlabel, ylabel, [])
+    _write_svg(path, _WIDTH, _LINES_HEIGHT, title, body)
 
 
 def plot_bode(
@@ -238,20 +237,18 @@ def plot_bode(
     phase_curves: list[Curve],
     title: str = "",
     vlines: list[tuple[float, str]] | None = None,
-    width: int = 880,
-    height: int = 640,
 ) -> None:
     """Write a stacked magnitude/phase pair sharing a log frequency axis."""
     if not mag_curves or not phase_curves:
         raise ValueError("need magnitude and phase curves")
     xlim = _limits([c.x for c in mag_curves + phase_curves], log=True)
-    panel_h = (height - 30 - 48 - 30) // 2
-    top = _Panel(64, 30, width - 64 - 18, panel_h,
+    panel_h = (_BODE_HEIGHT - 30 - 48 - 30) // 2
+    top = _Panel(64, 30, _WIDTH - 64 - 18, panel_h,
                  xlim, _limits([c.y for c in mag_curves]), True)
-    bot = _Panel(64, 30 + panel_h + 30, width - 64 - 18, panel_h,
+    bot = _Panel(64, 30 + panel_h + 30, _WIDTH - 64 - 18, panel_h,
                  xlim, _limits([c.y for c in phase_curves]), True)
     body = _panel_svg(top, mag_curves, "", "magnitude (dB)", vlines or [],
                       show_xticklabels=False)
     body += _panel_svg(bot, phase_curves, "frequency (Hz)", "phase (deg)",
                        vlines or [])
-    _write_svg(path, width, height, title, body)
+    _write_svg(path, _WIDTH, _BODE_HEIGHT, title, body)

@@ -510,7 +510,7 @@ def build_compensator(model: SeaModel, ctrl) -> RationalTF:
     cl = _motion_map(model, c2)
     if not is_stable(cl):
         raise NumericsError("closed torque loop is unstable; no compensator")
-    return RationalTF(cl.num, cl.den, units="Nm per rad")
+    return cl
 
 
 def torque_loop_maps(

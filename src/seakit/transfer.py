@@ -21,7 +21,6 @@ __all__ = [
     "RationalTF",
     "StateSpace",
     "FrequencyResponse",
-    "constant_tf",
     "series",
     "minimal_form",
     "to_state_space",
@@ -30,6 +29,8 @@ __all__ = [
     "poles",
     "zeros",
 ]
+
+_CANCEL_TOL = 1e-7  # relative pole/zero distance that minimal_form cancels
 
 
 class RationalTF:
@@ -42,14 +43,11 @@ class RationalTF:
         by the reciprocal of the leading denominator coefficient on
         construction, and the stored leading coefficient is exactly 1, so
         constructing again from a stored pair changes no coefficient.
-    units : str
-        Descriptive metadata only (e.g. ``"Nm per rad"``); never touched
-        by arithmetic, which returns results with empty units.
     """
 
-    __slots__ = ("num", "den", "units")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den, units: str = "") -> None:
+    def __init__(self, num, den) -> None:
         num = num if isinstance(num, Polynomial) else Polynomial(num)
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if den.is_zero:
@@ -62,7 +60,6 @@ class RationalTF:
         monic[0] = 1.0  # lead * (1 / lead) can round to 1 - 2**-53
         self.num = num * inv
         self.den = Polynomial(monic)
-        self.units = units
 
     # -- queries --------------------------------------------------------
 
@@ -91,18 +88,15 @@ class RationalTF:
         return self.num(s) / dv
 
     def __repr__(self) -> str:
-        u = f", units={self.units!r}" if self.units else ""
-        return f"RationalTF(({self.num}) / ({self.den}){u})"
+        return f"RationalTF(({self.num}) / ({self.den}))"
 
     # -- algebra ----------------------------------------------------------
-    # Results carry no units; combining heterogenous unit strings silently
-    # would be worse than dropping them.
 
     def _coerce(self, other) -> "RationalTF | None":
         if isinstance(other, RationalTF):
             return other
         if isinstance(other, (int, float)):
-            return constant_tf(float(other))
+            return RationalTF([float(other)], [1.0])
         return None
 
     def __mul__(self, other):
@@ -122,7 +116,7 @@ class RationalTF:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalTF(-self.num, self.den, self.units)
+        return RationalTF(-self.num, self.den)
 
     def __sub__(self, other):
         g = self._coerce(other)
@@ -151,10 +145,6 @@ class RationalTF:
         return g.__truediv__(self)
 
 
-def constant_tf(value: float, units: str = "") -> RationalTF:
-    return RationalTF([float(value)], [1.0], units)
-
-
 def series(g: RationalTF, h: RationalTF) -> RationalTF:
     """Cascade g*h; no cancellation."""
     return g * h
@@ -173,17 +163,17 @@ def zeros(tf: RationalTF) -> np.ndarray:
     return roots(tf.num)
 
 
-def minimal_form(tf: RationalTF, tol: float = 1e-7) -> RationalTF:
-    """Cancel pole/zero pairs closer than ``tol`` (relative to root scale).
+def minimal_form(tf: RationalTF) -> RationalTF:
+    """Cancel pole/zero pairs closer than ``_CANCEL_TOL`` relative to root scale.
 
     Matching is greedy closest-first; surviving roots are re-expanded to
     real coefficients.  The zero transfer function minimizes to 0/1.
     """
     if tf.num.is_zero:
-        return RationalTF([0.0], [1.0], tf.units)
+        return RationalTF([0.0], [1.0])
     gain = float(tf.num.coeffs[0])  # den is monic, so this is the HF gain ratio
     zs, ps = zeros(tf), poles(tf)
-    matches = _match_pairs(zs, ps, tol)
+    matches = _match_pairs(zs, ps, _CANCEL_TOL)
     if not matches:
         return tf  # nothing cancels; keep exact coefficients, skip re-expansion
     drop_z = {i for i, _ in matches}
@@ -192,18 +182,18 @@ def minimal_form(tf: RationalTF, tol: float = 1e-7) -> RationalTF:
     keep_p = np.array([p for j, p in enumerate(ps) if j not in drop_p], complex)
     num = Polynomial.from_roots(keep_z, leading=gain)
     den = Polynomial.from_roots(keep_p)
-    return RationalTF(num, den, tf.units)
+    return RationalTF(num, den)
 
 
-def is_stable(tf: RationalTF, cancel_tol: float = 1e-7) -> bool:
+def is_stable(tf: RationalTF) -> bool:
     """Hurwitz test on the denominator of the minimal form.
 
     Cancellation first is essential: composed closed-loop maps carry
     duplicated stable factors, and conversely a hidden unstable
     cancellation must not count as stable, so the test runs on whatever
-    survives ``minimal_form`` at ``cancel_tol``.
+    survives ``minimal_form``.
     """
-    m = minimal_form(tf, cancel_tol)
+    m = minimal_form(tf)
     if m.den.degree == 0:
         return True
     return is_hurwitz(m.den)

@@ -1,4 +1,4 @@
-"""Unit tests for config parsing, controller bundles, and the CLI."""
+"""Unit tests for config parsing, the controller bundle, and the CLI."""
 
 import json
 import os
@@ -9,22 +9,22 @@ import pytest
 
 from seakit import (
     ConfigError,
+    ImpedanceScenario,
     PiController,
     ProjectConfig,
     ScenarioDef,
     SignalSpec,
     SynthesisWeights,
     TRACE_CHANNELS,
+    TorqueLoopScenario,
     build_compensator,
     build_plant,
-    bundle_from_synthesis,
     default_params,
     dump_config,
     h2_synthesize,
     load_config,
     parse_config,
     params_fingerprint,
-    read_bundle,
     save_config,
     write_bundle,
 )
@@ -187,6 +187,21 @@ def test_controller_parse_errors():
             parse_config({"scenarios": {"a": {"controller": gains}}})
 
 
+def test_breakpoints_must_be_number_pairs():
+    def parse(breakpoints):
+        ref = {"kind": "piecewise_linear", "breakpoints": breakpoints}
+        return parse_config({"scenarios": {"a": {"reference": ref}}})
+
+    ref = parse([[0, 1], [1, 2.5]]).scenarios["a"].reference
+    assert ref.breakpoints == ((0.0, 1.0), (1.0, 2.5))
+    # strings and booleans used to pass through float()
+    for bad in ([["0", True], [1, "2.5"]], [[0, 1], [1, False]],
+                [[0, 1], [1, 2, 3]], [[0, 1], "ab"], {"0": 1}, 3):
+        with pytest.raises(ConfigError, match=r"^config\.scenarios\.a\.reference"
+                                              r"\.breakpoints must be "):
+            parse(bad)
+
+
 def test_params_fingerprint_stability():
     p = default_params()
     assert params_fingerprint(p) == params_fingerprint(default_params())
@@ -210,57 +225,34 @@ def synth_pieces():
 
 
 def test_bundle_round_trip(tmp_path, synth_pieces):
+    """controller.json holds the synthesized arrays bit for bit, in a fixed
+    key order, with the weights and the plant fingerprint."""
     params, _, ctrl, comp = synth_pieces
-    bundle = bundle_from_synthesis(ctrl, comp, params)
     path = tmp_path / "controller.json"
-    write_bundle(bundle, str(path))
-    loaded = read_bundle(str(path))
-    assert loaded == bundle
-    np.testing.assert_array_equal(loaded.c1().num.coeffs, ctrl.c1.num.coeffs)
-    np.testing.assert_array_equal(loaded.c2().den.coeffs, ctrl.c2.den.coeffs)
-    np.testing.assert_array_equal(loaded.cl().num.coeffs, comp.num.coeffs)
-    assert loaded.plant_fingerprint == params_fingerprint(params)
+    write_bundle(str(path), ctrl, comp, params)
+    text = path.read_text()
+    assert text.endswith("}\n") and "\r" not in text
+    obj = json.loads(text)
+    assert list(obj) == [
+        "format_version", "weights", "c1_num", "c1_den", "c2_num", "c2_den",
+        "cl_num", "cl_den", "plant_fingerprint",
+    ]
+    assert obj["format_version"] == 1
+    assert obj["weights"] == {"rho": 5e-4, "lambda": 1.0, "k": 1.0}
+    for tag, tf in (("c1", ctrl.c1), ("c2", ctrl.c2), ("cl", comp)):
+        for part, poly in (("num", tf.num), ("den", tf.den)):
+            assert np.array(obj[f"{tag}_{part}"]).tobytes() == poly.coeffs.tobytes()
+    assert obj["plant_fingerprint"] == params_fingerprint(params)
 
 
-def test_bundle_validation(synth_pieces):
-    params, _, ctrl, comp = synth_pieces
-    bundle = bundle_from_synthesis(ctrl, comp, params)
-    import dataclasses
-
-    with pytest.raises(ConfigError, match="denominator"):
-        dataclasses.replace(bundle, c1_den=tuple(2 * c for c in bundle.c1_den))
-    with pytest.raises(ConfigError, match="leading"):
-        dataclasses.replace(
-            bundle,
-            c1_den=(0.0,) + bundle.c1_den[1:],
-            c2_den=(0.0,) + bundle.c2_den[1:],
-        )
-
-
-def test_read_bundle_errors(tmp_path, synth_pieces):
-    params, _, ctrl, comp = synth_pieces
-    bundle = bundle_from_synthesis(ctrl, comp, params)
-    path = tmp_path / "b.json"
-    write_bundle(bundle, str(path))
-    obj = json.loads(path.read_text())
-
-    def rewrite(mutate):
-        o = json.loads(path.read_text())
-        mutate(o)
-        path.write_text(json.dumps(o))
-
-    rewrite(lambda o: o.update(extra_field=1))
-    with pytest.raises(ConfigError, match="unknown key"):
-        read_bundle(str(path))
-    rewrite(lambda o: (o.clear(), o.update(obj), o.pop("c2_num")))
-    with pytest.raises(ConfigError, match="missing"):
-        read_bundle(str(path))
-    rewrite(lambda o: (o.clear(), o.update(obj), o.update(format_version=0)))
-    with pytest.raises(ConfigError, match="format_version"):
-        read_bundle(str(path))
-    rewrite(lambda o: (o.clear(), o.update(obj), o.update(c1_num=[])))
-    with pytest.raises(ConfigError, match="nonempty"):
-        read_bundle(str(path))
+def test_scenario_def_materializes_with_the_scenario_defaults(synth_pieces):
+    # ScenarioDef repeats the defaults of both scenario classes
+    _, model, ctrl, _ = synth_pieces
+    torque = TorqueLoopScenario(model=model, controller=ctrl)
+    assert ScenarioDef().materialize(model, ctrl) == torque
+    assert ScenarioDef(kind="impedance", i_d=0.5).materialize(model, ctrl) == (
+        ImpedanceScenario(torque, i_d=0.5)
+    )
 
 
 def test_write_csv_format(tmp_path):
@@ -406,8 +398,8 @@ def test_cli_synth(tmp_path, capsys):
     assert main(["synth", "--out", str(out)]) == 0
     assert (out / "controller.json").exists()
     assert (out / "closed_loop_poles.csv").exists()
-    bundle = read_bundle(str(out / "controller.json"))
-    assert bundle.plant_fingerprint == params_fingerprint(default_params())
+    bundle = json.loads((out / "controller.json").read_text())
+    assert bundle["plant_fingerprint"] == params_fingerprint(default_params())
     text = capsys.readouterr().out
     assert "C1(s) =" in text and "phase" in text
 
@@ -499,6 +491,19 @@ def test_cli_sim_seed_reseeds_handle_motion(tmp_path):
 
     assert run(5, "a") == run(5, "b")
     assert run(5, "c") != run(6, "d")
+
+
+def test_cli_seed_only_on_commands_with_noise(tmp_path, capsys):
+    from seakit.cli import _build_parser
+
+    for argv in (["plant"], ["synth"], ["bode"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+    for command in ("sim", "reproduce"):
+        argv = [command, "fig9"] if command == "sim" else [command]
+        assert _build_parser().parse_args(argv + ["--seed", "3"]).seed == 3
 
 
 def test_cli_output_error_has_its_own_exit_code(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""The package namespace is the union of its modules' public names, and
-importing it loads numpy alone."""
+"""The package namespace is the union of its modules' public names, it
+holds every name the benchmark reads, and importing it loads numpy alone."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -21,6 +23,38 @@ def test_all_is_the_union_of_module_all_lists():
         for name in m.__all__:
             assert getattr(seakit, name) is getattr(m, name)
     assert seakit.NumericsError is seakit.errors.NumericsError
+
+
+def _package_reads(path):
+    """Dotted names read on a module bound to sk or seakit (also self.sk)."""
+    reads = set()
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name):
+            chain.insert(0, node.id)
+        roots = [i for i, name in enumerate(chain) if name in ("sk", "seakit")]
+        if roots and chain[roots[0] + 1:]:
+            reads.add(".".join(chain[roots[0] + 1:]))
+    return reads
+
+
+def test_bench_reads_resolve_on_the_package():
+    # a deletion that breaks the benchmark fails here, not in a bench run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(glob.glob(os.path.join(root, "bench", "*.py"))
+                   + glob.glob(os.path.join(root, "bench", "tests", "*.py")))
+    reads = {name for path in paths for name in _package_reads(path)}
+    assert {"run_reproduce", "series", "simulate_torque_loop"} <= reads
+    for name in sorted(reads):
+        obj = seakit
+        for part in name.split("."):
+            assert hasattr(obj, part), f"bench reads seakit.{name}"
+            obj = getattr(obj, part)
 
 
 def test_import_loads_no_scipy():

@@ -12,6 +12,7 @@ from seakit import (
     roots,
     spectral_factor,
 )
+from seakit import polynomials
 from seakit.polynomials import _pair_conjugates
 
 
@@ -146,7 +147,7 @@ def _scalar_polish_roots(p, newton_steps=4):
     return sym, residual
 
 
-def test_array_polish_matches_scalar_polish_bit_for_bit():
+def test_array_polish_matches_scalar_polish_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(7)
     polys = [
         Polynomial(rng.standard_normal(rng.integers(2, 14))
@@ -161,10 +162,12 @@ def test_array_polish_matches_scalar_polish_bit_for_bit():
     for p in polys:
         want, residual = _scalar_polish_roots(p)
         # the scalar residual is the one roots enforces: the same bytes
-        # at rel_tol = residual, an error one ulp below it
-        assert roots(p, rel_tol=residual).tobytes() == want.tobytes()
+        # at a tolerance equal to the residual, an error one ulp below it
+        monkeypatch.setattr(polynomials, "_ROOT_REL_TOL", residual)
+        assert roots(p).tobytes() == want.tobytes()
+        monkeypatch.setattr(polynomials, "_ROOT_REL_TOL", np.nextafter(residual, -1.0))
         with pytest.raises(NumericsError):
-            roots(p, rel_tol=np.nextafter(residual, -1.0))
+            roots(p)
 
 
 def test_roots_keep_a_small_complex_pair_beside_a_large_root():

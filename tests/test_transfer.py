@@ -7,7 +7,6 @@ from seakit import (
     NumericsError,
     Polynomial,
     RationalTF,
-    constant_tf,
     frequency_response,
     is_stable,
     minimal_form,
@@ -139,7 +138,7 @@ def test_state_space_rejects_improper():
 
 
 def test_state_space_constant():
-    ss = to_state_space(constant_tf(3.0))
+    ss = to_state_space(RationalTF([3.0], [1.0]))
     assert ss.A.shape == (0, 0)
     assert np.isclose(ss.D, 3.0)
 
@@ -206,9 +205,3 @@ def test_frequency_response_phase_is_sequential_sum():
         ref.append(ref[-1] + _phase_increment(g, w[k - 1], w[k], h[k - 1], h[k]))
     np.testing.assert_array_equal(fr.phase_deg, np.degrees(ref))
     assert fr.phase_deg[-1] < -80.0  # crossed the resonance, no wrap
-
-
-def test_units_metadata_preserved_and_dropped():
-    g = RationalTF([1.0], [1.0, 1.0], units="Nm per rad")
-    assert g.units == "Nm per rad"
-    assert (g * g).units == ""
