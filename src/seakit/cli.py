@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: plant (print/export the model), synth (write a controller
-bundle and report), sim (run a named scenario or preset), bode (chirp
-FRF comparison), reproduce (all presets plus a pass/fail summary).
+bundle and report), sim (run a named scenario or preset; the chirp FRF
+comparisons are the presets fig10 and fig10_narrow), reproduce (all
+presets plus a pass/fail summary).
 
 Exit codes: 0 success, 2 configuration or validation error, 3 numerical
-failure, 4 acceptance failure (a preset check failed: sim PRESET, bode,
+failure, 4 acceptance failure (a preset check failed: sim PRESET,
 reproduce), 5 output I/O error.
 """
 
@@ -153,24 +154,19 @@ def _verdict(results) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPTANCE
 
 
-def _run_checked(name: str, cfg: ProjectConfig, out: str, args, seed) -> int:
-    """Run one preset, print its checks; EXIT_ACCEPTANCE if any failed."""
-    results = run_preset(name, cfg, os.path.join(out, name), seed=seed)
-    if args.json:
-        _print_json_checks(results)
-    else:
-        for r in results:
-            status = "pass" if r.passed else "FAIL"
-            print(f"[{status}] {r.preset}/{r.check}: {r.detail}")
-    return _verdict(results)
-
-
 def cmd_sim(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
     name = args.scenario
     if name in PRESET_NAMES:
-        return _run_checked(name, cfg, out, args, seed=args.seed)
+        results = run_preset(name, cfg, os.path.join(out, name), seed=args.seed)
+        if args.json:
+            _print_json_checks(results)
+        else:
+            for r in results:
+                status = "pass" if r.passed else "FAIL"
+                print(f"[{status}] {r.preset}/{r.check}: {r.detail}")
+        return _verdict(results)
     if name not in cfg.scenarios:
         known = sorted(cfg.scenarios) + list(PRESET_NAMES)
         print(
@@ -199,13 +195,6 @@ def cmd_sim(args) -> int:
         print(json.dumps({"checks": [], "stats": asdict(trace.stats)}, indent=2))
     print(f"wrote {csv_path}", file=sys.stderr if args.json else sys.stdout)
     return EXIT_OK
-
-
-def cmd_bode(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
-    name = "fig10_narrow" if args.narrow else "fig10"
-    return _run_checked(name, cfg, out, args, seed=None)  # no noise in fig10
 
 
 def cmd_reproduce(args) -> int:
@@ -253,15 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override noise seeds")
     p.add_argument("scenario", help="scenario name from config, or a preset")
     p.set_defaults(func=cmd_sim)
-
-    p = sub.add_parser("bode", help="chirp FRF vs theoretical Bode comparison")
-    common(p)
-    p.add_argument(
-        "--narrow",
-        action="store_true",
-        help="use the published 0-5 Hz chirp instead of the wide sweep",
-    )
-    p.set_defaults(func=cmd_bode)
 
     p = sub.add_parser("reproduce", help="run every preset and summarize")
     common(p)

@@ -9,17 +9,15 @@ it loads, by the simulator's own model-free checks (step, duration,
 velocity limit, and i_d for an impedance scenario), and the error names
 the field: config.scenarios.<name>.<field>.
 
-write_bundle writes the synthesized coefficient arrays plus a
-fingerprint of the plant they were designed for, so a stale bundle is
-detectable.  Both formats carry an explicit format_version and share
-one JSON codec:
-- _read_json maps a config that cannot be opened or parsed to
-  ConfigError ("cannot read ..." / "invalid JSON in ...");
-- _write_json writes indent-2 JSON with LF line endings and a trailing
-  newline;
-- _parse_numbers / _dump_numbers translate the {"rho", "lambda", "k"}
-  weights object to SynthesisWeights and back, and the plant object to
-  SeaParams.
+A config is only read: _read_json maps one that cannot be opened or
+parsed to ConfigError ("cannot read ..." / "invalid JSON in ..."), and
+_parse_numbers translates its {"rho", "lambda", "k"} weights object to
+SynthesisWeights and its plant object to SeaParams.  A bundle is only
+written: write_bundle writes the synthesized coefficient arrays, the
+weights (_dump_numbers) and a fingerprint of the plant they were
+designed for, so a stale bundle is detectable, as indent-2 JSON with LF
+line endings and a trailing newline.  Both formats carry format_version
+1 (FORMAT_VERSION); a config may omit it.
 The key lists of scenarios are the field lists of their dataclasses.
 
 write_csv is the package's one writer of numeric CSV tables.  The
@@ -54,9 +52,7 @@ __all__ = [
     "ScenarioDef",
     "ProjectConfig",
     "parse_config",
-    "dump_config",
     "load_config",
-    "save_config",
     "write_bundle",
     "params_fingerprint",
     "write_csv",
@@ -103,12 +99,6 @@ def _read_json(path: str):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def _write_json(obj, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
 
 
 # JSON key -> field, for the two objects that hold only numbers.  The
@@ -169,14 +159,6 @@ def _parse_signal(d, ctx: str) -> SignalSpec:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-def _dump_signal(s: SignalSpec) -> dict:
-    out = {"kind": s.kind}
-    for name in _SIGNAL_FIELDS[s.kind]:
-        v = getattr(s, name)
-        out[name] = [list(bp) for bp in v] if name == "breakpoints" else v
-    return out
-
-
 _PI_KEYS = _names(PiController)
 
 
@@ -192,12 +174,6 @@ def _parse_controller(raw, ctx: str):
         return PiController(**{k: _get_num(raw, k, ctx) for k in _PI_KEYS})
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
-
-
-def _dump_controller(ctrl):
-    if isinstance(ctrl, PiController):
-        return {"type": "pi", **{k: getattr(ctrl, k) for k in _PI_KEYS}}
-    return "two_dof"
 
 
 @dataclass(frozen=True)
@@ -291,20 +267,6 @@ def _parse_scenario(d, ctx: str) -> ScenarioDef:
         raise ConfigError(f"{ctx}.{exc}") from exc
 
 
-def _dump_scenario(s: ScenarioDef) -> dict:
-    out: dict = {"type": s.kind}
-    for name in _SCENARIO_FIELDS:
-        if s.kind != "impedance" and name in _IMPEDANCE_FIELDS:
-            continue
-        value = getattr(s, name)
-        if name == "controller":
-            value = _dump_controller(value)
-        elif isinstance(value, SignalSpec):
-            value = _dump_signal(value)
-        out[name] = value
-    return out
-
-
 @dataclass(frozen=True)
 class ProjectConfig:
     """Parsed project file: plant, weights, named scenarios, output dir."""
@@ -313,7 +275,6 @@ class ProjectConfig:
     weights: SynthesisWeights = _DEFAULT_WEIGHTS
     scenarios: dict = field(default_factory=dict)
     output_dir: str = "out"
-    format_version: int = FORMAT_VERSION
 
 
 def parse_config(raw: dict) -> ProjectConfig:
@@ -324,7 +285,7 @@ def parse_config(raw: dict) -> ProjectConfig:
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(raw, _names(ProjectConfig), "config")
+    _check_keys(raw, {"format_version", *_names(ProjectConfig)}, "config")
     version = raw.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ConfigError(f"unsupported format_version {version!r}")
@@ -345,36 +306,18 @@ def parse_config(raw: dict) -> ProjectConfig:
     }
 
     output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("config.output_dir must be a string")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError("config.output_dir must be a non-empty string")
     return ProjectConfig(
         plant=params,
         weights=weights,
         scenarios=scenarios,
         output_dir=output_dir,
-        format_version=version,
     )
-
-
-def dump_config(cfg: ProjectConfig) -> dict:
-    """Canonical JSON object for a config; parse(dump(cfg)) == cfg."""
-    return {
-        "format_version": cfg.format_version,
-        "output_dir": cfg.output_dir,
-        "plant": _dump_numbers(cfg.plant, _PLANT_KEYS),
-        "weights": _dump_numbers(cfg.weights, _WEIGHT_KEYS),
-        "scenarios": {
-            name: _dump_scenario(s) for name, s in cfg.scenarios.items()
-        },
-    }
 
 
 def load_config(path: str) -> ProjectConfig:
     return parse_config(_read_json(path))
-
-
-def save_config(cfg: ProjectConfig, path: str) -> None:
-    _write_json(dump_config(cfg), path)
 
 
 def params_fingerprint(params: SeaParams) -> str:
@@ -396,7 +339,9 @@ def write_bundle(
         obj[f"{tag}_num"] = tf.num.coeffs.tolist()
         obj[f"{tag}_den"] = tf.den.coeffs.tolist()
     obj["plant_fingerprint"] = params_fingerprint(params)
-    _write_json(obj, path)
+    with open(path, "w", newline="\n") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 _CSV_BLOCK_ROWS = 4096

@@ -229,23 +229,6 @@ def _eval_scale(coeffs: np.ndarray, rts: np.ndarray) -> np.ndarray:
     return np.maximum(s, 1e-300)
 
 
-def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a / b elementwise for nonzero b, rounded as Python's complex
-    division rounds (Smith's method, dividing by the scaled denominator
-    where numpy multiplies by its reciprocal), so that polishing all
-    roots at once gives the roots a polish of one Python complex at a
-    time gives, bit for bit."""
-    wide = np.abs(b.real) >= np.abs(b.imag)
-    big = np.where(wide, b.real, b.imag)
-    small = np.where(wide, b.imag, b.real)
-    ratio = small / big
-    denom = big + small * ratio
-    ar, ai = a.real, a.imag
-    q = (np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom).astype(complex)
-    q.imag = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
-    return q
-
-
 def _pair_conjugates(rts: np.ndarray) -> np.ndarray:
     """Snap near-real roots to the axis and force exact conjugate pairs.
 
@@ -307,7 +290,7 @@ def roots(p: Polynomial) -> np.ndarray:
         # derivative too small: near-multiple root, keep as is
         keep = ~(_magnitude(dfr) < 1e-14 * _eval_scale(der, r[live]))
         live, dfr = live[keep], dfr[keep]
-        cand = r[live] - _quotient(fr[live], dfr)
+        cand = r[live] - fr[live] / dfr
         fc = np.polyval(coeffs, cand)
         better = _magnitude(fc) < _magnitude(fr[live])
         live = live[better]

@@ -71,8 +71,8 @@ __all__ = [
     "trace_to_csv",
 ]
 
-# Each signal kind and the fields it reads; config parses and writes
-# exactly these keys.
+# Each signal kind and the fields it reads; config parses exactly these
+# keys.
 _SIGNAL_FIELDS = {
     "zero": (),
     "constant": ("amplitude", "offset"),
@@ -126,8 +126,8 @@ class SignalSpec:
         if self.kind == "white_noise":
             if self.variance < 0.0:
                 raise ValueError("white_noise requires variance >= 0")
-            if self.seed is None:
-                raise ValueError("white_noise requires a seed")
+            if self.seed is None or self.seed < 0:
+                raise ValueError("white_noise requires a seed >= 0")
         if self.kind == "step" and self.start_s < 0.0:
             raise ValueError("step requires start_s >= 0")
         if self.kind == "piecewise_linear":

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NumericsError
 from .plant import SeaModel
 from .polynomials import Polynomial, gcd_degree, is_hurwitz, roots, spectral_factor
-from .transfer import RationalTF, is_stable, minimal_form, series
+from .transfer import RationalTF, is_stable, minimal_form
 
 __all__ = [
     "SynthesisWeights",
@@ -457,19 +457,19 @@ def closed_loop_maps(P: RationalTF, ctrl) -> ClosedLoopMaps:
     changes nothing in from_d / from_n, coefficient for coefficient.
     """
     c1, c2 = _controller_pair(ctrl)
-    ret_diff = 1 + series(P, c2)
+    ret_diff = 1 + P * c2
     r_u = c1 / ret_diff
-    r_y = series(P, c1) / ret_diff
+    r_y = P * c1 / ret_diff
     from_r = SignalMaps(u=r_u, v=r_u, y=r_y, z=r_y)
 
-    d_u = -(series(P, c2) / ret_diff)
+    d_u = -(P * c2 / ret_diff)
     d_v = 1.0 / ret_diff
     d_y = P / ret_diff
     from_d = SignalMaps(u=d_u, v=d_v, y=d_y, z=d_y)
 
     n_u = -(c2 / ret_diff)
     n_y = 1.0 / ret_diff
-    n_z = -(series(P, c2) / ret_diff)
+    n_z = -(P * c2 / ret_diff)
     from_n = SignalMaps(u=n_u, v=n_u, y=n_y, z=n_z)
     return ClosedLoopMaps(from_r=from_r, from_d=from_d, from_n=from_n)
 

@@ -70,7 +70,8 @@ class RationalTF:
         return self.num.degree < self.den.degree
 
     def __call__(self, s):
-        """Evaluate at a complex point or an array of them.
+        """Evaluate at a complex point or an array of them, with numpy's
+        complex division; a point gives a numpy complex scalar.
 
         Raises NumericsError at a (near-)pole: |den(s)| below 1e-12 of
         sum |a_k| max(1, |s|)^k over the denominator coefficients a_k.
@@ -82,9 +83,6 @@ class RationalTF:
         if np.any(hit):
             s_bad = complex(s.flat[np.argmax(hit)])
             raise NumericsError(f"evaluation at a pole: |den({s_bad:.6g})| ~ 0")
-        if s.ndim == 0:
-            # Python's complex division, which rounds unlike numpy's.
-            return complex(self.num(s)) / complex(dv)
         return self.num(s) / dv
 
     def __repr__(self) -> str:

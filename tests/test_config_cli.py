@@ -1,5 +1,6 @@
 """Unit tests for config parsing, the controller bundle, and the CLI."""
 
+import dataclasses
 import json
 import os
 import re
@@ -20,17 +21,16 @@ from seakit import (
     build_compensator,
     build_plant,
     default_params,
-    dump_config,
     h2_synthesize,
     load_config,
     parse_config,
     params_fingerprint,
-    save_config,
     write_bundle,
 )
 from seakit import config
 from seakit.cli import main
 from seakit.config import write_csv
+from seakit.presets import PRESET_NAMES
 
 
 # ---------------------------------------------------------------- config
@@ -45,35 +45,75 @@ def test_parse_empty_config_uses_defaults():
 
 
 def test_config_round_trip():
-    cfg = ProjectConfig(
+    """A JSON literal with every field set parses to the config built in
+    code: every signal kind, a PI controller, the impedance fields and
+    the "lambda" weight key."""
+    raw = {
+        "format_version": 1,
+        "output_dir": "results",
+        "plant": {"k_s": 0.05},
+        "weights": {"rho": 1e-3, "lambda": 2.0, "k": 0.5},
+        "scenarios": {
+            "track": {
+                "type": "torque_loop",
+                "reference": {"kind": "sine", "amplitude": 0.033,
+                              "frequency_hz": 2.0, "offset": 0.0},
+                "disturbance": {"kind": "step", "amplitude": 0.01,
+                                "start_s": 0.5},
+                "noise": {"kind": "white_noise", "variance": 0.01, "seed": 4,
+                          "offset": 0.0},
+                "handle_motion": {"kind": "chirp", "amplitude": 0.2,
+                                  "f0_hz": 0.0, "f1_hz": 5.0, "sweep_s": 2.0},
+                "compensator_on": True,
+                "saturation_rad_s": 40.0,
+                "dt_s": 1e-3,
+                "duration_s": 3.0,
+            },
+            "render": {
+                "type": "impedance",
+                "controller": {"type": "pi", "kp": 204.0, "ki": 111.0},
+                "disturbance": {"kind": "zero"},
+                "handle_motion": {"kind": "piecewise_linear",
+                                  "breakpoints": [[0, 0], [1, 0.5]]},
+                "phi_ref": {"kind": "constant", "amplitude": 0.1},
+                "i_d": 0.5,
+            },
+        },
+    }
+    assert parse_config(raw) == ProjectConfig(
+        plant=dataclasses.replace(default_params(), k_s=0.05),
         weights=SynthesisWeights(rho=1e-3, lam=2.0, k=0.5),
         scenarios={
             "track": ScenarioDef(
                 reference=SignalSpec.sine(0.033, 2.0),
+                disturbance=SignalSpec.step(0.01, start_s=0.5),
                 noise=SignalSpec.white_noise(0.01, seed=4),
+                handle_motion=SignalSpec.chirp(0.2, 0.0, 5.0, 2.0),
+                compensator_on=True,
+                saturation_rad_s=40.0,
+                dt_s=1e-3,
                 duration_s=3.0,
             ),
             "render": ScenarioDef(
                 kind="impedance",
                 controller=PiController(204.0, 111.0),
-                handle_motion=SignalSpec.sine(0.5, 2.0),
                 i_d=0.5,
+                handle_motion=SignalSpec.piecewise_linear([(0.0, 0.0), (1.0, 0.5)]),
                 phi_ref=SignalSpec.constant(0.1),
             ),
         },
         output_dir="results",
     )
-    assert parse_config(dump_config(cfg)) == cfg
 
 
 def test_config_file_round_trip(tmp_path):
-    cfg = ProjectConfig(
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(
+        {"scenarios": {"quick": {"duration_s": 1.0, "dt_s": 1e-3}}}
+    ))
+    assert load_config(str(path)) == ProjectConfig(
         scenarios={"quick": ScenarioDef(duration_s=1.0, dt_s=1e-3)}
     )
-    path = tmp_path / "project.json"
-    save_config(cfg, str(path))
-    assert load_config(str(path)) == cfg
-    assert b"\r" not in path.read_bytes()
 
 
 def test_load_config_errors(tmp_path):
@@ -110,9 +150,8 @@ def test_unknown_keys_rejected_at_every_level():
 def test_weights_lambda_key_maps_to_lam():
     cfg = parse_config({"weights": {"rho": 1e-3, "lambda": 3.0, "k": 2.0}})
     assert cfg.weights.lam == 3.0
-    round_trip = dump_config(cfg)
-    assert round_trip["weights"]["lambda"] == 3.0
-    assert "lam" not in round_trip["weights"]
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config({"weights": {"lam": 3.0}})
 
 
 def test_plant_overlay_keeps_other_defaults():
@@ -126,6 +165,14 @@ def test_plant_overlay_keeps_other_defaults():
 def test_format_version_is_enforced():
     with pytest.raises(ConfigError, match="format_version"):
         parse_config({"format_version": 999})
+    assert parse_config({"format_version": 1}) == ProjectConfig()
+
+
+def test_output_dir_must_be_a_non_empty_string():
+    # "" used to load, and every command then failed to write (exit 5)
+    for bad in ("", 3):
+        with pytest.raises(ConfigError, match=r"^config\.output_dir "):
+            parse_config({"output_dir": bad})
 
 
 def test_impedance_fields_rejected_on_torque_loop():
@@ -151,8 +198,7 @@ def test_scenario_fields_checked_at_load():
 
 
 def test_scenario_def_rejects_unknown_kind():
-    # a misspelt kind used to materialize a torque loop, and save_config
-    # wrote a "type" that load_config then rejected
+    # a misspelt kind used to materialize a torque loop
     with pytest.raises(ValueError, match="^kind .*'impedence'"):
         ScenarioDef(kind="impedence", i_d=0.5)
 
@@ -169,6 +215,15 @@ def test_cli_rejects_impedance_scenario_without_i_d(tmp_path, capsys):
     path.write_text(json.dumps({"scenarios": {"imp": {"type": "impedance"}}}))
     assert main(["sim", "imp", "--config", str(path)]) == 2
     assert "config error: config.scenarios.imp.i_d" in capsys.readouterr().err
+
+
+def test_negative_noise_seed_fails_before_the_run(tmp_path, capsys):
+    # it used to load, and the run then stopped on numpy's seed error
+    noise = {"kind": "white_noise", "variance": 0.01, "seed": -3}
+    with pytest.raises(ConfigError, match=r"^config\.scenarios\.n\.noise: .*seed >= 0"):
+        parse_config({"scenarios": {"n": {"noise": noise}}})
+    assert main(["sim", "fig9", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "seed >= 0" in capsys.readouterr().err
 
 
 def test_controller_parse_errors():
@@ -205,8 +260,6 @@ def test_breakpoints_must_be_number_pairs():
 def test_params_fingerprint_stability():
     p = default_params()
     assert params_fingerprint(p) == params_fingerprint(default_params())
-    import dataclasses
-
     q = dataclasses.replace(p, k_s=p.k_s * 1.0000001)
     assert params_fingerprint(q) != params_fingerprint(p)
     assert len(params_fingerprint(p)) == 16
@@ -423,8 +476,8 @@ def test_cli_sim_scenario(tmp_path, capsys):
     assert header == ",".join(TRACE_CHANNELS)
 
 
-def test_cli_bode_narrow_json(tmp_path, capsys):
-    assert main(["bode", "--narrow", "--json", "--out", str(tmp_path)]) == 0
+def test_cli_sim_fig10_narrow_json(tmp_path, capsys):
+    assert main(["sim", "fig10_narrow", "--json", "--out", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     obj = json.loads(captured.out)
     assert set(obj) == {"checks"}
@@ -496,7 +549,7 @@ def test_cli_sim_seed_reseeds_handle_motion(tmp_path):
 def test_cli_seed_only_on_commands_with_noise(tmp_path, capsys):
     from seakit.cli import _build_parser
 
-    for argv in (["plant"], ["synth"], ["bode"]):
+    for argv in (["plant"], ["synth"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--seed", "3", "--out", str(tmp_path)])
         assert exc.value.code == 2
@@ -515,13 +568,17 @@ def test_cli_output_error_has_its_own_exit_code(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "argv, preset",
-    [(["sim", "fig9"], "fig9"), (["bode"], "fig10"),
-     (["bode", "--narrow"], "fig10_narrow")],
-)
+def test_cli_has_no_bode_command(tmp_path, capsys):
+    # bode and bode --narrow were aliases of sim fig10 and sim fig10_narrow
+    with pytest.raises(SystemExit) as exc:
+        main(["bode", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bode'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_cli_preset_commands_exit_4_on_failed_check(
-    tmp_path, monkeypatch, capsys, argv, preset
+    tmp_path, monkeypatch, capsys, preset
 ):
     from seakit import CheckResult
     import seakit.cli as cli
@@ -534,7 +591,7 @@ def test_cli_preset_commands_exit_4_on_failed_check(
                 CheckResult(name, "second", verdicts[-1], "-")]
 
     monkeypatch.setattr(cli, "run_preset", fake_run_preset)
-    argv = argv + ["--out", str(tmp_path)]
+    argv = ["sim", preset, "--out", str(tmp_path)]
     verdicts.append(True)
     assert main(argv) == 0
     verdicts.append(False)

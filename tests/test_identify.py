@@ -19,7 +19,6 @@ from seakit import (
     h2_synthesize,
     loop_margins,
     phase_at,
-    series,
     torque_loop_maps,
 )
 from seakit.identify import _segment_length, _welch
@@ -243,7 +242,7 @@ def _default_design():
     model = build_plant(default_params())
     ctrl = h2_synthesize(model.P, ProjectConfig().weights)
     g1, _ = torque_loop_maps(model, ctrl, with_compensator=True)
-    return g1, series(model.P, ctrl.c2)
+    return g1, model.P * ctrl.c2
 
 
 def _resonance():

@@ -119,7 +119,7 @@ def test_roots_accuracy_on_clustered_pair():
 
 
 def _scalar_polish_roots(p, newton_steps=4):
-    """The root polish one root at a time, with Python complex scalars:
+    """The root polish one root at a time, with numpy complex scalars:
     the reference the array polish must reproduce bit for bit."""
 
     def scale(c, r):
@@ -128,15 +128,14 @@ def _scalar_polish_roots(p, newton_steps=4):
 
     coeffs, der = p.coeffs, p.derivative().coeffs
     polished = []
-    for r in np.roots(coeffs):
-        r = complex(r)
-        fr = complex(np.polyval(coeffs, r))
+    for r in np.roots(coeffs).astype(complex):
+        fr = np.polyval(coeffs, r)
         for _ in range(newton_steps):
-            dfr = complex(np.polyval(der, r))
+            dfr = np.polyval(der, r)
             if abs(dfr) < 1e-14 * scale(der, r):
                 break
             cand = r - fr / dfr
-            fc = complex(np.polyval(coeffs, cand))
+            fc = np.polyval(coeffs, cand)
             if abs(fc) < abs(fr):
                 r, fr = cand, fc
             else:
