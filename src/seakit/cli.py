@@ -34,6 +34,7 @@ from .polynomials import format_poly, roots
 from .presets import PRESET_NAMES, _reseed, run_preset, run_reproduce
 from .simulation import (
     ImpedanceScenario,
+    SignalSpec,
     simulate_impedance,
     simulate_torque_loop,
     trace_to_csv,
@@ -254,6 +255,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:  # a bad seed fails before any run
+            SignalSpec.white_noise(1.0, args.seed)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

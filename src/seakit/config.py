@@ -160,6 +160,7 @@ def _parse_signal(d, ctx: str) -> SignalSpec:
 
 
 _PI_KEYS = _names(PiController)
+_SCENARIO_KINDS = ("torque_loop", "impedance")  # the JSON "type" of a scenario
 
 
 def _parse_controller(raw, ctx: str):
@@ -203,7 +204,7 @@ class ScenarioDef:
     i_d: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("torque_loop", "impedance"):
+        if self.kind not in _SCENARIO_KINDS:
             raise ValueError(
                 f"kind must be 'torque_loop' or 'impedance', not {self.kind!r}"
             )
@@ -240,7 +241,7 @@ def _parse_scenario(d, ctx: str) -> ScenarioDef:
         raise ConfigError(f"{ctx} must be an object")
     _check_keys(d, {"type", *_SCENARIO_FIELDS}, ctx)
     kind = d.get("type", "torque_loop")
-    if kind not in ("torque_loop", "impedance"):
+    if kind not in _SCENARIO_KINDS:
         raise ConfigError(f"{ctx}.type must be 'torque_loop' or 'impedance'")
     if kind == "torque_loop" and any(name in d for name in _IMPEDANCE_FIELDS):
         raise ConfigError(

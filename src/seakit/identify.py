@@ -2,30 +2,29 @@
 
 The estimator is a Welch-style averaged cross-spectral quotient:
 H(f) = S_uy(f) / S_uu(f) over Hann-windowed, half-overlapping segments,
-with magnitude-squared coherence reported per frequency.  Averaging
-across segments is what makes the estimate usable on the noisy
-closed-loop traces; a single-shot quotient would be hopeless there.
-The spectra are computed with numpy's FFT alone.
+with magnitude-squared coherence reported per frequency, returned as
+the same :class:`~seakit.transfer.FrequencyResponse` a model gives.
+Averaging across segments is what makes the estimate usable on the
+noisy closed-loop traces; a single-shot quotient would be hopeless
+there.  The spectra are computed with numpy's FFT alone.
 
 The Bode metrics score a transfer function n/d in closed form over
 1e-3 .. 1e4 Hz: each crossing is a real root x = w^2 of a polynomial
-built from n(jw) and d(jw), and the unwrapped phase comes from the
-roots of n and d.  No frequency grid is swept.
+built from n(jw) and d(jw), and the unwrapped phase is the root sum of
+:mod:`seakit.transfer`, on the branch that is principal at 1e-3 Hz.
+No frequency grid is swept.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import write_csv
 from .polynomials import Polynomial, roots
-from .transfer import RationalTF
+from .transfer import FrequencyResponse, RationalTF, _unwrapped_phase
 
 __all__ = [
-    "FrfEstimate",
     "estimate_frf",
     "bandwidth_3db",
     "phase_at",
@@ -34,37 +33,6 @@ __all__ = [
 ]
 
 _NO_CROSSING = "magnitude never crosses -3 dB in the evaluated range"
-
-
-@dataclass(frozen=True)
-class FrfEstimate:
-    """Empirical frequency response on an ascending grid.
-
-    Attributes
-    ----------
-    freqs_hz, magnitude_db, phase_deg : ndarray
-        Equal-length; phase is unwrapped along the grid.
-    coherence : ndarray
-        Magnitude-squared coherence in [0, 1]; values near 1 mark
-        frequencies where the linear fit explains the output.
-    """
-
-    freqs_hz: np.ndarray
-    magnitude_db: np.ndarray
-    phase_deg: np.ndarray
-    coherence: np.ndarray
-
-    def __post_init__(self):
-        lens = {
-            len(self.freqs_hz),
-            len(self.magnitude_db),
-            len(self.phase_deg),
-            len(self.coherence),
-        }
-        if len(lens) != 1:
-            raise ValueError("FRF estimate arrays must have equal length")
-        if np.any(self.coherence < 0.0) or np.any(self.coherence > 1.0):
-            raise ValueError("coherence must lie in [0, 1]")
 
 
 def _segment_length(n: int) -> int:
@@ -107,7 +75,7 @@ def estimate_frf(
     output_series: np.ndarray,
     dt_s: float,
     freqs_hz: np.ndarray,
-) -> FrfEstimate:
+) -> FrequencyResponse:
     """Averaged cross-spectral FRF of output over input.
 
     Hann window, 50% overlap, at least 8 segments; no detrending, so
@@ -174,7 +142,7 @@ def estimate_frf(
     mag_db = 20.0 * np.log10(np.maximum(np.abs(h), 1e-300))
     phase_deg = np.degrees(np.unwrap(np.angle(h)))
 
-    return FrfEstimate(
+    return FrequencyResponse(
         freqs_hz=freqs.copy(),
         magnitude_db=np.interp(log_req, log_f, mag_db),
         phase_deg=np.interp(log_req, log_f, phase_deg),
@@ -233,37 +201,6 @@ def _sign_changes(f: Polynomial, x_lo: float, x_hi: float):
     return out
 
 
-def _arg_sum(p: Polynomial, w: np.ndarray) -> np.ndarray:
-    """Sum over the roots z of p of arg(jw - z), continuous in w > 0 and
-    exact up to a constant."""
-    if p.degree < 1:
-        return np.zeros_like(w)
-    z = roots(p)
-    jw = 1j * w[:, None]
-    # jw - z crosses the negative real axis when Re z > 0: measure those
-    # as arg(z - jw), which is continuous there and off by pi
-    args = np.where(z.real > 0.0, np.angle(z - jw), np.angle(jw - z))
-    return np.sum(args, axis=1)
-
-
-def _phase_deg(tf: RationalTF, w) -> np.ndarray:
-    """Unwrapped phase of tf at w > 0 rad/s, in degrees.
-
-    The unwrapped phase is the root sum sum_i arg(jw - z_i) - sum_i
-    arg(jw - p_i) over the zeros and poles, shifted by whole turns to
-    equal the principal angle at the low end of the band.  It is
-    returned as the principal angle of tf(jw) plus the whole turns the
-    root sum calls for, so roots perturbed by rounding (a repeated root
-    splits by eps^(1/m)) choose the turn but do not move the value.
-    """
-    w = np.append(np.asarray(w, dtype=float), _W_LO)
-    principal = np.angle(tf(1j * w))
-    root_sum = _arg_sum(tf.num, w) - _arg_sum(tf.den, w)
-    unwrapped = root_sum - root_sum[-1] + principal[-1]
-    turns = np.round((unwrapped - principal) / (2.0 * np.pi))
-    return np.degrees(principal + 2.0 * np.pi * turns)[:-1]
-
-
 def bandwidth_3db(tf: RationalTF) -> float:
     """First frequency where the gain of tf = n/d drops 3 dB below g0, its
     gain at 1e-3 Hz.
@@ -297,7 +234,7 @@ def phase_at(tf: RationalTF, f_hz: float) -> float:
     """
     if not (_F_LO <= f_hz <= _F_HI):
         raise ValueError(f"{f_hz:.4g} Hz outside [{_F_LO:.4g}, {_F_HI:.4g}] Hz")
-    return float(_phase_deg(tf, [2.0 * np.pi * f_hz])[0])
+    return float(_unwrapped_phase(tf, [2.0 * np.pi * f_hz], _W_LO)[0])
 
 
 def loop_margins(loop_tf: RationalTF) -> tuple[float, float]:
@@ -321,7 +258,7 @@ def loop_margins(loop_tf: RationalTF) -> tuple[float, float]:
              if after > 0.0]
     # one phase evaluation: the first gain crossover, then every flip
     w = np.sqrt(np.array(first + flips))
-    phase = _phase_deg(loop_tf, w)
+    phase = _unwrapped_phase(loop_tf, w, _W_LO)
     pm = 180.0 + float(phase[0]) if first else float("inf")
     at = np.nonzero(np.round(phase[len(first):] / 180.0) == -1.0)[0]
     gm = float("inf")
@@ -331,7 +268,7 @@ def loop_margins(loop_tf: RationalTF) -> tuple[float, float]:
     return gm, pm
 
 
-def frf_to_csv(frf: FrfEstimate, path: str) -> None:
+def frf_to_csv(frf: FrequencyResponse, path: str) -> None:
     """Write freq_hz, mag_db, phase_deg, coherence rows at 9 digits."""
     write_csv(
         path,

@@ -23,9 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import ProjectConfig, write_csv
-from .identify import (
-    FrfEstimate, bandwidth_3db, estimate_frf, frf_to_csv, phase_at,
-)
+from .identify import bandwidth_3db, estimate_frf, frf_to_csv, phase_at
 from .plant import build_plant
 from .simulation import (
     ImpedanceScenario,
@@ -235,10 +233,7 @@ def _run_chirp_frf(cfg, out_dir, f0, f1, sweep_s, duration_s, grid, preset):
     est = estimate_frf(trace.channel("r"), trace.channel("tau_L"), sc.dt_s, grid)
     frf_to_csv(est, os.path.join(out_dir, "frf_estimated.csv"))
     theory = frequency_response(g1, grid)
-    frf_to_csv(
-        FrfEstimate(grid, theory.magnitude_db, theory.phase_deg, np.ones_like(grid)),
-        os.path.join(out_dir, "frf_theory.csv"),
-    )
+    frf_to_csv(theory, os.path.join(out_dir, "frf_theory.csv"))
 
     coherent = est.coherence > 0.99
     dmag = np.abs(est.magnitude_db - theory.magnitude_db)[coherent]

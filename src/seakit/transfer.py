@@ -6,6 +6,12 @@ objects normalized to a monic denominator.  Composition operators
 unobservable modes stay visible until an explicit ``minimal_form``
 call, so internal-stability checks cannot be fooled by silent
 cancellation of an unstable factor.
+
+``FrequencyResponse`` holds a response on a grid, computed from a model
+or estimated from data.  The unwrapped phase of a transfer function has
+one algorithm, the root sum of its zeros and poles: ``frequency_response``
+takes it on a grid and the Bode metrics of :mod:`seakit.identify` at
+their crossings.
 """
 
 from __future__ import annotations
@@ -259,55 +265,69 @@ def to_state_space(*tfs: RationalTF) -> StateSpace:
 
 @dataclass(frozen=True)
 class FrequencyResponse:
-    """Gain/phase samples over an ascending frequency grid.
+    """Gain/phase samples over an ascending frequency grid, computed from
+    a model or estimated from data.
 
     Attributes
     ----------
-    freqs_hz : ndarray
-    magnitude_db : ndarray
-    phase_deg : ndarray
-        Unwrapped; continuous along the grid.
+    freqs_hz, magnitude_db, phase_deg : ndarray
+        Equal-length; phase is unwrapped along the grid.
+    coherence : ndarray
+        Magnitude-squared coherence in [0, 1]; values near 1 mark
+        frequencies where the linear fit explains the output, and a
+        model's response has coherence 1 throughout.
     """
 
     freqs_hz: np.ndarray
     magnitude_db: np.ndarray
     phase_deg: np.ndarray
+    coherence: np.ndarray
 
     def __post_init__(self):
-        if not (
-            len(self.freqs_hz) == len(self.magnitude_db) == len(self.phase_deg)
-        ):
+        lens = {len(self.freqs_hz), len(self.magnitude_db),
+                len(self.phase_deg), len(self.coherence)}
+        if len(lens) != 1:
             raise ValueError("channel lengths differ")
         if len(self.freqs_hz) and np.any(np.diff(self.freqs_hz) <= 0):
             raise ValueError("frequencies must be strictly ascending")
+        if np.any(self.coherence < 0.0) or np.any(self.coherence > 1.0):
+            raise ValueError("coherence must lie in [0, 1]")
 
 
-def _phase_increment(
-    tf: RationalTF, w1: float, w2: float, h1: complex, h2: complex, depth: int = 0
-) -> float:
-    """Continuous phase change of tf along [w1, w2], by adaptive bisection.
+def _unwrapped_phase(tf: RationalTF, w, w_ref: float) -> np.ndarray:
+    """Unwrapped phase of tf at w rad/s, in degrees, on the branch that is
+    principal at w_ref.
 
-    The principal angle of h2/h1 is exact while the true change stays
-    within (-pi, pi); intervals are split (geometrically when possible)
-    until each sub-change is below pi/2, which makes fast phase
-    transitions through lightly damped resonances unambiguous.
+    The unwrapped phase is the root sum sum_i arg(jw - z_i) - sum_i
+    arg(jw - p_i) over the zeros and poles, shifted by whole turns to
+    equal the principal angle at w_ref.  It is returned as the principal
+    angle of tf(jw) plus the whole turns the root sum calls for, so roots
+    perturbed by rounding (a repeated root splits by eps^(1/m)) choose
+    the turn but do not move the value.
     """
-    d = float(np.angle(h2 / h1))
-    if abs(d) <= np.pi / 2 or depth >= 48:
-        return d
-    wm = np.sqrt(w1 * w2) if w1 > 0 else 0.5 * (w1 + w2)
-    hm = tf(1j * wm)
-    return _phase_increment(tf, w1, wm, h1, hm, depth + 1) + _phase_increment(
-        tf, wm, w2, hm, h2, depth + 1
-    )
+    w = np.append(np.asarray(w, dtype=float), w_ref)
+    principal = np.angle(tf(1j * w))
+    root_sum = np.zeros_like(w)
+    jw = 1j * w[:, None]
+    for p, sign in ((tf.num, 1.0), (tf.den, -1.0)):
+        if p.degree >= 1:
+            z = roots(p)
+            # jw - z crosses the negative real axis when Re z > 0: measure
+            # those as arg(z - jw), which is continuous there and off by pi
+            args = np.where(z.real > 0.0, np.angle(z - jw), np.angle(jw - z))
+            root_sum += sign * np.sum(args, axis=1)
+    unwrapped = root_sum - root_sum[-1] + principal[-1]
+    turns = np.round((unwrapped - principal) / (2.0 * np.pi))
+    return np.degrees(principal + 2.0 * np.pi * turns)[:-1]
 
 
 def frequency_response(tf: RationalTF, freqs_hz) -> FrequencyResponse:
     """Sample magnitude [dB] and unwrapped phase [deg] at given frequencies.
 
-    Phase starts from the principal angle at the first grid point and
-    accumulates adaptive-bisection increments, so it never jumps by 360
+    The phase is principal at the first grid point and follows the root
+    sum of ``tf``'s zeros and poles from there, so it never jumps by 360
     between neighboring grid points regardless of grid density.
+    Coherence is 1 throughout.
 
     Raises
     ------
@@ -320,15 +340,7 @@ def frequency_response(tf: RationalTF, freqs_hz) -> FrequencyResponse:
     if np.any(freqs < 0) or np.any(np.diff(freqs) <= 0):
         raise ValueError("frequencies must be nonnegative and strictly ascending")
     w = 2.0 * np.pi * freqs
-    h = tf(1j * w)
-    mags = np.abs(h)
     with np.errstate(divide="ignore"):
-        mag_db = 20.0 * np.log10(mags)
-    # Principal increments are exact wherever |step| <= pi/2; only the
-    # rest need bisection.  Accumulate sequentially so grid refinement
-    # never flips a 360-degree branch.
-    d = np.angle(h[1:] / h[:-1]) if len(h) > 1 else np.zeros(0)
-    for i in np.nonzero(np.abs(d) > np.pi / 2)[0]:
-        d[i] = _phase_increment(tf, w[i], w[i + 1], h[i], h[i + 1])
-    phase = np.cumsum(np.concatenate([[np.angle(h[0])], d]))
-    return FrequencyResponse(freqs, mag_db, np.degrees(phase))
+        mag_db = 20.0 * np.log10(np.abs(tf(1j * w)))
+    phase = _unwrapped_phase(tf, w, w[0])
+    return FrequencyResponse(freqs, mag_db, phase, np.ones_like(freqs))

@@ -226,6 +226,17 @@ def test_negative_noise_seed_fails_before_the_run(tmp_path, capsys):
     assert "seed >= 0" in capsys.readouterr().err
 
 
+def test_negative_cli_seed_fails_before_any_output(tmp_path, capsys):
+    # reproduce used to write all of fig6 first, and fig6 alone (no
+    # noise) used to run to the end and exit 0
+    out = tmp_path / "out"
+    assert main(["reproduce", "--seed", "-1", "--out", str(out)]) == 2
+    assert not (out / "fig6").exists()
+    assert main(["sim", "fig6", "--seed", "-1", "--out", str(out)]) == 2
+    assert not (out / "fig6").exists()
+    assert capsys.readouterr().err.count("error: white_noise requires a seed >= 0") == 2
+
+
 def test_controller_parse_errors():
     with pytest.raises(ConfigError, match="controller"):
         parse_config({"scenarios": {"a": {"controller": "lqg"}}})

@@ -7,14 +7,13 @@ import pytest
 from scipy import signal as sig
 
 from seakit import (
-    FrfEstimate,
+    FrequencyResponse,
     ProjectConfig,
     RationalTF,
     bandwidth_3db,
     build_plant,
     default_params,
     estimate_frf,
-    frequency_response,
     frf_to_csv,
     h2_synthesize,
     loop_margins,
@@ -46,21 +45,6 @@ def test_segment_length_rule():
     assert _segment_length(4607) == 512
     with pytest.raises(ValueError):
         _segment_length(35)
-
-
-def test_frf_estimate_validation():
-    f = np.array([1.0, 2.0])
-    good = dict(
-        freqs_hz=f,
-        magnitude_db=np.zeros(2),
-        phase_deg=np.zeros(2),
-        coherence=np.ones(2),
-    )
-    FrfEstimate(**good)
-    with pytest.raises(ValueError):
-        FrfEstimate(**{**good, "magnitude_db": np.zeros(3)})
-    with pytest.raises(ValueError):
-        FrfEstimate(**{**good, "coherence": np.array([0.5, 1.5])})
 
 
 def test_estimate_frf_recovers_known_response():
@@ -155,7 +139,7 @@ def test_loop_margins_without_crossings():
 
 def test_frf_to_csv_round_trip(tmp_path):
     freqs = np.logspace(0, 1, 7)
-    est = FrfEstimate(
+    est = FrequencyResponse(
         freqs_hz=freqs,
         magnitude_db=-3.0 * np.arange(7.0),
         phase_deg=-15.0 * np.arange(7.0),
@@ -199,10 +183,13 @@ def test_welch_spectra_match_scipy():
 
 
 # The oracle for the closed-form metrics: a 100001-point log sweep over
-# 1e-3 .. 1e4 Hz, read by linear interpolation in log frequency.
+# 1e-3 .. 1e4 Hz, read by linear interpolation in log frequency.  Its
+# phase is numpy's unwrap of the principal angle (steps below 1 deg on
+# every case), not the root sum that phase_at and loop_margins share.
 def _sweep(tf):
-    r = frequency_response(tf, np.logspace(-3.0, 4.0, 100001))
-    return r.freqs_hz, r.magnitude_db, r.phase_deg
+    freqs = np.logspace(-3.0, 4.0, 100001)
+    h = tf(2j * np.pi * freqs)
+    return freqs, 20.0 * np.log10(np.abs(h)), np.degrees(np.unwrap(np.angle(h)))
 
 
 def _swept_bandwidth(tf):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seakit import (
+    FrequencyResponse,
     NumericsError,
     Polynomial,
     RationalTF,
@@ -188,18 +189,39 @@ def test_frequency_response_values_and_unwrap():
     assert np.all(np.diff(fr.phase_deg) < 1.0)
 
 
-def test_frequency_response_phase_is_sequential_sum():
-    """The phase is the running sum of the per-step increments, in order."""
-    from seakit.transfer import _phase_increment
+def test_frequency_response_phase_follows_a_dense_unwrap():
+    """The phase matches numpy's unwrap on a dense grid at every point,
+    also where one grid step crosses a resonance."""
+    pair = [1.0, 0.02, 100.0]  # 10 rad/s at zeta = 1e-3
+    dense = np.linspace(0.0, 5.0, 120001)
+    cases = [
+        (tf([1.0, 0.5], pair), np.arange(0, 120001, 400)),  # 301 points
+        # a real pole on top: the step from 1 to 2 Hz falls by about 199 deg
+        (tf([1000.0], np.polymul(pair, [1.0, 10.0])), [0, 24000, 48000, 120000]),
+    ]
+    for g, at in cases:
+        fr = frequency_response(g, dense[at])
+        ref = np.degrees(np.unwrap(np.angle(g(2j * np.pi * dense))))[at]
+        np.testing.assert_allclose(fr.phase_deg, ref, rtol=0.0, atol=1e-9)
+        assert fr.phase_deg[-1] < -80.0  # crossed the resonance, no wrap
+    # the coarse step falls past 180 deg: no unwrap of its own points finds it
+    assert np.diff(fr.phase_deg)[1] < -180.0
 
-    # lightly damped pair: the step across it needs bisection
-    g = tf([1.0, 0.5], [1.0, 0.02, 100.0])
-    f = np.linspace(0.0, 5.0, 301)
-    fr = frequency_response(g, f)
-    w = 2.0 * np.pi * f
-    h = g.num(1j * w) / g.den(1j * w)
-    ref = [np.angle(h[0])]
-    for k in range(1, len(w)):
-        ref.append(ref[-1] + _phase_increment(g, w[k - 1], w[k], h[k - 1], h[k]))
-    np.testing.assert_array_equal(fr.phase_deg, np.degrees(ref))
-    assert fr.phase_deg[-1] < -80.0  # crossed the resonance, no wrap
+
+def test_frequency_response_validation():
+    good = dict(
+        freqs_hz=np.array([1.0, 2.0]),
+        magnitude_db=np.zeros(2),
+        phase_deg=np.zeros(2),
+        coherence=np.ones(2),
+    )
+    FrequencyResponse(**good)
+    with pytest.raises(ValueError, match="lengths"):
+        FrequencyResponse(**{**good, "magnitude_db": np.zeros(3)})
+    with pytest.raises(ValueError, match="ascending"):
+        FrequencyResponse(**{**good, "freqs_hz": np.array([2.0, 1.0])})
+    with pytest.raises(ValueError, match="coherence"):
+        FrequencyResponse(**{**good, "coherence": np.array([0.5, 1.5])})
+    # a model's response has coherence 1 throughout
+    fr = frequency_response(tf([1.0], [1.0, 1.0]), [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(fr.coherence, np.ones(3))
