@@ -32,13 +32,7 @@ from .identify import loop_margins
 from .plant import build_plant
 from .polynomials import format_poly, roots
 from .presets import PRESET_NAMES, _reseed, run_preset, run_reproduce
-from .simulation import (
-    ImpedanceScenario,
-    SignalSpec,
-    simulate_impedance,
-    simulate_torque_loop,
-    trace_to_csv,
-)
+from .simulation import SignalSpec, simulate_torque_loop, trace_to_csv
 from .svgplot import Curve, plot_lines
 from .synthesis import build_compensator, h2_synthesize
 from .transfer import RationalTF, poles, zeros
@@ -53,9 +47,13 @@ EXIT_IO = 5
 
 
 def _load(args) -> ProjectConfig:
-    if args.config:
-        return load_config(args.config)
-    return ProjectConfig()
+    if not args.config:
+        return ProjectConfig()
+    cfg = load_config(args.config)
+    for name in PRESET_NAMES:
+        if name in cfg.scenarios:  # sim NAME runs the preset
+            raise ConfigError(f"config.scenarios.{name} is named after a preset")
+    return cfg
 
 
 def _out_dir(args, cfg: ProjectConfig) -> str:
@@ -178,8 +176,7 @@ def cmd_sim(args) -> int:
     model = build_plant(cfg.plant)
     ctrl = h2_synthesize(model.P, cfg.weights)
     sc = _reseed(cfg.scenarios[name].materialize(model, ctrl), args.seed)
-    impedance = isinstance(sc, ImpedanceScenario)
-    trace = simulate_impedance(sc) if impedance else simulate_torque_loop(sc)
+    trace = simulate_torque_loop(sc)
     csv_path = os.path.join(out, f"trace_{name}.csv")
     trace_to_csv(trace, csv_path)
     plot_lines(

@@ -4,7 +4,10 @@ Configs describe the plant parameters, synthesis weights, and named
 scenarios; they never contain computed results.  Parsing is strict:
 unknown keys anywhere are an error, because a typo in a physics
 parameter that silently falls back to a default is the worst possible
-failure mode for a reproduction toolkit.  A scenario is checked when
+failure mode for a reproduction toolkit.  A named scenario is a
+ScenarioDef: the fields of the one simulator scenario type,
+TorqueLoopScenario, but its plant, load and controller instance.  Its
+JSON "type" is "impedance" exactly when it sets i_d.  It is checked when
 it loads, by the simulator's own model-free checks (step, duration,
 velocity limit, and i_d for an impedance scenario), and the error names
 the field: config.scenarios.<name>.<field>.
@@ -36,7 +39,6 @@ import numpy as np
 
 from .plant import SeaParams, default_params
 from .simulation import (
-    ImpedanceScenario,
     PiController,
     SignalSpec,
     TorqueLoopScenario,
@@ -139,9 +141,7 @@ def _parse_signal(d, ctx: str) -> SignalSpec:
     for name in _SIGNAL_FIELDS[kind]:
         if name not in d:
             continue
-        if name == "seed":
-            if not isinstance(d[name], int) or isinstance(d[name], bool):
-                raise ConfigError(f"{ctx}.seed must be an integer")
+        if name == "seed":  # SignalSpec checks that it is an integer
             kw[name] = d[name]
         elif name == "breakpoints":
             pairs = d[name]
@@ -160,7 +160,6 @@ def _parse_signal(d, ctx: str) -> SignalSpec:
 
 
 _PI_KEYS = _names(PiController)
-_SCENARIO_KINDS = ("torque_loop", "impedance")  # the JSON "type" of a scenario
 
 
 def _parse_controller(raw, ctx: str):
@@ -179,18 +178,17 @@ def _parse_controller(raw, ctx: str):
 
 @dataclass(frozen=True)
 class ScenarioDef:
-    """Declarative scenario: everything but the plant and the controller
-    instance, which are materialized from the config at run time.
+    """Declarative scenario: a TorqueLoopScenario but the plant, the load
+    and the controller instance, which are materialized from the config at
+    run time.
 
     controller is the string "two_dof" (use the synthesized pair) or a
-    PiController.  kind is "torque_loop" or "impedance"; an impedance
-    scenario additionally uses phi_ref and i_d, which must then be
-    positive, and a torque loop keeps i_d at 0.  Construction runs the
-    simulator's model-free checks, so a bad field fails when the config
-    loads.
+    PiController.  A scenario with i_d set is an impedance scenario (the
+    JSON type "impedance"), and i_d must then be positive.  Construction
+    runs the simulator's model-free checks, so a bad field fails when the
+    config loads.
     """
 
-    kind: str = "torque_loop"
     controller: object = "two_dof"
     reference: SignalSpec = field(default_factory=SignalSpec.zero)
     disturbance: SignalSpec = field(default_factory=SignalSpec.zero)
@@ -201,38 +199,26 @@ class ScenarioDef:
     saturation_rad_s: float = 50.0
     dt_s: float = 1e-4
     duration_s: float = 10.0
-    i_d: float = 0.0
+    i_d: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _SCENARIO_KINDS:
-            raise ValueError(
-                f"kind must be 'torque_loop' or 'impedance', not {self.kind!r}"
-            )
         _check_timing(self.dt_s, self.duration_s, self.saturation_rad_s)
-        if self.kind == "impedance":
+        if self.i_d is not None:
             _check_i_d(self.i_d)
-        elif self.i_d != 0.0:
-            raise ValueError("i_d applies only to an impedance scenario")
 
-    def materialize(self, model, two_dof: TwoDofController):
+    def materialize(self, model, two_dof: TwoDofController) -> TorqueLoopScenario:
         """Bind to a plant and controller, yielding a runnable scenario."""
-        kw = {name: getattr(self, name) for name in _TORQUE_FIELDS}
+        kw = {name: getattr(self, name) for name in _SCENARIO_FIELDS}
         if self.controller == "two_dof":
             kw["controller"] = two_dof
-        ts = TorqueLoopScenario(model=model, **kw)
-        if self.kind == "impedance":
-            return ImpedanceScenario(
-                ts, **{name: getattr(self, name) for name in _IMPEDANCE_FIELDS}
-            )
-        return ts
+        return TorqueLoopScenario(model=model, **kw)
 
 
-# A ScenarioDef holds the fields of both scenario classes but the plant
-# and the inner torque scenario; its kind is the JSON key "type", and the
-# JSON keys follow the field order.
-_TORQUE_FIELDS = _names(TorqueLoopScenario, "model")
-_IMPEDANCE_FIELDS = _names(ImpedanceScenario, "torque_scenario")
-_SCENARIO_FIELDS = _names(ScenarioDef, "kind")
+# A ScenarioDef holds the fields of a TorqueLoopScenario but the plant and
+# the load; the JSON key "type" says whether it has an i_d, and the JSON
+# keys follow the field order.
+_SCENARIO_FIELDS = _names(ScenarioDef)
+_IMPEDANCE_FIELDS = ("i_d", "phi_ref")
 _SCENARIO_DEFAULTS = ScenarioDef()
 
 
@@ -241,13 +227,15 @@ def _parse_scenario(d, ctx: str) -> ScenarioDef:
         raise ConfigError(f"{ctx} must be an object")
     _check_keys(d, {"type", *_SCENARIO_FIELDS}, ctx)
     kind = d.get("type", "torque_loop")
-    if kind not in _SCENARIO_KINDS:
+    if kind not in ("torque_loop", "impedance"):
         raise ConfigError(f"{ctx}.type must be 'torque_loop' or 'impedance'")
     if kind == "torque_loop" and any(name in d for name in _IMPEDANCE_FIELDS):
         raise ConfigError(
             f"{ctx}: {'/'.join(_IMPEDANCE_FIELDS)} only apply to impedance scenarios"
         )
-    kw = {"kind": kind}
+    if kind == "impedance" and "i_d" not in d:
+        raise ConfigError(f"{ctx}.i_d is required for an impedance scenario")
+    kw = {}
     for name in _SCENARIO_FIELDS:
         if name not in d:
             continue

@@ -4,7 +4,9 @@ Each preset pins one published experiment's scenario constants in a
 single place and knows how to run itself, write its artifacts (CSV
 traces, FRF tables, SVG plots), and score itself against the acceptance
 tolerances.  The reproduce driver runs all of them and emits a summary
-table; any failed check makes the overall run fail.
+table; any failed check makes the overall run fail.  Every simulation
+is one TorqueLoopScenario run by simulate_torque_loop: fig6 sets the
+virtual stiffness i_d, and fig11 sets i_d and a released load.
 
 Scale note: the quantitative checks compare simulation against the
 toolkit's own frequency-domain predictions (self-consistency).  Hardware
@@ -26,15 +28,12 @@ from .config import ProjectConfig, write_csv
 from .identify import bandwidth_3db, estimate_frf, frf_to_csv, phase_at
 from .plant import build_plant
 from .simulation import (
-    ImpedanceScenario,
     LoadModel,
     PiController,
     SignalSpec,
     TorqueLoopScenario,
     peak_envelope,
     rms_error,
-    simulate_free_response,
-    simulate_impedance,
     simulate_torque_loop,
     trace_to_csv,
 )
@@ -78,17 +77,16 @@ def _design(cfg: ProjectConfig):
 def _reseed(obj, seed: int | None):
     """obj with every white-noise seed replaced; everything else is kept.
 
-    obj is a SignalSpec or a scenario; a scenario's signals, and those of
-    its inner torque scenario, are reseeded field by field.
+    obj is a SignalSpec or a scenario, whose signals are reseeded field
+    by field.
     """
     if seed is None:
         return obj
     if isinstance(obj, SignalSpec):
         return replace(obj, seed=seed) if obj.kind == "white_noise" else obj
-    slots = (SignalSpec, TorqueLoopScenario)
     return replace(obj, **{
         f.name: _reseed(getattr(obj, f.name), seed)
-        for f in fields(obj) if isinstance(getattr(obj, f.name), slots)
+        for f in fields(obj) if isinstance(getattr(obj, f.name), SignalSpec)
     })
 
 
@@ -105,18 +103,16 @@ def run_fig6(cfg: ProjectConfig, out_dir: str, seed: int | None = None):
     curves = []
     for frac in _IMPEDANCE_FRACTIONS:
         i_d = frac * cfg.plant.k_s
-        sc = ImpedanceScenario(
-            torque_scenario=TorqueLoopScenario(
-                model=model,
-                controller=ctrl,
-                handle_motion=SignalSpec.sine(_HANDLE_AMP_RAD, _SINE_HZ),
-                compensator_on=True,
-                dt_s=1e-4,
-                duration_s=6.0,
-            ),
+        sc = TorqueLoopScenario(
+            model=model,
+            controller=ctrl,
+            handle_motion=SignalSpec.sine(_HANDLE_AMP_RAD, _SINE_HZ),
+            compensator_on=True,
+            dt_s=1e-4,
+            duration_s=6.0,
             i_d=i_d,
         )
-        trace = simulate_impedance(sc)
+        trace = simulate_torque_loop(sc)
         tag = f"id_{frac:.1f}ks"
         trace_to_csv(trace, os.path.join(out_dir, f"trace_{tag}.csv"))
         rel = rms_error(trace, from_t=2.0) / _rms(trace.channel("r"), trace.t, 2.0)
@@ -313,19 +309,18 @@ def run_fig11(cfg: ProjectConfig, out_dir: str, seed: int | None = None):
     The load is displaced 1 rad and released; the oscillation peaks must
     decay monotonically."""
     model, ctrl = _design(cfg)
-    sc = ImpedanceScenario(
-        torque_scenario=TorqueLoopScenario(
-            model=model,
-            controller=ctrl,
-            compensator_on=True,
-            dt_s=1e-4,
-            # the rendered spring against the default load swings at
-            # ~0.35 Hz; 12 s covers four decaying peaks
-            duration_s=12.0,
-        ),
+    sc = TorqueLoopScenario(
+        model=model,
+        controller=ctrl,
+        compensator_on=True,
+        dt_s=1e-4,
+        # the rendered spring against the default load swings at
+        # ~0.35 Hz; 12 s covers four decaying peaks
+        duration_s=12.0,
         i_d=cfg.plant.k_s,
+        load=LoadModel(phi0=1.0),
     )
-    trace = simulate_free_response(sc, LoadModel(), phi0=1.0)
+    trace = simulate_torque_loop(sc)
     trace_to_csv(trace, os.path.join(out_dir, "trace_free.csv"))
     t_pk, v_pk = peak_envelope(trace, "phi_L")
     decaying = len(v_pk) >= 3 and bool(np.all(np.diff(v_pk) < 0.0))

@@ -1,16 +1,19 @@
-"""Deterministic fixed-step simulation of the closed torque and impedance loops.
+"""Deterministic fixed-step simulation of the closed torque loop.
 
-The interconnection integrated here is the one the controller is designed
-for: u = C1 r - C2 (tau_L + n), the motor velocity command is saturated,
-omega_d = clamp(u + d, +-sat), the plant responds with tau_L through P
-(from omega_d) plus G (from load motion phi_L), and in impedance mode the
-torque reference is tau_d = I_d (phi_ref - phi_L), optionally corrected by
-the load-motion compensator C_L.
+One scenario type, TorqueLoopScenario, and one entry point,
+simulate_torque_loop.  The interconnection integrated is the one the
+controller is designed for: u = C1 r - C2 (tau_L + n), the motor
+velocity command is saturated, omega_d = clamp(u + d, +-sat), and the
+plant responds with tau_L through P (from omega_d) plus G (from load
+motion phi_L).  A scenario with i_d set is in impedance mode: the torque
+reference is the virtual spring tau_d = i_d (phi_ref - phi_L), optionally
+corrected by the load-motion compensator C_L, and phi_L is the handle
+motion or, with a load set, the state of that load.
 
 The linear blocks are assembled once, by _assemble, into a single
 state-space system over the inputs [r, d, n, phi_L]: 6 states for the
 2-DOF loop, 4 for PI, 12 with C_L, 14 with the load too.  The virtual
-spring is one more row of that system, and tau_L, u, phi_L and the
+spring and the load are rows of that system, and tau_L, u, phi_L and the
 recorded reference all come out of one product over [x, v].
 The saturation is the only nonlinearity, applied to the scalar
 velocity command at every stage of a fixed-step classical Runge-Kutta
@@ -57,14 +60,11 @@ __all__ = [
     "generate",
     "PiController",
     "TorqueLoopScenario",
-    "ImpedanceScenario",
     "LoadModel",
     "SimStats",
     "SimTrace",
     "TRACE_CHANNELS",
     "simulate_torque_loop",
-    "simulate_impedance",
-    "simulate_free_response",
     "rms_error",
     "peak_envelope",
     "fit_sine",
@@ -126,7 +126,10 @@ class SignalSpec:
         if self.kind == "white_noise":
             if self.variance < 0.0:
                 raise ValueError("white_noise requires variance >= 0")
-            if self.seed is None or self.seed < 0:
+            seed = self.seed
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+                raise ValueError(f"seed must be an integer, not {seed!r}")
+            if seed < 0:
                 raise ValueError("white_noise requires a seed >= 0")
         if self.kind == "step" and self.start_s < 0.0:
             raise ValueError("step requires start_s >= 0")
@@ -176,7 +179,7 @@ class SignalSpec:
 
     @classmethod
     def white_noise(cls, variance: float, seed: int) -> "SignalSpec":
-        return cls(kind="white_noise", variance=float(variance), seed=int(seed))
+        return cls(kind="white_noise", variance=float(variance), seed=seed)
 
     @classmethod
     def piecewise_linear(
@@ -266,18 +269,22 @@ class PiController:
 class LoadModel:
     """Inertia-damper load driven by the delivered torque.
 
-    J_L phidd + b_L phid = tau_L.  Desk-scale defaults; the free-response
-    acceptance on this model is qualitative (decay), never numeric.
+    J_L phidd + b_L phid = tau_L, released at rest from the angle phi0 in
+    rad.  Desk-scale defaults; the free-response acceptance on this model
+    is qualitative (decay), never numeric.
     """
 
     j_l: float = 0.01
     b_l: float = 0.005
+    phi0: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.j_l) and self.j_l > 0.0):
             raise ValueError("j_l must be finite and positive")
         if not (math.isfinite(self.b_l) and self.b_l >= 0.0):
             raise ValueError("b_l must be finite and nonnegative")
+        if not math.isfinite(self.phi0):
+            raise ValueError("phi0 must be finite")
 
 
 # The model-free checks of a scenario.  config.ScenarioDef runs them too,
@@ -302,12 +309,18 @@ def _check_i_d(i_d: float) -> None:
 
 @dataclass(frozen=True)
 class TorqueLoopScenario:
-    """Everything one torque-loop run needs.
+    """Everything one run of the loop needs.
 
     reference is the torque command r in Nm; disturbance d enters the
     motor velocity command in rad/s; noise n corrupts the torque
     measurement in Nm; handle_motion is the exogenous load angle phi_L in
     rad.  The velocity command is clamped to +-saturation_rad_s.
+
+    With i_d set (the virtual stiffness, > 0, in Nm/rad) the scenario is
+    in impedance mode: the torque reference is tau_d = i_d (phi_ref -
+    phi_L) and reference must stay zero.  With a load as well, phi_L is
+    the angle of that load, released from load.phi0, and handle_motion
+    must stay zero.  phi_ref and load apply only with i_d set.
     """
 
     model: SeaModel
@@ -316,38 +329,33 @@ class TorqueLoopScenario:
     disturbance: SignalSpec = field(default_factory=SignalSpec.zero)
     noise: SignalSpec = field(default_factory=SignalSpec.zero)
     handle_motion: SignalSpec = field(default_factory=SignalSpec.zero)
+    phi_ref: SignalSpec = field(default_factory=SignalSpec.zero)
     compensator_on: bool = False
     saturation_rad_s: float = 50.0
     dt_s: float = 1e-4
     duration_s: float = 10.0
+    i_d: float | None = None
+    load: LoadModel | None = None
 
     def __post_init__(self):
         _check_timing(self.dt_s, self.duration_s, self.saturation_rad_s)
         c1, c2 = _controller_pair(self.controller)
         if c1.den != c2.den:
             raise ValueError("controller: C1 and C2 must share one denominator")
-
-
-@dataclass(frozen=True)
-class ImpedanceScenario:
-    """Virtual spring closed around the torque loop.
-
-    The torque reference becomes tau_d = i_d (phi_ref - phi_L), with the
-    virtual stiffness i_d > 0 in Nm/rad; the inner torque scenario
-    supplies everything else and must leave its own reference at zero.
-    """
-
-    torque_scenario: TorqueLoopScenario
-    i_d: float
-    phi_ref: SignalSpec = field(default_factory=SignalSpec.zero)
-
-    def __post_init__(self):
+        if self.i_d is None:
+            if self.phi_ref.kind != "zero":
+                raise ValueError("phi_ref applies only with i_d set")
+            if self.load is not None:
+                raise ValueError("load applies only with i_d set")
+            return
         _check_i_d(self.i_d)
-        if self.torque_scenario.reference.kind != "zero":
+        if self.reference.kind != "zero":
             raise ValueError(
-                "impedance mode derives the torque reference from "
-                "i_d (phi_ref - phi_L); set the inner reference to zero"
+                "reference must be zero: impedance mode derives the torque "
+                "reference from i_d (phi_ref - phi_L)"
             )
+        if self.load is not None and self.handle_motion.kind != "zero":
+            raise ValueError("handle_motion must be zero: the load simulates phi_L")
 
 
 TRACE_CHANNELS = (
@@ -446,9 +454,7 @@ class _LoopSystem:
     out_v: np.ndarray
 
 
-def _assemble(
-    sc: TorqueLoopScenario, i_d: float | None, load: LoadModel | None
-) -> _LoopSystem:
+def _assemble(sc: TorqueLoopScenario) -> _LoopSystem:
     """Build the loop u = C1 re - C2 (tau_L + n) as one state-space system.
 
     The plant pair is one observable canonical block over den(P) =
@@ -460,7 +466,7 @@ def _assemble(
     state layout is plant pair, controller, [C_L], [phi_L, phi_L'].
     Every scalar signal of the loop is built as a row over [x, v].
     """
-    model = sc.model
+    model, i_d, load = sc.model, sc.i_d, sc.load
     c1, c2 = _controller_pair(sc.controller)
     pg = to_state_space(model.P, model.G * RationalTF([1.0, 0.0], [1.0, 0.0]))
     ctl = to_state_space(c1, -c2)
@@ -793,36 +799,42 @@ def _step_inputs(spec: SignalSpec, dt_s: float, nsteps: int):
     return s[0:-1:2], s[1::2], s[2::2], s[0::2]
 
 
-def _simulate(
-    sc: TorqueLoopScenario | ImpedanceScenario,
-    load: LoadModel | None = None,
-    phi0: float = 0.0,
-) -> SimTrace:
-    """Shared integrator behind the three simulate_* entry points.
+def simulate_torque_loop(sc: TorqueLoopScenario) -> SimTrace:
+    """Integrate the closed loop of one scenario.
 
-    The R input is the scenario reference for a torque-loop scenario and
-    phi_ref for an impedance scenario, whose loop closes the virtual
-    spring itself.  With a load model, phi_L is the load state, starting
-    at rest at phi0, and the handle_motion input drives nothing.
+    The loop is u = C1 r - C2 (tau_L + n) for a 2-DOF controller, or
+    u = C (r - tau_L - n) for a PI controller run as C1 = C2 = C; the
+    motor command omega_d = clamp(u + d) drives P while phi_L drives G.
+    With compensator_on, C_L phi_L is subtracted from the reference
+    before C1.  In impedance mode (i_d set) the R input is phi_ref, the
+    loop forms tau_d = i_d (phi_ref - phi_L) from the same samples of
+    phi_L that drive the plant, and the recorded r channel is tau_d;
+    otherwise r is the scenario reference.  With a load, phi_L is the
+    load state, starting at rest at load.phi0.  e = r - tau_L.
+
+    Raises
+    ------
+    NumericsError
+        On divergence, with the first non-finite sample index.
+    ValueError
+        If any block is improper (not realizable), or dt_s is too large
+        for RK4 on a decaying mode of the unclamped loop.
     """
-    if isinstance(sc, ImpedanceScenario):
-        ts, i_d, r_spec = sc.torque_scenario, sc.i_d, sc.phi_ref
-    else:
-        ts, i_d, r_spec = sc, None, sc.reference
-    dt = ts.dt_s
-    nsteps = int(round(ts.duration_s / dt))
-    loop = _assemble(ts, i_d, load)
+    dt = sc.dt_s
+    nsteps = int(round(sc.duration_s / dt))
+    loop = _assemble(sc)
     a = loop.A + np.outer(loop.b_w, loop.c_u)  # the loop with the clamp inactive
     _check_step(a, dt)
 
+    r_spec = sc.reference if sc.i_d is None else sc.phi_ref
     ins = [
         _step_inputs(spec, dt, nsteps)
-        for spec in (r_spec, ts.disturbance, ts.noise, ts.handle_motion)
+        for spec in (r_spec, sc.disturbance, sc.noise, sc.handle_motion)
     ]
     w0, wh, w1, samples = (np.column_stack([s[j] for s in ins]) for j in range(4))
 
-    x0 = phi0 * loop.out_x[2]
-    sat = ts.saturation_rad_s
+    x0 = (sc.load.phi0 if sc.load is not None else 0.0) * loop.out_x[2]
+    sat = sc.saturation_rad_s
     xs, counts = _integrate(loop, a, x0, w0, wh, w1, dt, sat)
     tau, u, phi, r = loop.out_x @ xs.T + loop.out_v @ samples.T
 
@@ -852,61 +864,6 @@ def _simulate(
         "e": r - tau,
     }
     return SimTrace(dt_s=dt, channels=rec, stats=stats)
-
-
-def simulate_torque_loop(sc: TorqueLoopScenario) -> SimTrace:
-    """Integrate the closed torque loop for one scenario.
-
-    The loop is u = C1 r - C2 (tau_L + n) for a 2-DOF controller, or
-    u = C (r - tau_L - n) for a PI controller run as C1 = C2 = C; the
-    motor command omega_d = clamp(u + d) drives P while handle motion
-    drives G.  With compensator_on, C_L phi_L is subtracted from the
-    reference before C1.  The recorded r channel is the external
-    reference; e = r - tau_L.
-
-    Raises
-    ------
-    NumericsError
-        On divergence, with the first non-finite sample index.
-    ValueError
-        If any block is improper (not realizable), or dt_s is too large
-        for RK4 on a decaying mode of the unclamped loop.
-    """
-    return _simulate(sc)
-
-
-def simulate_impedance(sc: ImpedanceScenario) -> SimTrace:
-    """Torque loop with the reference generated by a virtual spring.
-
-    tau_d = i_d (phi_ref - phi_L), formed inside the loop from the same
-    samples of phi_ref and of the inner scenario's handle_motion (phi_L,
-    exogenous) that drive the plant.  The trace r channel records tau_d.
-    Raises as simulate_torque_loop does.
-    """
-    return _simulate(sc)
-
-
-def simulate_free_response(
-    sc: ImpedanceScenario, load: LoadModel, phi0: float
-) -> SimTrace:
-    """Impedance loop with phi_L produced by a simulated load.
-
-    The load obeys J_L phidd + b_L phid = tau_L from initial angle phi0
-    at rest, and the virtual spring tau_d = i_d (phi_ref - phi_L) pulls
-    it back toward phi_ref.
-
-    Raises
-    ------
-    ValueError
-        If phi0 is not finite, or the inner scenario supplies exogenous
-        handle motion (phi_L is a state here); otherwise as
-        simulate_torque_loop does.
-    """
-    if not math.isfinite(phi0):
-        raise ValueError("phi0 must be finite")
-    if sc.torque_scenario.handle_motion.kind != "zero":
-        raise ValueError("free response simulates phi_L; handle_motion must be zero")
-    return _simulate(sc, load, phi0)
 
 
 def rms_error(trace: SimTrace, from_t: float = 0.0) -> float:

@@ -508,7 +508,7 @@ def build_compensator(model: SeaModel, ctrl) -> RationalTF:
     """
     _, c2 = _controller_pair(ctrl)
     cl = _motion_map(model, c2)
-    if not is_stable(cl):
+    if not is_hurwitz(cl.den):  # cl is minimal already
         raise NumericsError("closed torque loop is unstable; no compensator")
     return cl
 
@@ -542,7 +542,7 @@ def torque_loop_maps(
         RationalTF(model.P.num * c1.num * c2.den, c1.den * char)
     )
     g2 = _motion_map(model, c2)
-    if not is_stable(g1) or not is_stable(g2):
+    if not is_hurwitz(g1.den) or not is_hurwitz(g2.den):  # both minimal
         raise NumericsError("closed torque loop is unstable")
     h_phi = (1.0 - g1) * g2 if with_compensator else g2
     return g1, h_phi

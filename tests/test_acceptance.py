@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from seakit import (
-    ImpedanceScenario,
     LoadModel,
     NumericsError,
     PiController,
@@ -45,8 +44,6 @@ from seakit import (
     roots,
     run_preset,
     run_reproduce,
-    simulate_free_response,
-    simulate_impedance,
     simulate_torque_loop,
     torque_loop_maps,
 )
@@ -397,14 +394,12 @@ def test_criterion_10_frf_fidelity(model, ctrl, maps, criterion_report):
 
 
 def test_criterion_11_free_response_decay(model, ctrl, criterion_report):
-    sc = ImpedanceScenario(
-        torque_scenario=TorqueLoopScenario(
-            model=model, controller=ctrl, dt_s=2e-4, duration_s=12.0
-        ),
-        i_d=default_params().k_s,
+    sc = TorqueLoopScenario(
+        model=model, controller=ctrl, dt_s=2e-4, duration_s=12.0,
+        i_d=default_params().k_s, load=LoadModel(phi0=1.0),
     )
     t0 = time.perf_counter()
-    trace = simulate_free_response(sc, LoadModel(), phi0=1.0)
+    trace = simulate_torque_loop(sc)
     wall = time.perf_counter() - t0
     _, vals = peak_envelope(trace, "phi_L")
     vals = vals[vals > 0.01]  # ignore numerical ripple near zero

@@ -10,7 +10,6 @@ import pytest
 
 from seakit import (
     ConfigError,
-    ImpedanceScenario,
     PiController,
     ProjectConfig,
     ScenarioDef,
@@ -95,7 +94,6 @@ def test_config_round_trip():
                 duration_s=3.0,
             ),
             "render": ScenarioDef(
-                kind="impedance",
                 controller=PiController(204.0, 111.0),
                 i_d=0.5,
                 handle_motion=SignalSpec.piecewise_linear([(0.0, 0.0), (1.0, 0.5)]),
@@ -193,21 +191,8 @@ def test_scenario_fields_checked_at_load():
         with pytest.raises(ConfigError) as err:
             parse_config({"scenarios": {"s": body}})
         assert str(err.value).startswith(f"config.scenarios.s.{field} ")
-    with pytest.raises(ValueError, match="i_d"):
-        ScenarioDef(kind="impedance")
-
-
-def test_scenario_def_rejects_unknown_kind():
-    # a misspelt kind used to materialize a torque loop
-    with pytest.raises(ValueError, match="^kind .*'impedence'"):
-        ScenarioDef(kind="impedence", i_d=0.5)
-
-
-def test_scenario_def_rejects_i_d_on_a_torque_loop():
-    # a torque loop has no virtual spring; its i_d used to be dropped
     with pytest.raises(ValueError, match="^i_d "):
-        ScenarioDef(kind="torque_loop", i_d=0.5)
-    ScenarioDef(kind="torque_loop", i_d=0.0)
+        ScenarioDef(i_d=0.0)
 
 
 def test_cli_rejects_impedance_scenario_without_i_d(tmp_path, capsys):
@@ -310,12 +295,12 @@ def test_bundle_round_trip(tmp_path, synth_pieces):
 
 
 def test_scenario_def_materializes_with_the_scenario_defaults(synth_pieces):
-    # ScenarioDef repeats the defaults of both scenario classes
+    # ScenarioDef repeats the defaults of the scenario class
     _, model, ctrl, _ = synth_pieces
     torque = TorqueLoopScenario(model=model, controller=ctrl)
     assert ScenarioDef().materialize(model, ctrl) == torque
-    assert ScenarioDef(kind="impedance", i_d=0.5).materialize(model, ctrl) == (
-        ImpedanceScenario(torque, i_d=0.5)
+    assert ScenarioDef(i_d=0.5).materialize(model, ctrl) == (
+        dataclasses.replace(torque, i_d=0.5)
     )
 
 
@@ -634,6 +619,16 @@ def test_cli_sim_unknown_scenario(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown scenario" in err
     assert "quick" in err and "fig10" in err
+
+
+def test_cli_rejects_a_scenario_named_after_a_preset(tmp_path, capsys):
+    # sim fig6 used to run the preset and exit 0, ignoring the scenario
+    cfg = _write_project(tmp_path, scenarios={"fig6": {"duration_s": 0.01,
+                                                       "dt_s": 1e-3}})
+    out = tmp_path / "out"
+    assert main(["sim", "fig6", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: config.scenarios.fig6 " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """The package namespace is the union of its modules' public names, it
-holds every name the benchmark reads, and importing it loads numpy alone."""
+holds every name the benchmark reads, importing it loads numpy alone, and
+the README's Python examples run against it."""
 
 import ast
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -69,3 +71,16 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_python_examples_run(capsys):
+    # the Quick start runs in order, one namespace for all its blocks, so
+    # an API change that leaves it stale fails here
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    assert len(blocks) >= 3
+    namespace = {}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
+    assert capsys.readouterr().out.count("\n") == len(blocks)

@@ -5,7 +5,6 @@ import pytest
 
 from seakit import simulation
 from seakit import (
-    ImpedanceScenario,
     LoadModel,
     NumericsError,
     PiController,
@@ -24,8 +23,6 @@ from seakit import (
     peak_envelope,
     rms_error,
     run_preset,
-    simulate_free_response,
-    simulate_impedance,
     simulate_torque_loop,
     torque_loop_maps,
     trace_to_csv,
@@ -127,6 +124,21 @@ def test_white_noise_seeding():
     assert abs(np.var(a) - 0.01) < 0.003
 
 
+def test_white_noise_seed_must_be_an_integer():
+    # a float seed used to construct, and the run then stopped on numpy's
+    # SeedSequence error, which names no field
+    for bad in (1.5, 2.0, True, "3"):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            SignalSpec(kind="white_noise", variance=1.0, seed=bad)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            SignalSpec.white_noise(1.0, bad)
+    a = generate(SignalSpec.white_noise(1.0, np.int64(4)), 1e-3, 0.1)
+    np.testing.assert_array_equal(
+        a, generate(SignalSpec.white_noise(1.0, 4), 1e-3, 0.1))
+    with pytest.raises(ValueError, match="white_noise requires a seed >= 0"):
+        SignalSpec.white_noise(1.0, np.int32(-1))
+
+
 def test_pi_controller_validation_and_pair():
     with pytest.raises(ValueError):
         PiController(-1.0, 2.0)
@@ -161,25 +173,22 @@ def test_scenario_validation(model, ctrl):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TorqueLoopScenario(model=model, controller=ctrl,
                                **{field: float("inf")})
-    inner = TorqueLoopScenario(model=model, controller=ctrl,
-                               reference=SignalSpec.constant(1.0))
-    with pytest.raises(ValueError):
-        ImpedanceScenario(torque_scenario=inner, i_d=10.0)
-    with pytest.raises(ValueError):
-        ImpedanceScenario(
-            torque_scenario=TorqueLoopScenario(model=model, controller=ctrl),
-            i_d=-1.0,
-        )
-    with pytest.raises(ValueError, match="finite"):
-        ImpedanceScenario(
-            torque_scenario=TorqueLoopScenario(model=model, controller=ctrl),
-            i_d=float("nan"),
-        )
-    with pytest.raises(ValueError, match="i_d"):
-        ImpedanceScenario(
-            torque_scenario=TorqueLoopScenario(model=model, controller=ctrl),
-            i_d=0.0,
-        )
+    loop = dict(model=model, controller=ctrl)
+    bad = [  # each message starts with the field it names
+        ("i_d", dict(i_d=-1.0)),
+        ("i_d", dict(i_d=float("nan"))),
+        ("i_d", dict(i_d=0.0)),
+        ("reference", dict(i_d=10.0, reference=SignalSpec.constant(1.0))),
+        ("phi_ref", dict(phi_ref=SignalSpec.constant(0.1))),
+        ("load", dict(load=LoadModel())),
+        ("handle_motion", dict(i_d=0.5, load=LoadModel(),
+                               handle_motion=SignalSpec.sine(0.1, 1.0))),
+    ]
+    for field, kwargs in bad:
+        with pytest.raises(ValueError, match=f"^{field} "):
+            TorqueLoopScenario(**loop, **kwargs)
+    TorqueLoopScenario(**loop, i_d=0.5, phi_ref=SignalSpec.constant(0.1),
+                       load=LoadModel(phi0=0.2))
 
 
 # ---------------------------------------------------------------- integrator
@@ -308,14 +317,14 @@ def test_assembled_state_counts(model, ctrl):
     """Plant pair (3), controller pair (order of p), [C_L], [load (2)]."""
     k_s = default_params().k_s
     cases = [
-        (dict(controller=ctrl), None, None, 6),
-        (dict(controller=PiController(204.0, 111.0)), None, None, 4),
-        (dict(controller=ctrl, compensator_on=True), None, None, 12),
-        (dict(controller=ctrl, compensator_on=True), k_s, LoadModel(), 14),
+        (dict(controller=ctrl), 6),
+        (dict(controller=PiController(204.0, 111.0)), 4),
+        (dict(controller=ctrl, compensator_on=True), 12),
+        (dict(controller=ctrl, compensator_on=True, i_d=k_s, load=LoadModel()), 14),
     ]
-    for kwargs, i_d, load, nx in cases:
+    for kwargs, nx in cases:
         sc = TorqueLoopScenario(model=model, **kwargs)
-        assert simulation._assemble(sc, i_d, load).A.shape == (nx, nx)
+        assert simulation._assemble(sc).A.shape == (nx, nx)
 
 
 def _stagewise_integrate(loop, a, x0, w0, wh, w1, h, sat, clamped=None):
@@ -347,7 +356,8 @@ def _stagewise_integrate(loop, a, x0, w0, wh, w1, h, sat, clamped=None):
 
 
 def _record_integrate(monkeypatch, integrate=None):
-    """Route _simulate through integrate (default: simulation._integrate);
+    """Route simulate_torque_loop through integrate (default:
+    simulation._integrate);
     returns the list that collects (args, result) of every call."""
     integrate = integrate or simulation._integrate
     runs = []
@@ -425,12 +435,12 @@ def _parity_run(case, model, ctrl):
         ))
     k_s = default_params().k_s
     if case == "impedance":
-        inner = TorqueLoopScenario(handle_motion=swing, **loop)
-        return simulate_impedance(ImpedanceScenario(inner, i_d=0.6 * k_s))
-    inner = TorqueLoopScenario(dt_s=2e-4, **loop)
-    return simulate_free_response(
-        ImpedanceScenario(inner, i_d=k_s), LoadModel(), phi0=1.0
-    )
+        return simulate_torque_loop(TorqueLoopScenario(
+            handle_motion=swing, i_d=0.6 * k_s, **loop
+        ))
+    return simulate_torque_loop(TorqueLoopScenario(
+        dt_s=2e-4, i_d=k_s, load=LoadModel(phi0=1.0), **loop
+    ))
 
 
 _SATURATING = ("pi_noise", "deep_saturation", "pi_coarse",
@@ -565,12 +575,10 @@ def test_block_solve_matches_the_plain_recurrence(model, ctrl, monkeypatch, case
             handle_motion=SignalSpec.sine(0.5, 2.0), duration_s=0.1003,
         ))
     else:  # C_L and the load: 14 states, C_L's block nearly defective
-        inner = TorqueLoopScenario(model=model, controller=ctrl,
-                                   compensator_on=True, duration_s=1.0)
-        simulate_free_response(
-            ImpedanceScenario(inner, i_d=default_params().k_s), LoadModel(),
-            phi0=1.0,
-        )
+        simulate_torque_loop(TorqueLoopScenario(
+            model=model, controller=ctrl, compensator_on=True, duration_s=1.0,
+            i_d=default_params().k_s, load=LoadModel(phi0=1.0),
+        ))
     (args, (xs, counts)), = runs
     loop, a, x0, w0, wh, w1, h, _ = args
     assert len(x0) == {"fig9_two_dof": 6, "forced_12": 12}.get(case, 14)
@@ -730,50 +738,47 @@ def test_feedforward_does_not_touch_disturbance_response(model, ctrl):
 
 
 def test_impedance_reference_channel(model, ctrl):
-    inner = TorqueLoopScenario(
+    sc = TorqueLoopScenario(
         model=model,
         controller=ctrl,
         handle_motion=SignalSpec.sine(0.5, 2.0),
         duration_s=1.0,
+        i_d=0.5,
+        phi_ref=SignalSpec.constant(0.1),
     )
-    sc = ImpedanceScenario(
-        torque_scenario=inner, i_d=0.5, phi_ref=SignalSpec.constant(0.1)
-    )
-    trace = simulate_impedance(sc)
-    phi = generate(inner.handle_motion, inner.dt_s, inner.duration_s)
+    trace = simulate_torque_loop(sc)
+    phi = generate(sc.handle_motion, sc.dt_s, sc.duration_s)
     np.testing.assert_allclose(
         trace.channel("r"), 0.5 * (0.1 - phi), rtol=0, atol=1e-12
     )
-    with pytest.raises(ValueError):
-        simulate_impedance(ImpedanceScenario(torque_scenario=inner, i_d=0.0))
 
 
 def test_impedance_spring_sees_the_applied_noise(model, ctrl):
     """White-noise handle motion and phi_ref are sampled once: the spring
     reacts to the same phi_L the plant sees."""
-    inner = TorqueLoopScenario(
+    phi_ref = SignalSpec.white_noise(1e-2, seed=9)
+    sc = TorqueLoopScenario(
         model=model,
         controller=ctrl,
         handle_motion=SignalSpec.white_noise(1e-4, seed=5),
         dt_s=1e-3,
         duration_s=1.0,
+        i_d=0.02,
+        phi_ref=phi_ref,
     )
-    phi_ref = SignalSpec.white_noise(1e-2, seed=9)
-    trace = simulate_impedance(
-        ImpedanceScenario(torque_scenario=inner, i_d=0.02, phi_ref=phi_ref)
-    )
+    trace = simulate_torque_loop(sc)
     phi = trace.channel("phi_L")
-    np.testing.assert_array_equal(phi, generate(inner.handle_motion, 1e-3, 1.0))
+    np.testing.assert_array_equal(phi, generate(sc.handle_motion, 1e-3, 1.0))
     spring = 0.02 * (generate(phi_ref, 1e-3, 1.0) - phi)
     assert np.max(np.abs(trace.channel("r") - spring)) <= 1e-15
 
 
 def test_free_response_virtual_spring_pulls_load_back(model, ctrl):
-    inner = TorqueLoopScenario(
-        model=model, controller=ctrl, dt_s=2e-4, duration_s=4.0
+    sc = TorqueLoopScenario(
+        model=model, controller=ctrl, dt_s=2e-4, duration_s=4.0, i_d=0.5,
+        load=LoadModel(phi0=0.3),
     )
-    sc = ImpedanceScenario(torque_scenario=inner, i_d=0.5)
-    trace = simulate_free_response(sc, LoadModel(), phi0=0.3)
+    trace = simulate_torque_loop(sc)
     phi = trace.channel("phi_L")
     assert phi[0] == 0.3
     assert abs(phi[-1]) < 0.15  # decayed toward phi_ref = 0
@@ -782,21 +787,17 @@ def test_free_response_virtual_spring_pulls_load_back(model, ctrl):
 
 
 def test_free_response_validation(model, ctrl):
-    inner = TorqueLoopScenario(model=model, controller=ctrl, duration_s=0.5)
-    sc = ImpedanceScenario(torque_scenario=inner, i_d=0.5)
-    with pytest.raises(ValueError, match="phi0 must be finite"):
-        simulate_free_response(sc, LoadModel(), phi0=float("nan"))
-    moving = TorqueLoopScenario(
-        model=model,
-        controller=ctrl,
-        handle_motion=SignalSpec.sine(0.1, 1.0),
-        duration_s=0.5,
-    )
-    with pytest.raises(ValueError):
-        simulate_free_response(
-            ImpedanceScenario(torque_scenario=moving, i_d=0.5),
-            LoadModel(),
-            phi0=0.1,
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="phi0 must be finite"):
+            LoadModel(phi0=bad)
+    with pytest.raises(ValueError, match="^handle_motion must be zero"):
+        TorqueLoopScenario(
+            model=model,
+            controller=ctrl,
+            handle_motion=SignalSpec.sine(0.1, 1.0),
+            duration_s=0.5,
+            i_d=0.5,
+            load=LoadModel(phi0=0.1),
         )
 
 
