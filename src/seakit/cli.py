@@ -155,8 +155,15 @@ def _verdict(results) -> int:
 
 def cmd_sim(args) -> int:
     cfg = _load(args)
-    out = _out_dir(args, cfg)
     name = args.scenario
+    if name not in PRESET_NAMES and name not in cfg.scenarios:
+        known = sorted(cfg.scenarios) + list(PRESET_NAMES)
+        print(
+            f"error: unknown scenario {name!r}; known: {', '.join(known)}",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
+    out = _out_dir(args, cfg)
     if name in PRESET_NAMES:
         results = run_preset(name, cfg, os.path.join(out, name), seed=args.seed)
         if args.json:
@@ -166,17 +173,7 @@ def cmd_sim(args) -> int:
                 status = "pass" if r.passed else "FAIL"
                 print(f"[{status}] {r.preset}/{r.check}: {r.detail}")
         return _verdict(results)
-    if name not in cfg.scenarios:
-        known = sorted(cfg.scenarios) + list(PRESET_NAMES)
-        print(
-            f"error: unknown scenario {name!r}; known: {', '.join(known)}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    model = build_plant(cfg.plant)
-    ctrl = h2_synthesize(model.P, cfg.weights)
-    sc = _reseed(cfg.scenarios[name].materialize(model, ctrl), args.seed)
-    trace = simulate_torque_loop(sc)
+    trace = simulate_torque_loop(_reseed(cfg.scenarios[name], args.seed))
     csv_path = os.path.join(out, f"trace_{name}.csv")
     trace_to_csv(trace, csv_path)
     plot_lines(

@@ -4,13 +4,15 @@ Configs describe the plant parameters, synthesis weights, and named
 scenarios; they never contain computed results.  Parsing is strict:
 unknown keys anywhere are an error, because a typo in a physics
 parameter that silently falls back to a default is the worst possible
-failure mode for a reproduction toolkit.  A named scenario is a
-ScenarioDef: the fields of the one simulator scenario type,
-TorqueLoopScenario, but its plant, load and controller instance.  Its
-JSON "type" is "impedance" exactly when it sets i_d.  It is checked when
-it loads, by the simulator's own model-free checks (step, duration,
-velocity limit, and i_d for an impedance scenario), and the error names
-the field: config.scenarios.<name>.<field>.
+failure mode for a reproduction toolkit.  A named scenario loads as the
+one simulator scenario type, TorqueLoopScenario, bound at parse time to
+the config's plant and, for the controller "two_dof", to the pair
+synthesized from the config's weights (designed at most once per parse,
+and only when some scenario asks for it).  Its JSON keys are the fields
+of that type but the plant and the load, plus "type", which is
+"impedance" exactly when it sets i_d.  So every check of
+TorqueLoopScenario runs when the config loads, and the error names the
+field: config.scenarios.<name>.<field>.
 
 A config is only read: _read_json maps one that cannot be opened or
 parsed to ConfigError ("cannot read ..." / "invalid JSON in ..."), and
@@ -21,7 +23,6 @@ weights (_dump_numbers) and a fingerprint of the plant they were
 designed for, so a stale bundle is detectable, as indent-2 JSON with LF
 line endings and a trailing newline.  Both formats carry format_version
 1 (FORMAT_VERSION); a config may omit it.
-The key lists of scenarios are the field lists of their dataclasses.
 
 write_csv is the package's one writer of numeric CSV tables.  The
 numerics are single-process; write_csv shares the text of a large table
@@ -30,6 +31,7 @@ with one forked helper, byte for byte as one process writes it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -37,21 +39,13 @@ from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
-from .plant import SeaParams, default_params
-from .simulation import (
-    PiController,
-    SignalSpec,
-    TorqueLoopScenario,
-    _SIGNAL_FIELDS,
-    _check_i_d,
-    _check_timing,
-)
-from .synthesis import SynthesisWeights, TwoDofController
+from .plant import SeaParams, build_plant, default_params
+from .simulation import PiController, SignalSpec, TorqueLoopScenario, _SIGNAL_FIELDS
+from .synthesis import SynthesisWeights, TwoDofController, h2_synthesize
 from .transfer import RationalTF
 
 __all__ = [
     "ConfigError",
-    "ScenarioDef",
     "ProjectConfig",
     "parse_config",
     "load_config",
@@ -176,53 +170,17 @@ def _parse_controller(raw, ctx: str):
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ScenarioDef:
-    """Declarative scenario: a TorqueLoopScenario but the plant, the load
-    and the controller instance, which are materialized from the config at
-    run time.
-
-    controller is the string "two_dof" (use the synthesized pair) or a
-    PiController.  A scenario with i_d set is an impedance scenario (the
-    JSON type "impedance"), and i_d must then be positive.  Construction
-    runs the simulator's model-free checks, so a bad field fails when the
-    config loads.
-    """
-
-    controller: object = "two_dof"
-    reference: SignalSpec = field(default_factory=SignalSpec.zero)
-    disturbance: SignalSpec = field(default_factory=SignalSpec.zero)
-    noise: SignalSpec = field(default_factory=SignalSpec.zero)
-    handle_motion: SignalSpec = field(default_factory=SignalSpec.zero)
-    phi_ref: SignalSpec = field(default_factory=SignalSpec.zero)
-    compensator_on: bool = False
-    saturation_rad_s: float = 50.0
-    dt_s: float = 1e-4
-    duration_s: float = 10.0
-    i_d: float | None = None
-
-    def __post_init__(self):
-        _check_timing(self.dt_s, self.duration_s, self.saturation_rad_s)
-        if self.i_d is not None:
-            _check_i_d(self.i_d)
-
-    def materialize(self, model, two_dof: TwoDofController) -> TorqueLoopScenario:
-        """Bind to a plant and controller, yielding a runnable scenario."""
-        kw = {name: getattr(self, name) for name in _SCENARIO_FIELDS}
-        if self.controller == "two_dof":
-            kw["controller"] = two_dof
-        return TorqueLoopScenario(model=model, **kw)
-
-
-# A ScenarioDef holds the fields of a TorqueLoopScenario but the plant and
-# the load; the JSON key "type" says whether it has an i_d, and the JSON
-# keys follow the field order.
-_SCENARIO_FIELDS = _names(ScenarioDef)
+# A scenario's JSON keys are the fields of a TorqueLoopScenario but the
+# plant and the load, in declaration order, plus "type", which says
+# whether it has an i_d.
+_SCENARIO_FIELDS = _names(TorqueLoopScenario, "model", "load")
+_SCENARIO_SIGNALS = {f.name for f in dc_fields(TorqueLoopScenario)
+                     if f.default_factory == SignalSpec.zero}
 _IMPEDANCE_FIELDS = ("i_d", "phi_ref")
-_SCENARIO_DEFAULTS = ScenarioDef()
 
 
-def _parse_scenario(d, ctx: str) -> ScenarioDef:
+def _parse_scenario(d, ctx: str, model, design) -> TorqueLoopScenario:
+    """The scenario of a JSON object, on model; design() is the 2-DOF pair."""
     if not isinstance(d, dict):
         raise ConfigError(f"{ctx} must be an object")
     _check_keys(d, {"type", *_SCENARIO_FIELDS}, ctx)
@@ -235,30 +193,36 @@ def _parse_scenario(d, ctx: str) -> ScenarioDef:
         )
     if kind == "impedance" and "i_d" not in d:
         raise ConfigError(f"{ctx}.i_d is required for an impedance scenario")
-    kw = {}
+    kw = {"controller": "two_dof"}
     for name in _SCENARIO_FIELDS:
         if name not in d:
             continue
-        default = getattr(_SCENARIO_DEFAULTS, name)
         if name == "controller":
             kw[name] = _parse_controller(d[name], f"{ctx}.{name}")
-        elif isinstance(default, SignalSpec):
+        elif name in _SCENARIO_SIGNALS:
             kw[name] = _parse_signal(d[name], f"{ctx}.{name}")
-        elif isinstance(default, bool):
+        elif name == "compensator_on":
             if not isinstance(d[name], bool):
                 raise ConfigError(f"{ctx}.{name} must be a boolean")
             kw[name] = d[name]
         else:
             kw[name] = _get_num(d, name, ctx)
+    if kw["controller"] == "two_dof":
+        kw["controller"] = design()
     try:
-        return ScenarioDef(**kw)
+        return TorqueLoopScenario(model=model, **kw)
     except ValueError as exc:  # the message starts with the field name
         raise ConfigError(f"{ctx}.{exc}") from exc
 
 
 @dataclass(frozen=True)
 class ProjectConfig:
-    """Parsed project file: plant, weights, named scenarios, output dir."""
+    """Parsed project file: plant, weights, named scenarios, output dir.
+
+    parse_config binds each scenario to this config's plant and weights,
+    so a scenario is ready to simulate.  Its model and its 2-DOF
+    controller compare by identity (RationalTF defines no equality).
+    """
 
     plant: SeaParams = field(default_factory=default_params)
     weights: SynthesisWeights = _DEFAULT_WEIGHTS
@@ -271,6 +235,9 @@ def parse_config(raw: dict) -> ProjectConfig:
 
     Raises ConfigError on any unknown key, missing required key, wrong
     type, unsupported format_version, or physical-invariant violation.
+    A config with scenarios builds its plant, and synthesizes the 2-DOF
+    pair once if a scenario uses it, so a failing design raises
+    NumericsError here.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -289,8 +256,10 @@ def parse_config(raw: dict) -> ProjectConfig:
     sd = raw.get("scenarios", {})
     if not isinstance(sd, dict):
         raise ConfigError("config.scenarios must be an object")
+    model = build_plant(params) if sd else None
+    design = functools.cache(lambda: h2_synthesize(model.P, weights))
     scenarios = {
-        name: _parse_scenario(body, f"config.scenarios.{name}")
+        name: _parse_scenario(body, f"config.scenarios.{name}", model, design)
         for name, body in sd.items()
     }
 

@@ -287,26 +287,6 @@ class LoadModel:
             raise ValueError("phi0 must be finite")
 
 
-# The model-free checks of a scenario.  config.ScenarioDef runs them too,
-# so a config is rejected when it loads; each message starts with the
-# field it names.
-def _check_timing(dt_s: float, duration_s: float, saturation_rad_s: float) -> None:
-    for name, value in (("dt_s", dt_s), ("duration_s", duration_s)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
-    if not dt_s > 0.0:
-        raise ValueError("dt_s must be positive")
-    if duration_s < 10.0 * dt_s:
-        raise ValueError("duration_s must cover at least 10 steps")
-    if not saturation_rad_s > 0.0:
-        raise ValueError("saturation_rad_s must be positive")
-
-
-def _check_i_d(i_d: float) -> None:
-    if not (math.isfinite(i_d) and i_d > 0.0):
-        raise ValueError("i_d must be finite and positive")
-
-
 @dataclass(frozen=True)
 class TorqueLoopScenario:
     """Everything one run of the loop needs.
@@ -338,7 +318,17 @@ class TorqueLoopScenario:
     load: LoadModel | None = None
 
     def __post_init__(self):
-        _check_timing(self.dt_s, self.duration_s, self.saturation_rad_s)
+        # each message starts with the field it names, which
+        # config.parse_config prefixes with the scenario's path
+        for name in ("dt_s", "duration_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not self.dt_s > 0.0:
+            raise ValueError("dt_s must be positive")
+        if self.duration_s < 10.0 * self.dt_s:
+            raise ValueError("duration_s must cover at least 10 steps")
+        if not self.saturation_rad_s > 0.0:
+            raise ValueError("saturation_rad_s must be positive")
         c1, c2 = _controller_pair(self.controller)
         if c1.den != c2.den:
             raise ValueError("controller: C1 and C2 must share one denominator")
@@ -348,7 +338,8 @@ class TorqueLoopScenario:
             if self.load is not None:
                 raise ValueError("load applies only with i_d set")
             return
-        _check_i_d(self.i_d)
+        if not (math.isfinite(self.i_d) and self.i_d > 0.0):
+            raise ValueError("i_d must be finite and positive")
         if self.reference.kind != "zero":
             raise ValueError(
                 "reference must be zero: impedance mode derives the torque "

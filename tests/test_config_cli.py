@@ -12,7 +12,6 @@ from seakit import (
     ConfigError,
     PiController,
     ProjectConfig,
-    ScenarioDef,
     SignalSpec,
     SynthesisWeights,
     TRACE_CHANNELS,
@@ -41,6 +40,25 @@ def test_parse_empty_config_uses_defaults():
     assert cfg.weights == SynthesisWeights(rho=5e-4, lam=1.0, k=1.0)
     assert cfg.scenarios == {}
     assert cfg.output_dir == "out"
+
+
+def _coefficients(ctrl) -> list:
+    return [tf.num.coeffs.tolist() + tf.den.coeffs.tolist()
+            for tf in (ctrl.c1, ctrl.c2)]
+
+
+def _scenario(cfg, name, **fields):
+    """cfg.scenarios[name] as built in code from fields, on the config's
+    plant and, unless fields set a controller, its freshly designed 2-DOF
+    pair.  model and controller compare by identity, so they are checked
+    here and then taken from the parsed scenario."""
+    sc = cfg.scenarios[name]
+    assert sc.model.params == cfg.plant
+    if "controller" not in fields:
+        fresh = h2_synthesize(build_plant(cfg.plant).P, cfg.weights)
+        assert _coefficients(sc.controller) == _coefficients(fresh)
+        fields["controller"] = sc.controller
+    return TorqueLoopScenario(model=sc.model, **fields)
 
 
 def test_config_round_trip():
@@ -79,29 +97,32 @@ def test_config_round_trip():
             },
         },
     }
-    assert parse_config(raw) == ProjectConfig(
+    cfg = parse_config(raw)
+    assert dataclasses.replace(cfg, scenarios={}) == ProjectConfig(
         plant=dataclasses.replace(default_params(), k_s=0.05),
         weights=SynthesisWeights(rho=1e-3, lam=2.0, k=0.5),
-        scenarios={
-            "track": ScenarioDef(
-                reference=SignalSpec.sine(0.033, 2.0),
-                disturbance=SignalSpec.step(0.01, start_s=0.5),
-                noise=SignalSpec.white_noise(0.01, seed=4),
-                handle_motion=SignalSpec.chirp(0.2, 0.0, 5.0, 2.0),
-                compensator_on=True,
-                saturation_rad_s=40.0,
-                dt_s=1e-3,
-                duration_s=3.0,
-            ),
-            "render": ScenarioDef(
-                controller=PiController(204.0, 111.0),
-                i_d=0.5,
-                handle_motion=SignalSpec.piecewise_linear([(0.0, 0.0), (1.0, 0.5)]),
-                phi_ref=SignalSpec.constant(0.1),
-            ),
-        },
         output_dir="results",
     )
+    assert list(cfg.scenarios) == ["track", "render"]
+    assert cfg.scenarios["track"] == _scenario(
+        cfg, "track",
+        reference=SignalSpec.sine(0.033, 2.0),
+        disturbance=SignalSpec.step(0.01, start_s=0.5),
+        noise=SignalSpec.white_noise(0.01, seed=4),
+        handle_motion=SignalSpec.chirp(0.2, 0.0, 5.0, 2.0),
+        compensator_on=True,
+        saturation_rad_s=40.0,
+        dt_s=1e-3,
+        duration_s=3.0,
+    )
+    assert cfg.scenarios["render"] == _scenario(
+        cfg, "render",
+        controller=PiController(204.0, 111.0),
+        i_d=0.5,
+        handle_motion=SignalSpec.piecewise_linear([(0.0, 0.0), (1.0, 0.5)]),
+        phi_ref=SignalSpec.constant(0.1),
+    )
+    assert cfg.scenarios["render"].model is cfg.scenarios["track"].model
 
 
 def test_config_file_round_trip(tmp_path):
@@ -109,9 +130,31 @@ def test_config_file_round_trip(tmp_path):
     path.write_text(json.dumps(
         {"scenarios": {"quick": {"duration_s": 1.0, "dt_s": 1e-3}}}
     ))
-    assert load_config(str(path)) == ProjectConfig(
-        scenarios={"quick": ScenarioDef(duration_s=1.0, dt_s=1e-3)}
-    )
+    cfg = load_config(str(path))
+    assert dataclasses.replace(cfg, scenarios={}) == ProjectConfig()
+    assert cfg.scenarios == {"quick": _scenario(cfg, "quick", duration_s=1.0,
+                                                dt_s=1e-3)}
+
+
+def test_parse_config_designs_once_and_only_for_a_two_dof_scenario(monkeypatch):
+    def no_design(P, weights):
+        raise AssertionError("h2_synthesize called")
+
+    monkeypatch.setattr(config, "h2_synthesize", no_design)
+    pi = {"type": "pi", "kp": 204.0, "ki": 111.0}
+    parse_config({})
+    parse_config({"plant": {"k_s": 0.05}, "scenarios": {}})
+    parse_config({"scenarios": {"a": {"controller": pi},
+                                "b": {"type": "impedance", "i_d": 0.5,
+                                      "controller": pi}}})
+    designs = []
+    monkeypatch.setattr(config, "h2_synthesize",
+                        lambda P, weights: designs.append(weights) or
+                        h2_synthesize(P, weights))
+    cfg = parse_config({"scenarios": {"a": {}, "b": {"controller": pi},
+                                      "c": {"controller": "two_dof"}}})
+    assert designs == [cfg.weights]
+    assert cfg.scenarios["a"].controller is cfg.scenarios["c"].controller
 
 
 def test_load_config_errors(tmp_path):
@@ -179,6 +222,9 @@ def test_impedance_fields_rejected_on_torque_loop():
     parse_config({"scenarios": {"a": {"type": "impedance", "i_d": 0.5}}})
 
 
+_SINE = {"kind": "sine", "amplitude": 0.01, "frequency_hz": 1.0}
+
+
 def test_scenario_fields_checked_at_load():
     bad = [
         ("i_d", {"type": "impedance"}),
@@ -186,13 +232,24 @@ def test_scenario_fields_checked_at_load():
         ("dt_s", {"dt_s": -1e-4}),
         ("saturation_rad_s", {"saturation_rad_s": 0.0}),
         ("duration_s", {"dt_s": 1e-3, "duration_s": 5e-3}),
+        ("reference", {"type": "impedance", "i_d": 0.02, "reference": _SINE}),
     ]
     for field, body in bad:
         with pytest.raises(ConfigError) as err:
             parse_config({"scenarios": {"s": body}})
         assert str(err.value).startswith(f"config.scenarios.s.{field} ")
-    with pytest.raises(ValueError, match="^i_d "):
-        ScenarioDef(i_d=0.0)
+
+
+def test_cli_rejects_an_impedance_reference_before_any_output(tmp_path, capsys):
+    # it used to load, and sim then made the output directory and failed
+    # mid-command with an unprefixed "error: reference must be zero"
+    imp = {"type": "impedance", "i_d": 0.02, "reference": _SINE}
+    cfg = _write_project(tmp_path, scenarios={"imp": imp})
+    out = tmp_path / "d"
+    assert main(["sim", "imp", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: config.scenarios.imp.reference must be zero")
+    assert not out.exists()
 
 
 def test_cli_rejects_impedance_scenario_without_i_d(tmp_path, capsys):
@@ -292,16 +349,6 @@ def test_bundle_round_trip(tmp_path, synth_pieces):
         for part, poly in (("num", tf.num), ("den", tf.den)):
             assert np.array(obj[f"{tag}_{part}"]).tobytes() == poly.coeffs.tobytes()
     assert obj["plant_fingerprint"] == params_fingerprint(params)
-
-
-def test_scenario_def_materializes_with_the_scenario_defaults(synth_pieces):
-    # ScenarioDef repeats the defaults of the scenario class
-    _, model, ctrl, _ = synth_pieces
-    torque = TorqueLoopScenario(model=model, controller=ctrl)
-    assert ScenarioDef().materialize(model, ctrl) == torque
-    assert ScenarioDef(i_d=0.5).materialize(model, ctrl) == (
-        dataclasses.replace(torque, i_d=0.5)
-    )
 
 
 def test_write_csv_format(tmp_path):
@@ -615,10 +662,12 @@ def test_cli_reproduce_json(tmp_path, monkeypatch, capsys):
 
 def test_cli_sim_unknown_scenario(tmp_path, capsys):
     cfg = _write_project(tmp_path)
-    assert main(["sim", "nope", "--config", cfg]) == 2
+    out = tmp_path / "o2"  # it used to be made, and left empty
+    assert main(["sim", "nope", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "unknown scenario" in err
     assert "quick" in err and "fig10" in err
+    assert not out.exists()
 
 
 def test_cli_rejects_a_scenario_named_after_a_preset(tmp_path, capsys):

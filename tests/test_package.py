@@ -4,6 +4,7 @@ the README's Python examples run against it."""
 
 import ast
 import glob
+import json
 import os
 import re
 import subprocess
@@ -73,14 +74,25 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def _readme_blocks(language: str) -> list:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        return re.findall(rf"^```{language}\n(.*?)^```$", fh.read(), re.M | re.S)
+
+
 def test_readme_python_examples_run(capsys):
     # the Quick start runs in order, one namespace for all its blocks, so
     # an API change that leaves it stale fails here
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "README.md")) as fh:
-        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    blocks = _readme_blocks("python")
     assert len(blocks) >= 3
     namespace = {}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
     assert capsys.readouterr().out.count("\n") == len(blocks)
+
+
+def test_readme_config_example_loads():
+    # the documented config format, checked as a config file is
+    (block,) = _readme_blocks("json")
+    cfg = config.parse_config(json.loads(block))
+    assert list(cfg.scenarios) == ["quick"]
