@@ -184,9 +184,9 @@ def _sign_changes(f: Polynomial, x_lo: float, x_hi: float):
     within _CLUSTER_REL; a cluster of even multiplicity touches zero and
     changes no sign.
     """
+    if f.is_zero:
+        return []  # f = 0, as Im(n conj d) of an undamped loop: no sign change
     sign = -1.0 if f(x_lo) < 0.0 else 1.0
-    if f.degree < 1:
-        return []
     rts = roots(f)
     xs = np.sort(rts.real[np.abs(rts.imag) <= _CLUSTER_REL * np.abs(rts)])
     xs = xs[(xs > x_lo) & (xs <= x_hi)]

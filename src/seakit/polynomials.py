@@ -40,6 +40,7 @@ _ROOT_REL_TOL = 1e-8  # bound on the scaled residual of a root
 _NEWTON_STEPS = 4  # Newton corrections per root
 _GCD_TOL = 1e-6  # relative distance within which gcd_degree matches roots
 _SPECTRAL_REL_TOL = 1e-8  # bound on a spectral factor's reconstruction error
+_AXIS_REL = 1e-7  # |Re r| / max(1, |r|) at or below which r is an axis root
 
 
 class Polynomial:
@@ -236,8 +237,6 @@ def _pair_conjugates(rts: np.ndarray) -> np.ndarray:
     own magnitude: a resonance at 1 rad/s stays complex beside a root at
     1e9 rad/s.
     """
-    if rts.size == 0:
-        return rts
     snap = 1e-8 * np.maximum(1.0, np.abs(rts))
     real_part = [complex(r.real, 0.0) for r, t in zip(rts, snap) if abs(r.imag) <= t]
     pos = sorted((r for r, t in zip(rts, snap) if r.imag > t),
@@ -267,20 +266,25 @@ def roots(p: Polynomial) -> np.ndarray:
     near-multiple roots where p'(r) underflows the local scale.  The
     result is a complex array of the deg p roots, multiplicities
     repeated, in exact conjugate pairs (near-real roots snapped to the
-    axis) and sorted by (real, imag).
+    axis) and sorted by (real, imag).  A nonzero constant has no roots:
+    the result is then an empty complex array, as from ``np.roots``.
 
     Raises
     ------
     ValueError
-        If ``p`` has degree < 1.
+        If ``p`` is the zero polynomial.
     NumericsError
-        If the scaled residual max |p(r)| / scale(r) exceeds ``_ROOT_REL_TOL``.
+        If the companion eigenvalues cannot be computed, or if the scaled
+        residual max |p(r)| / scale(r) exceeds ``_ROOT_REL_TOL``.
     """
-    if p.degree < 1:
-        raise ValueError("root extraction requires degree >= 1")
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no root set")
     coeffs = p.coeffs
     der = p.derivative().coeffs
-    r = np.roots(coeffs).astype(complex)
+    try:
+        r = np.roots(coeffs).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"roots failed at degree {p.degree}: {exc}") from exc
     fr = np.polyval(coeffs, r)
     # Every root takes its corrections at once; `live` holds the roots
     # still being corrected, and a root leaves it for good.
@@ -300,7 +304,8 @@ def roots(p: Polynomial) -> np.ndarray:
             break
     sym = _pair_conjugates(r)
     residual = float(np.max(
-        _magnitude(np.polyval(coeffs, sym)) / _eval_scale(coeffs, sym)
+        _magnitude(np.polyval(coeffs, sym)) / _eval_scale(coeffs, sym),
+        initial=0.0,
     ))
     if residual > _ROOT_REL_TOL:
         raise NumericsError(
@@ -315,14 +320,11 @@ def is_hurwitz(p: Polynomial) -> bool:
     A root must satisfy Re(r) < -1e-9 * max(1, max|root|) to count as
     stable, so axis roots fail.
 
-    Degree-0 polynomials have no roots and are vacuously Hurwitz.
+    A nonzero constant has no roots and is vacuously Hurwitz; the zero
+    polynomial raises ``ValueError``, as in ``roots``.
     """
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no stability classification")
-    if p.degree == 0:
-        return True
     rs = roots(p)
-    scale = max(1.0, float(np.max(np.abs(rs))))
+    scale = float(np.max(np.abs(rs), initial=1.0))
     return bool(np.all(rs.real < -1e-9 * scale))
 
 
@@ -358,16 +360,11 @@ def gcd_degree(p: Polynomial, q: Polynomial) -> int:
     """Degree of the approximate GCD: count of root matches within ``_GCD_TOL``.
 
     Roots r_p, r_q match when |r_p - r_q| <= _GCD_TOL * max(1, |r_p|, |r_q|),
-    matched greedily closest-first.  Returns 0 for coprime inputs; either
-    argument of degree 0 is coprime to everything.
+    matched greedily closest-first.  Returns 0 for coprime inputs; a
+    nonzero constant is coprime to everything.  The zero polynomial
+    raises ``ValueError``, as in ``roots``.
     """
-    if p.is_zero or q.is_zero:
-        raise ValueError("gcd_degree requires nonzero polynomials")
-    if p.degree == 0 or q.degree == 0:
-        return 0
-    rp = roots(p)
-    rq = roots(q)
-    return len(_match_pairs(rp, rq, _GCD_TOL))
+    return len(_match_pairs(roots(p), roots(q), _GCD_TOL))
 
 
 def spectral_factor(
@@ -394,8 +391,9 @@ def spectral_factor(
     Raises
     ------
     NumericsError
-        If E has a root on (or within tolerance of) the imaginary axis,
-        if the +/- pairing fails, or if a coefficient of d(-s)d(s) - E
+        If E has a root r with |Re r| <= ``_AXIS_REL`` max(1, |r|) (on or
+        near the imaginary axis), if fewer or more than half of its roots
+        lie in the left half plane, or if a coefficient of d(-s)d(s) - E
         exceeds ``_SPECTRAL_REL_TOL`` max|E|.
     """
     if weight_a <= 0.0 or weight_b <= 0.0:
@@ -412,35 +410,17 @@ def spectral_factor(
         if (deg - i) % 2 == 1:
             coeffs[i] = 0.0
     E = Polynomial(coeffs)
-    if E.degree == 0:
-        e0 = float(E.coeffs[0])
-        if e0 <= 0.0:
-            raise NumericsError("even part is not positive at s = 0")
-        return Polynomial([math.sqrt(e0)])
-
-    rts = list(roots(E))
-    scale = max(1.0, max(abs(r) for r in rts))
-    axis_tol = 1e-7
-    selected = []
-    # Pair each root with its mirror -r; deterministic order: biggest first.
-    rts.sort(key=lambda r: (-abs(r), r.real, r.imag))
-    while rts:
-        r = rts.pop(0)
-        dists = [abs(r + q) for q in rts]
-        j = int(np.argmin(dists))
-        pair_scale = max(1.0, abs(r))
-        if dists[j] > 1e-5 * pair_scale:
-            raise NumericsError(
-                f"even polynomial roots are not +/- symmetric near {r:.6g}"
-            )
-        q = rts.pop(j)
-        if max(abs(r.real), abs(q.real)) <= axis_tol * pair_scale:
-            raise NumericsError(
-                f"imaginary-axis root near {r:.6g}; no stable spectral factor"
-            )
-        selected.append(r if r.real < 0 else q)
-
-    monic = Polynomial.from_roots(_pair_conjugates(np.array(selected)))
+    # exact conjugate pairs, sorted: lhp needs no re-pairing before from_roots
+    rts = roots(E)
+    axis = rts[np.abs(rts.real) <= _AXIS_REL * np.maximum(1.0, np.abs(rts))]
+    if len(axis):
+        raise NumericsError(
+            f"imaginary-axis root near {axis[0]:.6g}; no stable spectral factor"
+        )
+    lhp = rts[rts.real < 0]
+    if 2 * len(lhp) != E.degree:
+        raise NumericsError("even polynomial roots are not +/- symmetric")
+    monic = Polynomial.from_roots(lhp)
     e0 = float(E(0.0))
     m0 = float(monic(0.0))
     if e0 <= 0.0 or m0 <= 0.0:

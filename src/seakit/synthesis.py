@@ -44,14 +44,19 @@ __all__ = [
 ]
 
 
+_WEIGHT_RANGE = (1e-100, 1e100)  # accepted values of each design weight
+
+
 @dataclass(frozen=True)
 class SynthesisWeights:
     """Scalar design weights of the quadratic objective.
 
     rho trades control energy against tracking error (small rho buys
     tracking with more actuation); lam weights disturbance against
-    reference response; k weights measurement noise.  All must be
-    strictly positive.
+    reference response; k weights measurement noise.  Each must lie in
+    ``_WEIGHT_RANGE``: far outside it the design's polynomial products
+    overflow or lose their top terms, and fail with errors that name no
+    weight.
     """
 
     rho: float
@@ -59,10 +64,10 @@ class SynthesisWeights:
     k: float
 
     def __post_init__(self):
+        lo, hi = _WEIGHT_RANGE
         for name in ("rho", "lam", "k"):
-            v = getattr(self, name)
-            if not (v > 0.0) or not np.isfinite(v):
-                raise ValueError(f"weight {name} must be strictly positive")
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"weight {name} must lie in [{lo:g}, {hi:g}]")
 
 
 @dataclass(frozen=True)
@@ -259,7 +264,7 @@ def h2_synthesize(P: RationalTF, w: SynthesisWeights) -> TwoDofController:
         raise ValueError("plant numerator must be nonzero")
     if not P.is_strictly_proper():
         raise ValueError("plant must be strictly proper")
-    if a.degree >= 1 and b.degree >= 1 and gcd_degree(a, b) > 0:
+    if gcd_degree(a, b) > 0:
         raise NumericsError("plant numerator and denominator share a root")
     b0 = float(b(0.0))
     if abs(b0) < 1e-12 * float(np.max(np.abs(b.coeffs))):
@@ -274,26 +279,6 @@ def h2_synthesize(P: RationalTF, w: SynthesisWeights) -> TwoDofController:
     return TwoDofController(
         c1=c1, c2=c2, d_rho=d_rho, d_lambda_k=d_lk, p=p, q=q, weights=w
     )
-
-
-def _conjugate_units(rts: np.ndarray) -> list[list[complex]]:
-    """Group a conjugate-symmetric root list into reals and exact pairs."""
-    remaining = list(rts)
-    units: list[list[complex]] = []
-    while remaining:
-        r = remaining.pop(0)
-        if r.imag == 0.0:
-            units.append([r])
-            continue
-        conj = r.conjugate()
-        for i, s in enumerate(remaining):
-            if s == conj:
-                remaining.pop(i)
-                break
-        else:
-            raise NumericsError("root set lost conjugate symmetry")
-        units.append([r, conj])
-    return units
 
 
 def _fillable(cap: int, sizes: list[int]) -> bool:
@@ -337,8 +322,10 @@ def coprime_factorize(P: RationalTF, C0: RationalTF) -> CoprimeFactorization:
 
     if c.degree < n:
         raise NumericsError("characteristic degree collapsed below deg(a)")
+    # roots pairs conjugates exactly: a complex unit is [r, conj r] with Im r < 0
     c_roots = roots(c)
-    units = _conjugate_units(c_roots)
+    units = [[r] for r in c_roots if r.imag == 0.0]
+    units += [[r, r.conjugate()] for r in c_roots if r.imag < 0.0]
     units.sort(
         key=lambda u: (-abs(u[0].real), -abs(u[0].imag), u[0].real, u[0].imag)
     )

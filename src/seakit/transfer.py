@@ -156,14 +156,11 @@ def series(g: RationalTF, h: RationalTF) -> RationalTF:
 
 def poles(tf: RationalTF) -> np.ndarray:
     """Denominator roots (of the stored, possibly non-minimal form)."""
-    if tf.den.degree < 1:
-        return np.zeros(0, dtype=complex)
     return roots(tf.den)
 
 
 def zeros(tf: RationalTF) -> np.ndarray:
-    if tf.num.degree < 1:
-        return np.zeros(0, dtype=complex)
+    """Numerator roots; the zero function has no zero set (ValueError)."""
     return roots(tf.num)
 
 
@@ -197,10 +194,7 @@ def is_stable(tf: RationalTF) -> bool:
     cancellation must not count as stable, so the test runs on whatever
     survives ``minimal_form``.
     """
-    m = minimal_form(tf)
-    if m.den.degree == 0:
-        return True
-    return is_hurwitz(m.den)
+    return is_hurwitz(minimal_form(tf).den)
 
 
 @dataclass(frozen=True)
@@ -310,12 +304,13 @@ def _unwrapped_phase(tf: RationalTF, w, w_ref: float) -> np.ndarray:
     root_sum = np.zeros_like(w)
     jw = 1j * w[:, None]
     for p, sign in ((tf.num, 1.0), (tf.den, -1.0)):
-        if p.degree >= 1:
-            z = roots(p)
-            # jw - z crosses the negative real axis when Re z > 0: measure
-            # those as arg(z - jw), which is continuous there and off by pi
-            args = np.where(z.real > 0.0, np.angle(z - jw), np.angle(jw - z))
-            root_sum += sign * np.sum(args, axis=1)
+        if p.is_zero:
+            continue  # the zero function: its phase is angle(0) = 0
+        z = roots(p)
+        # jw - z crosses the negative real axis when Re z > 0: measure
+        # those as arg(z - jw), which is continuous there and off by pi
+        args = np.where(z.real > 0.0, np.angle(z - jw), np.angle(jw - z))
+        root_sum += sign * np.sum(args, axis=1)
     unwrapped = root_sum - root_sum[-1] + principal[-1]
     turns = np.round((unwrapped - principal) / (2.0 * np.pi))
     return np.degrees(principal + 2.0 * np.pi * turns)[:-1]

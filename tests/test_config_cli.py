@@ -252,6 +252,26 @@ def test_cli_rejects_an_impedance_reference_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_extreme_weights_and_plant_fail_with_a_message(tmp_path, capsys):
+    # weights beyond 1e+-100 used to escape the design as an OverflowError
+    # traceback or as messages naming no weight; a plant whose even
+    # polynomial overflows used to leak numpy's LinAlgError
+    cases = [
+        ({"weights": {"rho": 1e300}}, 2, "config error: config.weights: weight rho "),
+        ({"weights": {"rho": 1e-300}}, 2, "config error: config.weights: weight rho "),
+        ({"weights": {"k": 1e-160}}, 2, "config error: config.weights: weight k "),
+        ({"plant": {"k_s": 1e150}}, 3, "numerical failure: roots failed at degree "),
+    ]
+    for i, (raw, code, message) in enumerate(cases):
+        path = tmp_path / f"c{i}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / f"out{i}"
+        assert main(["synth", "--config", str(path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+
+
 def test_cli_rejects_impedance_scenario_without_i_d(tmp_path, capsys):
     path = tmp_path / "imp.json"
     path.write_text(json.dumps({"scenarios": {"imp": {"type": "impedance"}}}))

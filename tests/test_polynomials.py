@@ -6,11 +6,18 @@ import pytest
 from seakit import (
     NumericsError,
     Polynomial,
+    RationalTF,
+    bandwidth_3db,
     format_poly,
     gcd_degree,
     is_hurwitz,
+    is_stable,
+    loop_margins,
+    phase_at,
+    poles,
     roots,
     spectral_factor,
+    zeros,
 )
 from seakit import polynomials
 from seakit.polynomials import _pair_conjugates
@@ -178,9 +185,36 @@ def test_roots_keep_a_small_complex_pair_beside_a_large_root():
                                rtol=1e-8)
 
 
-def test_roots_rejects_constant():
+def test_a_nonzero_constant_has_no_roots():
+    # np.roots' convention: only the zero polynomial has no root set
+    got = roots(Polynomial([4.0]))
+    assert got.dtype == complex and got.shape == (0,)
     with pytest.raises(ValueError):
-        roots(Polynomial([4.0]))
+        roots(Polynomial([0.0]))
+    assert is_hurwitz(Polynomial([-4.0]))
+    with pytest.raises(ValueError):
+        is_hurwitz(Polynomial([0.0]))
+    assert gcd_degree(Polynomial([4.0]), Polynomial([1.0, 2.0])) == 0
+    assert gcd_degree(Polynomial([1.0, 2.0]), Polynomial([3.0])) == 0
+    with pytest.raises(ValueError):
+        gcd_degree(Polynomial([0.0]), Polynomial([1.0, 2.0]))
+    const = RationalTF([3.0], [2.0])
+    assert poles(const).shape == (0,) and zeros(const).shape == (0,)
+    with pytest.raises(ValueError):
+        zeros(RationalTF([0.0], [1.0, 1.0]))  # as roots of the zero polynomial
+    assert poles(RationalTF([1.0], [1.0, 2.0])).tolist() == [-2.0]
+    assert is_stable(const)
+    assert is_stable(RationalTF([0.0], [1.0, -1.0]))
+    d = spectral_factor(Polynomial([3.0]), Polynomial([4.0]), 1.0, 1.0)
+    assert d == Polynomial([5.0])  # sqrt(E(0)) = sqrt(3^2 + 4^2)
+    assert phase_at(const, 10.0) == 0.0
+    assert phase_at(RationalTF([0.0], [1.0, 1.0]), 10.0) == 0.0  # angle(0)
+    with pytest.raises(ValueError, match="never crosses"):
+        bandwidth_3db(const)
+    # a constant loop, and an undamped one whose response is real: Im(n conj d)
+    # is the zero polynomial, which changes no sign
+    assert loop_margins(RationalTF([2.0], [1.0])) == (np.inf, np.inf)
+    assert loop_margins(RationalTF([2.0], [1.0, 0.0, 1.0])) == (np.inf, 0.0)
 
 
 def test_is_hurwitz():

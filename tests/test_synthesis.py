@@ -1,5 +1,8 @@
 """Unit tests for controller synthesis, factorization, and loop maps."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -18,10 +21,14 @@ from seakit import (
     is_hurwitz,
     is_stable,
     minimal_form,
+    roots,
     solve_diophantine,
+    spectral_factor,
     torque_loop_maps,
     youla_2dof,
 )
+from seakit.polynomials import _pair_conjugates
+from seakit.synthesis import _fillable
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +46,28 @@ def test_weights_validation():
         SynthesisWeights(rho=0.0, lam=1.0, k=1.0)
     with pytest.raises(ValueError):
         SynthesisWeights(rho=1e-3, lam=-1.0, k=1.0)
+    # beyond 1e+-100 the design over- or underflows
+    for bad in (1e-101, 1e101, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"^weight lam must lie in \[1e-100, "):
+            SynthesisWeights(rho=1e-3, lam=bad, k=1.0)
+    SynthesisWeights(rho=1e-100, lam=1e100, k=1.0)
+
+
+@pytest.mark.filterwarnings(
+    "ignore:Sylvester system condition number:RuntimeWarning"
+)
+def test_every_weight_in_range_designs_or_raises_numerics_error(model):
+    # one decade in five across the accepted range, one weight at a time
+    w0 = SynthesisWeights(rho=5e-4, lam=1.0, k=1.0)
+    designed = 0
+    for name in ("rho", "lam", "k"):
+        for e in range(-100, 101, 5):
+            try:
+                h2_synthesize(model.P, dataclasses.replace(w0, **{name: 10.0**e}))
+                designed += 1
+            except NumericsError:
+                pass
+    assert designed >= 3
 
 
 def test_solve_diophantine_known_solution():
@@ -114,6 +143,135 @@ def test_coprime_factorization_properties(model, ctrl):
     p_rec = minimal_form(fact.N / fact.M)
     np.testing.assert_allclose(p_rec.num.coeffs, model.P.num.coeffs, rtol=1e-7)
     np.testing.assert_allclose(p_rec.den.coeffs, model.P.den.coeffs, rtol=1e-7, atol=1e-9)
+
+
+def _reference_spectral_factor(a, b, wa, wb):
+    """spectral_factor with its former root selection: each root of E paired
+    with its nearest mirror -r, biggest first, keeping the left member."""
+    E = (a.negate_argument() * a) * (wa**2) + (b.negate_argument() * b) * (wb**2)
+    coeffs = E.coeffs.copy()
+    coeffs[(E.degree - np.arange(len(coeffs))) % 2 == 1] = 0.0
+    E = Polynomial(coeffs)
+    rts = sorted(roots(E), key=lambda r: (-abs(r), r.real, r.imag))
+    selected = []
+    while rts:
+        r = rts.pop(0)
+        dists = [abs(r + q) for q in rts]
+        j = int(np.argmin(dists))
+        if dists[j] > 1e-5 * max(1.0, abs(r)):
+            raise NumericsError("not +/- symmetric")
+        q = rts.pop(j)
+        if max(abs(r.real), abs(q.real)) <= 1e-7 * max(1.0, abs(r)):
+            raise NumericsError("imaginary-axis root")
+        selected.append(r if r.real < 0 else q)
+    monic = Polynomial.from_roots(_pair_conjugates(np.array(selected)))
+    d = monic * (math.sqrt(float(E(0.0))) / float(monic(0.0)))
+    err = np.max(np.abs((d.negate_argument() * d - E).coeffs))
+    if err > 1e-8 * np.max(np.abs(E.coeffs)):
+        raise NumericsError("reconstruction")
+    return [d]
+
+
+def _reference_conjugate_units(rts):
+    """coprime_factorize's former grouping: a linear search for each conjugate."""
+    remaining = list(rts)
+    units = []
+    while remaining:
+        r = remaining.pop(0)
+        if r.imag == 0.0:
+            units.append([r])
+            continue
+        conj = r.conjugate()
+        remaining.pop(next(i for i, s in enumerate(remaining) if s == conj))
+        units.append([r, conj])
+    return units
+
+
+def _reference_split(P, c2):
+    """(f, h) of coprime_factorize, grouped by _reference_conjugate_units."""
+    n = P.den.degree
+    c = P.den * c2.den + P.num * c2.num
+    units = _reference_conjugate_units(roots(c))
+    units.sort(
+        key=lambda u: (-abs(u[0].real), -abs(u[0].imag), u[0].real, u[0].imag)
+    )
+    sizes = [len(u) for u in units]
+    f_roots, h_roots, cap = [], [], n
+    for i, unit in enumerate(units):
+        if len(unit) <= cap and _fillable(cap - len(unit), sizes[i + 1:]):
+            f_roots.extend(unit)
+            cap -= len(unit)
+        else:
+            h_roots.extend(unit)
+    return [Polynomial.from_roots(f_roots, leading=float(c.coeffs[0])),
+            Polynomial.from_roots(h_roots)]
+
+
+def _spectral(a, b, wa, wb):
+    return [spectral_factor(a, b, wa, wb)]
+
+
+def _split(P, c2):
+    fact = coprime_factorize(P, c2)
+    return [fact.f, fact.h]
+
+
+def _coeff_bytes(fn, *args):
+    """The coefficient bytes of the polynomials fn returns, or its NumericsError."""
+    try:
+        return [p.coeffs.tobytes() for p in fn(*args)]
+    except NumericsError:
+        return "NumericsError"
+
+
+@pytest.mark.filterwarnings(
+    "ignore:Sylvester system condition number:RuntimeWarning"
+)
+def test_root_conventions_match_the_former_pairing_bit_for_bit():
+    # spectral_factor takes the left-half-plane roots as roots returns them,
+    # and coprime_factorize its conjugate units; both must build the same
+    # bytes as the former mirror search and conjugate search did
+    rng = np.random.default_rng(20)
+    base, w0 = default_params(), SynthesisWeights(rho=5e-4, lam=1.0, k=1.0)
+    names = ("j_a", "b_f", "k_s", "k_pv", "k_iv")
+    plants = []
+    for spread in (0.2, 0.6):
+        for _ in range(60):
+            params = dataclasses.replace(base, **{
+                n: getattr(base, n) * rng.uniform(1 - spread, 1 + spread)
+                for n in names})
+            plants.append(build_plant(params).P)
+    for _ in range(120):
+        # real parts from a short list, so that roots tie on their real part
+        n, rts = int(rng.integers(1, 6)), []
+        while len(rts) < n:
+            re = rng.choice([-1.0, -2.5, 0.5, rng.uniform(-30.0, 30.0)])
+            if n - len(rts) >= 2 and rng.random() < 0.5:
+                im = rng.choice([1.0, rng.uniform(0.5, 30.0)])
+                rts += [complex(re, im), complex(re, -im)]
+            else:
+                rts.append(complex(re, 0.0))
+        b = Polynomial(rng.normal(size=int(rng.integers(1, n + 1))) * 10.0)
+        plants.append(RationalTF(b, Polynomial.from_roots(rts)))
+    checked = {"spectral": 0, "coprime": 0}
+    for P in plants:
+        scale = 10.0 ** rng.uniform(-1.5, 1.5, 3)
+        w = SynthesisWeights(rho=w0.rho * scale[0], lam=w0.lam * scale[1],
+                             k=w0.k * scale[2])
+        a, b = P.den, P.num
+        for wa, wb in ((w.rho, 1.0), (w.k, w.lam)):
+            got = _coeff_bytes(_spectral, a, b, wa, wb)
+            assert got == _coeff_bytes(_reference_spectral_factor, a, b, wa, wb)
+            checked["spectral"] += got != "NumericsError"
+        try:
+            c2 = h2_synthesize(P, w).c2
+        except NumericsError:
+            continue
+        got = _coeff_bytes(_split, P, c2)
+        if got != "NumericsError":
+            assert got == _coeff_bytes(_reference_split, P, c2)
+            checked["coprime"] += 1
+    assert checked["spectral"] >= 450 and checked["coprime"] >= 200, checked
 
 
 def test_youla_zero_parameters_recover_seed_controller(model, ctrl):
