@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+_PARAM_RANGE = (1e-100, 1e100)  # accepted magnitude of each nonzero constant
+
+
 @dataclass(frozen=True)
 class SeaParams:
     """Physical constants of the actuator.
@@ -54,6 +57,11 @@ class SeaParams:
         Gearbox reduction ratio [-].
     k_pv, k_iv : float
         Proportional/integral gains of the inner velocity loop.
+
+    Each constant must be finite; j_a, k_s, r_winch and k_g must lie in
+    ``_PARAM_RANGE``, and b_f, k_pv and k_iv must be 0 or lie in it.
+    Far outside it the plant's polynomial products overflow, and the
+    design fails with errors that name no field.
     """
 
     j_a: float
@@ -68,12 +76,19 @@ class SeaParams:
         for name in ("j_a", "b_f", "k_s", "r_winch", "k_g", "k_pv", "k_iv"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        lo, hi = _PARAM_RANGE
         for name in ("j_a", "k_s", "r_winch", "k_g"):
-            if getattr(self, name) <= 0.0:
+            value = getattr(self, name)
+            if value <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+            if not lo <= value <= hi:
+                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}]")
         for name in ("b_f", "k_pv", "k_iv"):
-            if getattr(self, name) < 0.0:
+            value = getattr(self, name)
+            if value < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
+            if value != 0.0 and not lo <= value <= hi:
+                raise ValueError(f"{name} must be 0 or lie in [{lo:g}, {hi:g}]")
 
 
 @dataclass(frozen=True)

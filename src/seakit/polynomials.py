@@ -307,7 +307,7 @@ def roots(p: Polynomial) -> np.ndarray:
         _magnitude(np.polyval(coeffs, sym)) / _eval_scale(coeffs, sym),
         initial=0.0,
     ))
-    if residual > _ROOT_REL_TOL:
+    if not residual <= _ROOT_REL_TOL:  # a NaN residual fails too
         raise NumericsError(
             f"root refinement residual {residual:.3e} exceeds {_ROOT_REL_TOL:.1e}"
         )
@@ -323,7 +323,11 @@ def is_hurwitz(p: Polynomial) -> bool:
     A nonzero constant has no roots and is vacuously Hurwitz; the zero
     polynomial raises ``ValueError``, as in ``roots``.
     """
-    rs = roots(p)
+    return _all_stable(roots(p))
+
+
+def _all_stable(rs: np.ndarray) -> bool:
+    """The Hurwitz test of ``is_hurwitz`` on roots already found."""
     scale = float(np.max(np.abs(rs), initial=1.0))
     return bool(np.all(rs.real < -1e-9 * scale))
 

@@ -67,6 +67,10 @@ class CheckResult:
     passed: bool
     detail: str
 
+    def __post_init__(self):
+        # verdicts are often numpy bools, which json cannot serialize
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 def _design(cfg: ProjectConfig):
     model = build_plant(cfg.plant)

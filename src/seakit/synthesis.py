@@ -25,7 +25,14 @@ import numpy as np
 
 from .errors import NumericsError
 from .plant import SeaModel
-from .polynomials import Polynomial, gcd_degree, is_hurwitz, roots, spectral_factor
+from .polynomials import (
+    Polynomial,
+    _all_stable,
+    gcd_degree,
+    is_hurwitz,
+    roots,
+    spectral_factor,
+)
 from .transfer import RationalTF, is_stable, minimal_form
 
 __all__ = [
@@ -143,6 +150,11 @@ def _controller_pair(ctrl) -> tuple[RationalTF, RationalTF]:
     return c1, c2
 
 
+# Largest coefficient of a p + b q - c_target accepted, relative to the
+# largest coefficient of c_target.
+_DIOPHANTINE_TOL = 1e-8
+
+
 def solve_diophantine(
     a: Polynomial, b: Polynomial, c_target: Polynomial
 ) -> tuple[Polynomial, Polynomial]:
@@ -219,7 +231,7 @@ def solve_diophantine(
     x = xe / col_scale
 
     residual = float(np.max(np.abs(S @ x - rhs)))
-    bound = 1e-8 * float(np.max(np.abs(rhs)))
+    bound = _DIOPHANTINE_TOL * float(np.max(np.abs(rhs)))
     if residual > bound:
         raise NumericsError(
             f"pole-placement residual {residual:.3e} exceeds {bound:.3e}"
@@ -295,11 +307,12 @@ def coprime_factorize(P: RationalTF, C0: RationalTF) -> CoprimeFactorization:
     """Stable coprime fractions of P seeded by a stabilizing controller C0.
 
     With P = b/a and C0 = q0/p0, the closed-loop characteristic
-    c = a p0 + b q0 must be Hurwitz.  c is split into c = f h with
-    deg f = deg a; f takes the roots of c sorted by descending |Re|
-    (ties by descending |Im|), keeping conjugate pairs together so both
-    factors stay real, and carries lead(f) = lead(c) while h is monic.
-    Then M = a/f, N = b/f, X = p0/h, Y = q0/h are all stable and satisfy
+    c = a p0 + b q0 must be Hurwitz.  c is factored once: its roots give
+    both the test of ``is_hurwitz`` and the split c = f h with deg f =
+    deg a; f takes the roots of c sorted by descending |Re| (ties by
+    descending |Im|), keeping conjugate pairs together so both factors
+    stay real, and carries lead(f) = lead(c) while h is monic.  Then
+    M = a/f, N = b/f, X = p0/h, Y = q0/h are all stable and satisfy
     M X + N Y = 1, verified on a 20-point log frequency grid.
 
     Raises
@@ -317,13 +330,13 @@ def coprime_factorize(P: RationalTF, C0: RationalTF) -> CoprimeFactorization:
     c = a * p0 + b * q0
     if c.is_zero:
         raise NumericsError("degenerate loop: a p0 + b q0 is identically zero")
-    if not is_hurwitz(c):
+    # roots pairs conjugates exactly: a complex unit is [r, conj r] with Im r < 0
+    c_roots = roots(c)
+    if not _all_stable(c_roots):
         raise NumericsError("C0 does not stabilize P: a p0 + b q0 is not Hurwitz")
 
     if c.degree < n:
         raise NumericsError("characteristic degree collapsed below deg(a)")
-    # roots pairs conjugates exactly: a complex unit is [r, conj r] with Im r < 0
-    c_roots = roots(c)
     units = [[r] for r in c_roots if r.imag == 0.0]
     units += [[r, r.conjugate()] for r in c_roots if r.imag < 0.0]
     units.sort(
@@ -369,14 +382,19 @@ _BEZOUT_TOL = 1e-8
 
 
 def _check_bezout(fact: CoprimeFactorization) -> None:
+    """Raise unless |M X + N Y - 1| <= _BEZOUT_TOL on a 20-point log grid
+    from 0.01 to 100 Hz.  The four fractions are evaluated once each, as
+    arrays over the whole grid; the message names the first grid
+    frequency that fails."""
     freqs = np.logspace(np.log10(0.01), np.log10(100.0), 20)
-    for f_hz in freqs:
-        s = 2j * np.pi * f_hz
-        val = fact.M(s) * fact.X(s) + fact.N(s) * fact.Y(s)
-        if abs(val - 1.0) > _BEZOUT_TOL:
-            raise NumericsError(
-                f"Bezout identity residual {abs(val - 1.0):.3e} at {f_hz:.4g} Hz"
-            )
+    s = 2j * np.pi * freqs
+    err = np.abs(fact.M(s) * fact.X(s) + fact.N(s) * fact.Y(s) - 1.0)
+    bad = ~(err <= _BEZOUT_TOL)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericsError(
+            f"Bezout identity residual {err[i]:.3e} at {freqs[i]:.4g} Hz"
+        )
 
 
 def youla_2dof(
@@ -500,6 +518,24 @@ def build_compensator(model: SeaModel, ctrl) -> RationalTF:
     return cl
 
 
+def _design_reference_map(P: RationalTF, ctrl) -> RationalTF | None:
+    """G1 of a 2-DOF design on the plant P, from the design's factors.
+
+    None unless ctrl is a ``TwoDofController`` whose Diophantine identity
+    holds on P (see ``torque_loop_maps``).
+    """
+    if not isinstance(ctrl, TwoDofController):
+        return None
+    a, b = P.den, P.num
+    target = ctrl.d_rho * ctrl.d_lambda_k
+    residual = a * ctrl.p + b * ctrl.q - target
+    bound = _DIOPHANTINE_TOL * float(np.max(np.abs(target.coeffs)))
+    if not float(np.max(np.abs(residual.coeffs))) <= bound:
+        return None
+    kappa = float(ctrl.d_rho(0.0)) / float(b(0.0))
+    return RationalTF(b * kappa, ctrl.d_rho)
+
+
 def torque_loop_maps(
     model: SeaModel, ctrl, with_compensator: bool
 ) -> tuple[RationalTF, RationalTF]:
@@ -512,11 +548,19 @@ def torque_loop_maps(
     product of the two minimal factors, which shares no roots between
     numerator and denominator and is therefore already minimal.
 
-    Both quotients are reduced at polynomial level before any root
-    matching: G1 = b n1 p2 / (p1 (a p2 + b n2)) cancels the actuator
-    factor a exactly, which matters here because the optimal observer
-    polynomial places poles within about 1e-6 of a's stable pair and a
-    root-matching cancellation at that spacing picks wrong partners.
+    For a ``TwoDofController`` on the plant it was designed for, G1 is
+    taken from the design's own factors, with no root finding or
+    matching: with C2 = q/p and C1 = kappa d_lambda_k / p, kappa =
+    d_rho(0)/b(0), G1 = kappa b d_lambda_k / (a p + b q) = kappa b / d_rho.
+    The guard is the Diophantine identity a p + b q = d_rho d_lambda_k on
+    this plant, within the bound ``solve_diophantine`` accepts (1e-8 of
+    the largest coefficient of d_rho d_lambda_k).  Any other case (a PI
+    pair, or a design applied to another plant) forms the quotient at
+    polynomial level before any root matching: G1 =
+    b n1 p2 / (p1 (a p2 + b n2)) cancels the actuator factor a exactly,
+    which matters here because the optimal observer polynomial places
+    poles within about 1e-6 of a's stable pair and a root-matching
+    cancellation at that spacing picks wrong partners.
 
     Raises
     ------
@@ -524,10 +568,12 @@ def torque_loop_maps(
         If either map is unstable.
     """
     c1, c2 = _controller_pair(ctrl)
-    char = _torque_char(model.P, c2)
-    g1 = minimal_form(
-        RationalTF(model.P.num * c1.num * c2.den, c1.den * char)
-    )
+    g1 = _design_reference_map(model.P, ctrl)
+    if g1 is None:
+        char = _torque_char(model.P, c2)
+        g1 = minimal_form(
+            RationalTF(model.P.num * c1.num * c2.den, c1.den * char)
+        )
     g2 = _motion_map(model, c2)
     if not is_hurwitz(g1.den) or not is_hurwitz(g2.den):  # both minimal
         raise NumericsError("closed torque loop is unstable")

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -255,21 +256,24 @@ def test_cli_rejects_an_impedance_reference_before_any_output(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_cli_extreme_weights_and_plant_fail_with_a_message(tmp_path, capsys):
     # weights beyond 1e+-100 used to escape the design as an OverflowError
-    # traceback or as messages naming no weight; a plant whose even
-    # polynomial overflows used to leak numpy's LinAlgError
+    # traceback or as messages naming no weight; a plant constant beyond
+    # 1e+-100 used to leak numpy's LinAlgError (k_s) or fail on non-finite
+    # coefficients (j_a), and plant --config then exited 0
     cases = [
         ({"weights": {"rho": 1e300}}, 2, "config error: config.weights: weight rho "),
         ({"weights": {"rho": 1e-300}}, 2, "config error: config.weights: weight rho "),
         ({"weights": {"k": 1e-160}}, 2, "config error: config.weights: weight k "),
-        ({"plant": {"k_s": 1e150}}, 3, "numerical failure: roots failed at degree "),
+        ({"plant": {"k_s": 1e150}}, 2, "config error: config.plant: k_s must lie in "),
+        ({"plant": {"j_a": 1e-160}}, 2, "config error: config.plant: j_a must lie in "),
     ]
     for i, (raw, code, message) in enumerate(cases):
         path = tmp_path / f"c{i}.json"
         path.write_text(json.dumps(raw))
         out = tmp_path / f"out{i}"
-        assert main(["synth", "--config", str(path), "--out", str(out)]) == code
-        err = capsys.readouterr().err
-        assert err.startswith(message) and "Traceback" not in err
+        for command in ("synth", "plant"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            assert err.startswith(message) and "Traceback" not in err
 
 
 def test_cli_rejects_impedance_scenario_without_i_d(tmp_path, capsys):
@@ -663,6 +667,23 @@ def test_cli_preset_commands_exit_4_on_failed_check(
     assert main(argv + ["--json"]) == 4
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [c["passed"] for c in checks] == [True, False]
+
+
+def test_cli_json_reports_of_the_real_runs(tmp_path, capsys):
+    # the stubbed tests above pass Python bools; the real checks compare
+    # numpy floats, and their numpy bools used to stop json.dumps with a
+    # TypeError (exit 1)
+    t0 = time.perf_counter()
+    for argv in [["sim", name] for name in PRESET_NAMES] + [["reproduce"]]:
+        code = main(argv + ["--json", "--out", str(tmp_path / argv[-1])])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        failed = [f"{c['preset']}/{c['check']}" for c in checks if not c["passed"]]
+        # criterion 9's phase band, red by design, runs in fig10
+        red = ["fig10/phase_lag_plausible"] if argv[-1] in ("fig10", "reproduce") else []
+        assert checks and failed == red, (argv, failed)
+        assert code == (4 if red else 0), argv
+    wall = time.perf_counter() - t0
+    assert wall < 60.0  # about 6 s on a 2-core box
 
 
 def test_cli_reproduce_json(tmp_path, monkeypatch, capsys):

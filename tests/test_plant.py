@@ -101,3 +101,15 @@ def test_non_finite_parameters_name_the_field():
                       ("b_f", -float("inf"))):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             replace(default_params(), **{name: bad})
+
+
+def test_parameters_outside_the_range_name_the_field():
+    # far outside [1e-100, 1e100] the plant polynomials overflow in the design
+    for name, bad in (("j_a", 1e-160), ("k_s", 1e150), ("r_winch", 1e-101),
+                      ("k_g", 1e101)):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[1e-100, 1e\+100\]$"):
+            replace(default_params(), **{name: bad})
+    for name, bad in (("b_f", 1e-101), ("k_pv", 1e101), ("k_iv", 1e150)):
+        with pytest.raises(ValueError, match=rf"^{name} must be 0 or lie in \[1e-100, "):
+            replace(default_params(), **{name: bad})
+    replace(default_params(), j_a=1e-100, k_s=1e100, b_f=0.0, k_pv=0.0, k_iv=1e-100)

@@ -185,6 +185,18 @@ def test_roots_keep_a_small_complex_pair_beside_a_large_root():
                                rtol=1e-8)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_roots_fail_where_the_residual_cannot_be_taken():
+    # |p(r)| overflows at the root near -1e160: the residual is NaN, and an
+    # unverified root set used to come back without an error
+    with pytest.raises(NumericsError, match="residual nan exceeds"):
+        roots(Polynomial([1.0, 1e160, 1e160, 1.0]))
+    # a companion matrix with infinite entries
+    with pytest.raises(NumericsError, match="^roots failed at degree 2: "):
+        roots(Polynomial([1e-300, 1e300, 1.0]))
+
+
 def test_a_nonzero_constant_has_no_roots():
     # np.roots' convention: only the zero polynomial has no root set
     got = roots(Polynomial([4.0]))

@@ -3,6 +3,7 @@
 import numpy as np
 
 from seakit import (
+    CheckResult,
     ProjectConfig,
     build_plant,
     h2_synthesize,
@@ -35,3 +36,9 @@ def test_fig9_reports_clamped_samples_per_controller(tmp_path):
     assert check.detail.endswith(
         "velocity clamp: 2-DOF 0, PI 1610 of 100001 samples"
     )
+
+
+def test_check_verdicts_are_python_bools():
+    # a verdict is often a numpy comparison; json.dumps rejects numpy bools
+    check = CheckResult("fig6", "x", np.float64(1.0) <= np.float64(2.0), "-")
+    assert type(check.passed) is bool and check.passed
