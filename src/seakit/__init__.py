@@ -3,9 +3,10 @@ cable-driven series elastic actuator.
 
 The package covers the full chain: polynomial and transfer-function
 primitives, the physical plant model, quadratic-optimal 2-DOF synthesis
-with its Youla-parameterization underpinnings, deterministic closed-loop
-simulation (torque and impedance modes), nonparametric FRF estimation,
-and a CLI that reproduces the published experiments as presets.
+(one member of the family of all stabilizing 2-DOF controllers),
+deterministic closed-loop simulation (torque and impedance modes),
+nonparametric FRF estimation, and a CLI that reproduces the published
+experiments as presets.
 
 The public names are those each module lists in its own ``__all__``.
 """

@@ -4,7 +4,7 @@ Coefficients are stored highest degree first, matching ``np.polyval``.
 This module carries the numerical substrate for controller synthesis:
 root extraction with a Newton polish, Hurwitz tests, spectral
 factorization of even polynomials, and an approximate-GCD degree used
-for coprimeness checks and pole/zero cancellation.
+only to check that a plant's numerator and denominator are coprime.
 
 All tolerances are relative; absolute thresholds would silently change
 meaning between the physical parameter scale (coefficients spanning

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .plant import SeaModel
-from .synthesis import build_compensator, _controller_pair
+from .synthesis import build_compensator, _controller_pair, _shared_denominator_pair
 from .transfer import RationalTF, to_state_space
 
 __all__ = [
@@ -329,9 +329,7 @@ class TorqueLoopScenario:
             raise ValueError("duration_s must cover at least 10 steps")
         if not self.saturation_rad_s > 0.0:
             raise ValueError("saturation_rad_s must be positive")
-        c1, c2 = _controller_pair(self.controller)
-        if c1.den != c2.den:
-            raise ValueError("controller: C1 and C2 must share one denominator")
+        _shared_denominator_pair(self.controller)
         if self.i_d is None:
             if self.phi_ref.kind != "zero":
                 raise ValueError("phi_ref applies only with i_d set")

@@ -2,15 +2,16 @@
 
 Three layers, each usable on its own:
 
-* ``coprime_factorize`` / ``youla_2dof``: the all-stabilizing-controllers
-  parameterization.  Any stable pair (Q1, Q2) yields a controller pair
-  (C1, C2) whose closed loop is internally stable.
 * ``h2_synthesize``: the quadratic-optimal design.  Two spectral
   factorizations fix the closed-loop pole set, a Sylvester solve places
   the feedback controller C2 = q/p, and the feedforward C1 reuses the
-  rejection factor over the same denominator.
-* map builders: the full set of closed-loop transfer functions used by
-  the simulator and the acceptance oracles.
+  rejection factor over the same denominator.  This is the one member
+  of the family of all stabilizing 2-DOF controllers (Youla, Jabr &
+  Bongiorno, IEEE TAC 1976) that the package computes.
+* ``coprime_factorize``: stable coprime fractions around a stabilizing
+  C2, with the Bezout identity checked.
+* map builders: the closed-loop maps of the simulator and the
+  acceptance oracles, as exact polynomial quotients.
 
 Feedback is defined positive-plant/negative-feedback throughout:
 u = C1 r - C2 y, y = P(u + d) + n.
@@ -33,7 +34,7 @@ from .polynomials import (
     roots,
     spectral_factor,
 )
-from .transfer import RationalTF, is_stable, minimal_form
+from .transfer import RationalTF
 
 __all__ = [
     "SynthesisWeights",
@@ -42,7 +43,6 @@ __all__ = [
     "SignalMaps",
     "ClosedLoopMaps",
     "coprime_factorize",
-    "youla_2dof",
     "h2_synthesize",
     "solve_diophantine",
     "build_compensator",
@@ -147,6 +147,14 @@ def _controller_pair(ctrl) -> tuple[RationalTF, RationalTF]:
     if hasattr(ctrl, "as_pair"):
         return ctrl.as_pair()
     c1, c2 = ctrl
+    return c1, c2
+
+
+def _shared_denominator_pair(ctrl) -> tuple[RationalTF, RationalTF]:
+    """The (C1, C2) of ctrl; ValueError unless they share one denominator."""
+    c1, c2 = _controller_pair(ctrl)
+    if c1.den != c2.den:
+        raise ValueError("controller: C1 and C2 must share one denominator")
     return c1, c2
 
 
@@ -397,66 +405,13 @@ def _check_bezout(fact: CoprimeFactorization) -> None:
         )
 
 
-def youla_2dof(
-    fact: CoprimeFactorization, Q1: RationalTF, Q2: RationalTF
-) -> tuple[RationalTF, RationalTF]:
-    """One member of the all-stabilizing-controllers family.
-
-    C1 = Q1 / (X - N Q2), C2 = (Y + M Q2) / (X - N Q2) for any stable
-    Q1, Q2.  Internal stability of the resulting loop is re-verified
-    rather than trusted: every closed-loop map reduces to one of six
-    products of the parameters and factors (Q1 M, Q1 N, M D, N D,
-    M (Y + M Q2), N (Y + M Q2) with D = X - N Q2), and each product is
-    checked stable in that factored form.  Checking the products instead
-    of the raw interconnection keeps the test meaningful for this plant
-    family, where the uncancelled loop maps carry root clusters too
-    tight for reliable pole/zero matching.
-
-    Returns the (C1, C2) pair in minimal form.
-
-    Raises
-    ------
-    ValueError
-        Q1 or Q2 unstable, or X - N Q2 identically zero.
-    NumericsError
-        If the stability re-verification fails (numerical degeneracy).
-    """
-    if not is_stable(Q1) or not is_stable(Q2):
-        raise ValueError("Q1 and Q2 must be stable")
-    dpar = fact.X - fact.N * Q2
-    if dpar.num.is_zero:
-        raise ValueError("degenerate parameter: X - N Q2 is identically zero")
-    # Build the controllers at polynomial level.  Every term of
-    # C2 = (Y + M Q2)/(X - N Q2) shares the factor h f den(Q2); dividing
-    # it out symbolically beats forming the quotient and hoping the
-    # root-matching cancellation finds eight coincident pairs.
-    a, b = fact.M.num, fact.N.num
-    p0, q0 = fact.X.num, fact.Y.num
-    fq2d = fact.f * Q2.den
-    dpoly = p0 * fq2d - b * Q2.num * fact.h
-    c2 = minimal_form(RationalTF(q0 * fq2d + a * Q2.num * fact.h, dpoly))
-    c1 = minimal_form(RationalTF(Q1.num * fact.h * fq2d, Q1.den * dpoly))
-    comp = fact.Y + fact.M * Q2
-    for tf in (
-        Q1 * fact.M,
-        Q1 * fact.N,
-        fact.M * dpar,
-        fact.N * dpar,
-        fact.M * comp,
-        fact.N * comp,
-    ):
-        if not is_stable(tf):
-            raise NumericsError("closed loop failed internal-stability verification")
-    return c1, c2
-
-
 def closed_loop_maps(P: RationalTF, ctrl) -> ClosedLoopMaps:
     """All twelve loop maps of the 2-DOF interconnection, uncancelled.
 
-    ``ctrl`` is a TwoDofController or a (C1, C2) pair.  The maps are
-    composed exactly as written (products over the common return
-    difference 1 + P C2); shared factors are left in place so hidden
-    unstable cancellations stay detectable by ``is_stable``.
+    ``ctrl`` is a TwoDofController or a (C1, C2) pair over any
+    denominators.  The maps are composed exactly as written (products
+    over the common return difference 1 + P C2), so a hidden unstable
+    factor stays in each map's denominator for ``is_hurwitz`` to find.
 
     The disturbance and noise maps depend only on P and C2 — swapping C1
     changes nothing in from_d / from_n, coefficient for coefficient.
@@ -480,22 +435,20 @@ def closed_loop_maps(P: RationalTF, ctrl) -> ClosedLoopMaps:
 
 
 def _torque_char(P: RationalTF, c2: RationalTF) -> Polynomial:
-    """Characteristic polynomial of the torque loop, a p2 + b n2."""
+    """Characteristic polynomial of the torque loop, a p + b n2."""
     return P.den * c2.den + P.num * c2.num
 
 
 def _motion_map(model: SeaModel, c2: RationalTF) -> RationalTF:
-    """G / (1 + P C2) built at polynomial level.
+    """G / (1 + P C2) as the exact quotient num(G) s p / (a p + b n2).
 
     The plant pair shares the actuator dynamics, den(P) = s den(G) (a
-    ``SeaModel`` invariant), so the quotient collapses exactly to
-    num(G) s den(C2) / (a p2 + b n2) with no pole/zero matching
-    involved.  Composing the quotient operator-style instead would
-    duplicate the actuator factor and leave root clusters that defeat
-    numerical cancellation.
+    ``SeaModel`` invariant), so the actuator factor divides out at
+    polynomial level.  Composing the quotient operator-style instead
+    would duplicate that factor in the denominator.
     """
     num = model.G.num * Polynomial([1.0, 0.0]) * c2.den
-    return minimal_form(RationalTF(num, _torque_char(model.P, c2)))
+    return RationalTF(num, _torque_char(model.P, c2))
 
 
 def build_compensator(model: SeaModel, ctrl) -> RationalTF:
@@ -503,8 +456,8 @@ def build_compensator(model: SeaModel, ctrl) -> RationalTF:
 
     Subtracting C_L phi_L from the torque reference cancels the coupling
     of load motion into the closed torque loop to the extent the
-    reference map is unity.  Returned in minimal form; biproper with
-    high-frequency gain equal to G's (P C2 rolls off).
+    reference map is unity.  Returned as an exact quotient; biproper
+    with high-frequency gain equal to G's (P C2 rolls off).
 
     Raises
     ------
@@ -513,7 +466,7 @@ def build_compensator(model: SeaModel, ctrl) -> RationalTF:
     """
     _, c2 = _controller_pair(ctrl)
     cl = _motion_map(model, c2)
-    if not is_hurwitz(cl.den):  # cl is minimal already
+    if not is_hurwitz(cl.den):
         raise NumericsError("closed torque loop is unstable; no compensator")
     return cl
 
@@ -544,38 +497,34 @@ def torque_loop_maps(
     Returns (G1, H_phi) with G1 = P C1 / (1 + P C2) and H_phi the
     transfer from load motion phi_L to delivered torque: G2 = G/(1+P C2)
     uncompensated, or (1 - G1) G2 with the feedforward compensator
-    active.  G1 and G2 are in minimal form; the compensated H_phi is the
-    product of the two minimal factors, which shares no roots between
-    numerator and denominator and is therefore already minimal.
+    active.
 
-    For a ``TwoDofController`` on the plant it was designed for, G1 is
-    taken from the design's own factors, with no root finding or
-    matching: with C2 = q/p and C1 = kappa d_lambda_k / p, kappa =
-    d_rho(0)/b(0), G1 = kappa b d_lambda_k / (a p + b q) = kappa b / d_rho.
-    The guard is the Diophantine identity a p + b q = d_rho d_lambda_k on
-    this plant, within the bound ``solve_diophantine`` accepts (1e-8 of
-    the largest coefficient of d_rho d_lambda_k).  Any other case (a PI
-    pair, or a design applied to another plant) forms the quotient at
-    polynomial level before any root matching: G1 =
-    b n1 p2 / (p1 (a p2 + b n2)) cancels the actuator factor a exactly,
-    which matters here because the optimal observer polynomial places
-    poles within about 1e-6 of a's stable pair and a root-matching
-    cancellation at that spacing picks wrong partners.
+    C1 = n1/p and C2 = n2/p must share one denominator, as in
+    ``TorqueLoopScenario`` (a PI pair shares s).  Each map is then an
+    exact polynomial quotient over a p + b n2, with P = b/a, and nothing
+    is cancelled by matching roots: G2 is ``build_compensator``'s
+    num(G) s p / (a p + b n2), and G1 = b n1 / (a p + b n2).  For a
+    ``TwoDofController`` on the plant it was designed for, G1 = kappa b
+    / d_rho instead, from the design's own factors: C1 = kappa
+    d_lambda_k / p with kappa = d_rho(0)/b(0), and a p + b q = d_rho
+    d_lambda_k, so d_lambda_k divides out.  The guard is that identity
+    on this plant, within ``solve_diophantine``'s bound (1e-8 of the
+    largest coefficient of d_rho d_lambda_k).
 
     Raises
     ------
+    ValueError
+        If C1 and C2 do not share one denominator.
     NumericsError
         If either map is unstable.
     """
-    c1, c2 = _controller_pair(ctrl)
+    c1, c2 = _shared_denominator_pair(ctrl)
     g1 = _design_reference_map(model.P, ctrl)
     if g1 is None:
-        char = _torque_char(model.P, c2)
-        g1 = minimal_form(
-            RationalTF(model.P.num * c1.num * c2.den, c1.den * char)
-        )
+        g1 = RationalTF(model.P.num * c1.num, _torque_char(model.P, c2))
     g2 = _motion_map(model, c2)
-    if not is_hurwitz(g1.den) or not is_hurwitz(g2.den):  # both minimal
+    # off the design path G1 and G2 share a p + b n2: factor it once
+    if not all(is_hurwitz(den) for den in dict.fromkeys((g1.den, g2.den))):
         raise NumericsError("closed torque loop is unstable")
     h_phi = (1.0 - g1) * g2 if with_compensator else g2
     return g1, h_phi

@@ -2,10 +2,9 @@
 
 ``RationalTF`` is a thin pair of :class:`~seakit.polynomials.Polynomial`
 objects normalized to a monic denominator.  Composition operators
-(series, +, *, /) never cancel common factors: uncontrollable or
-unobservable modes stay visible until an explicit ``minimal_form``
-call, so internal-stability checks cannot be fooled by silent
-cancellation of an unstable factor.
+(series, +, *, /) never cancel common factors, so an internal-stability
+check cannot be fooled by a silently cancelled unstable factor.  The
+loop maps of :mod:`seakit.synthesis` are exact polynomial quotients.
 
 ``FrequencyResponse`` holds a response on a grid, computed from a model
 or estimated from data.  The unwrapped phase of a transfer function has
@@ -21,22 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .polynomials import Polynomial, _match_pairs, is_hurwitz, roots
+from .polynomials import Polynomial, roots
 
 __all__ = [
     "RationalTF",
     "StateSpace",
     "FrequencyResponse",
     "series",
-    "minimal_form",
     "to_state_space",
-    "is_stable",
     "frequency_response",
     "poles",
     "zeros",
 ]
-
-_CANCEL_TOL = 1e-7  # relative pole/zero distance that minimal_form cancels
 
 
 class RationalTF:
@@ -162,39 +157,6 @@ def poles(tf: RationalTF) -> np.ndarray:
 def zeros(tf: RationalTF) -> np.ndarray:
     """Numerator roots; the zero function has no zero set (ValueError)."""
     return roots(tf.num)
-
-
-def minimal_form(tf: RationalTF) -> RationalTF:
-    """Cancel pole/zero pairs closer than ``_CANCEL_TOL`` relative to root scale.
-
-    Matching is greedy closest-first; surviving roots are re-expanded to
-    real coefficients.  The zero transfer function minimizes to 0/1.
-    """
-    if tf.num.is_zero:
-        return RationalTF([0.0], [1.0])
-    gain = float(tf.num.coeffs[0])  # den is monic, so this is the HF gain ratio
-    zs, ps = zeros(tf), poles(tf)
-    matches = _match_pairs(zs, ps, _CANCEL_TOL)
-    if not matches:
-        return tf  # nothing cancels; keep exact coefficients, skip re-expansion
-    drop_z = {i for i, _ in matches}
-    drop_p = {j for _, j in matches}
-    keep_z = np.array([z for i, z in enumerate(zs) if i not in drop_z], complex)
-    keep_p = np.array([p for j, p in enumerate(ps) if j not in drop_p], complex)
-    num = Polynomial.from_roots(keep_z, leading=gain)
-    den = Polynomial.from_roots(keep_p)
-    return RationalTF(num, den)
-
-
-def is_stable(tf: RationalTF) -> bool:
-    """Hurwitz test on the denominator of the minimal form.
-
-    Cancellation first is essential: composed closed-loop maps carry
-    duplicated stable factors, and conversely a hidden unstable
-    cancellation must not count as stable, so the test runs on whatever
-    survives ``minimal_form``.
-    """
-    return is_hurwitz(minimal_form(tf).den)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from seakit import (
     format_poly,
     gcd_degree,
     is_hurwitz,
-    is_stable,
     loop_margins,
     phase_at,
     poles,
@@ -215,8 +214,8 @@ def test_a_nonzero_constant_has_no_roots():
     with pytest.raises(ValueError):
         zeros(RationalTF([0.0], [1.0, 1.0]))  # as roots of the zero polynomial
     assert poles(RationalTF([1.0], [1.0, 2.0])).tolist() == [-2.0]
-    assert is_stable(const)
-    assert is_stable(RationalTF([0.0], [1.0, -1.0]))
+    assert is_hurwitz(const.den)
+    assert is_hurwitz(RationalTF([0.0], [1.0, -1.0]).den)
     d = spectral_factor(Polynomial([3.0]), Polynomial([4.0]), 1.0, 1.0)
     assert d == Polynomial([5.0])  # sqrt(E(0)) = sqrt(3^2 + 4^2)
     assert phase_at(const, 10.0) == 0.0

@@ -14,6 +14,7 @@ from seakit import (
     Polynomial,
     RationalTF,
     SynthesisWeights,
+    TorqueLoopScenario,
     build_compensator,
     build_plant,
     closed_loop_maps,
@@ -21,13 +22,10 @@ from seakit import (
     default_params,
     h2_synthesize,
     is_hurwitz,
-    is_stable,
-    minimal_form,
     roots,
     solve_diophantine,
     spectral_factor,
     torque_loop_maps,
-    youla_2dof,
 )
 from seakit.polynomials import _pair_conjugates
 from seakit.synthesis import (
@@ -134,7 +132,7 @@ def test_h2_requires_strictly_proper_coprime_plant():
 def test_coprime_factorization_properties(model, ctrl):
     fact = coprime_factorize(model.P, ctrl.c2)
     for piece in (fact.M, fact.N, fact.X, fact.Y):
-        assert is_stable(piece)
+        assert is_hurwitz(piece.den)
     # split: deg f = deg a, lead carried by f, h monic, product restores c
     assert fact.f.degree == model.P.den.degree
     assert np.isclose(fact.h.coeffs[0], 1.0)
@@ -146,10 +144,10 @@ def test_coprime_factorization_properties(model, ctrl):
         s = 2j * np.pi * f_hz
         val = fact.M(s) * fact.X(s) + fact.N(s) * fact.Y(s)
         assert abs(val - 1.0) <= 1e-8
-    # N/M recovers the plant
-    p_rec = minimal_form(fact.N / fact.M)
-    np.testing.assert_allclose(p_rec.num.coeffs, model.P.num.coeffs, rtol=1e-7)
-    np.testing.assert_allclose(p_rec.den.coeffs, model.P.den.coeffs, rtol=1e-7, atol=1e-9)
+    # N/M recovers the plant: N and M share the denominator f
+    assert fact.N.den == fact.M.den == RationalTF([1.0], fact.f).den
+    np.testing.assert_allclose(fact.N.num.coeffs, model.P.num.coeffs, rtol=1e-7)
+    np.testing.assert_allclose(fact.M.num.coeffs, model.P.den.coeffs, rtol=1e-7, atol=1e-9)
 
 
 def _reference_spectral_factor(a, b, wa, wb):
@@ -281,33 +279,6 @@ def test_root_conventions_match_the_former_pairing_bit_for_bit():
     assert checked["spectral"] >= 450 and checked["coprime"] >= 200, checked
 
 
-def test_youla_zero_parameters_recover_seed_controller(model, ctrl):
-    fact = coprime_factorize(model.P, ctrl.c2)
-    zero = RationalTF([0.0], [1.0])
-    c1, c2 = youla_2dof(fact, zero, zero)
-    assert c1.num.is_zero
-    np.testing.assert_allclose(c2.num.coeffs, ctrl.c2.num.coeffs, rtol=1e-7)
-    np.testing.assert_allclose(c2.den.coeffs, ctrl.c2.den.coeffs, rtol=1e-7)
-
-
-def test_youla_nontrivial_parameters_stay_stabilizing(model, ctrl):
-    fact = coprime_factorize(model.P, ctrl.c2)
-    q1 = RationalTF([2.0, 1.0], [1.0, 10.0])
-    q2 = RationalTF([0.5], [1.0, 3.0])
-    c1, c2 = youla_2dof(fact, q1, q2)  # raises if any loop map is unstable
-    # resulting loop really is stable: char poly of (P, c2) is Hurwitz
-    char = model.P.den * c2.den + model.P.num * c2.num
-    assert is_hurwitz(char)
-    assert c1.num.degree >= 0
-
-
-def test_youla_rejects_unstable_parameter(model, ctrl):
-    fact = coprime_factorize(model.P, ctrl.c2)
-    bad = RationalTF([1.0], [1.0, -1.0])
-    with pytest.raises(ValueError):
-        youla_2dof(fact, bad, RationalTF([0.0], [1.0]))
-
-
 def test_closed_loop_map_identities(model, ctrl):
     maps = closed_loop_maps(model.P, ctrl)
     for f_hz in (0.1, 2.0, 20.0):
@@ -346,15 +317,23 @@ def test_torque_loop_reference_map_is_low_order_identity(model, ctrl):
     assert np.all(rel <= 1e-8), rel
 
 
+def _exact_reference_map(model, c1, c2):
+    """G1 = b n1 / (a p + b n2) for C1 = n1/p and C2 = n2/p."""
+    P = model.P
+    return RationalTF(P.num * c1.num, P.den * c2.den + P.num * c2.num)
+
+
 def test_reference_map_of_a_design_on_another_plant(model, ctrl):
     # the same design on a plant 20% off fails the Diophantine guard, and
-    # G1 is the general quotient reduced by root matching
+    # G1 is the general exact quotient over a p + b n2
     for scale in (0.8, 1.2):
         params = dataclasses.replace(default_params(), **{
             n: getattr(default_params(), n) * scale for n in ("j_a", "k_s", "k_pv")})
         other = build_plant(params)
         assert _design_reference_map(other.P, ctrl) is None
         g1, _ = torque_loop_maps(other, ctrl, with_compensator=False)
+        exact = _exact_reference_map(other, ctrl.c1, ctrl.c2)
+        assert g1.num == exact.num and g1.den == exact.den
         assert g1.den.degree > ctrl.d_rho.degree
         grid = np.array([0.1, 2.0, 20.0, 200.0])
         rel = np.abs(g1(2j * np.pi * grid) / _pointwise_g1(other, ctrl, grid) - 1.0)
@@ -378,6 +357,21 @@ def test_check_bezout_rejects_a_corrupted_factorization(model, ctrl):
     assert " at 0.01 Hz" not in str(err.value)
 
 
+def _design_draws(seed, spread, count):
+    """count seeded (params, weights) draws from one stream: each plant
+    constant within +-spread of its default, then each weight within 1.5
+    decades of its default."""
+    rng = np.random.default_rng(seed)
+    base, w0 = default_params(), SynthesisWeights(rho=5e-4, lam=1.0, k=1.0)
+    names = ("j_a", "b_f", "k_s", "r_winch", "k_g", "k_pv", "k_iv")
+    for _ in range(count):
+        params = dataclasses.replace(base, **{
+            n: getattr(base, n) * rng.uniform(1 - spread, 1 + spread) for n in names})
+        scale = 10.0 ** rng.uniform(-1.5, 1.5, 3)
+        yield params, SynthesisWeights(rho=w0.rho * scale[0], lam=w0.lam * scale[1],
+                                       k=w0.k * scale[2])
+
+
 @pytest.mark.filterwarnings(
     "ignore:Sylvester system condition number:RuntimeWarning"
 )
@@ -386,17 +380,9 @@ def test_design_draws_design_or_raise_a_named_error():
     # decades of them.  Each design either completes or fails with a
     # NumericsError or ConfigError.  A root matching of G1 that split a
     # conjugate pair used to end 7 of these draws in a ValueError.
-    rng = np.random.default_rng(21)
-    base, w0 = default_params(), SynthesisWeights(rho=5e-4, lam=1.0, k=1.0)
-    names = ("j_a", "b_f", "k_s", "r_winch", "k_g", "k_pv", "k_iv")
     designed = 0
     t0 = time.perf_counter()
-    for _ in range(200):
-        params = dataclasses.replace(base, **{
-            n: getattr(base, n) * rng.uniform(0.8, 1.2) for n in names})
-        scale = 10.0 ** rng.uniform(-1.5, 1.5, 3)
-        w = SynthesisWeights(rho=w0.rho * scale[0], lam=w0.lam * scale[1],
-                             k=w0.k * scale[2])
+    for params, w in _design_draws(21, 0.2, 200):
         try:
             model = build_plant(params)
             ctrl = h2_synthesize(model.P, w)
@@ -408,6 +394,47 @@ def test_design_draws_design_or_raise_a_named_error():
     wall = time.perf_counter() - t0
     assert designed >= 190
     assert wall < 10.0  # about 1.7 s on a 2-core box
+
+
+@pytest.mark.filterwarnings(
+    "ignore:Sylvester system condition number:RuntimeWarning"
+)
+def test_a_design_on_the_next_plant_gives_the_exact_stable_maps():
+    # Design i of a seeded stream applied to plant i + 1, with the plant
+    # within 20% and 60% of the defaults and the weights within 1.5
+    # decades.  G1 takes the general quotient b n1 / (a p + b n2), and
+    # every pairing must give stable maps.  Cancelling G1's poles and
+    # zeros by root matching split a conjugate pair and raised ValueError
+    # on 2 of these 200 pairings.
+    paired = 0
+    t0 = time.perf_counter()
+    for spread in (0.2, 0.6):
+        draws = list(_design_draws(5, spread, 101))
+        for (params, w), (next_params, _) in zip(draws, draws[1:]):
+            ctrl = h2_synthesize(build_plant(params).P, w)
+            other = build_plant(next_params)
+            g1, _ = torque_loop_maps(other, ctrl, with_compensator=True)
+            exact = _exact_reference_map(other, ctrl.c1, ctrl.c2)
+            assert g1.num == exact.num and g1.den == exact.den
+            build_compensator(other, ctrl)
+            paired += 1
+    wall = time.perf_counter() - t0
+    assert paired == 200
+    assert wall < 10.0  # about 1 s on a 2-core box
+
+
+def test_loop_maps_over_one_denominator(model, ctrl):
+    # the torque loop is realized over the controllers' one denominator,
+    # by torque_loop_maps and by a scenario alike; closed_loop_maps
+    # composes any pair, as criterion 4 swaps in a C1 over another one
+    pair = (RationalTF([1.0], [1.0, 1.0]), ctrl.c2)
+    message = r"^controller: C1 and C2 must share one denominator$"
+    with pytest.raises(ValueError, match=message):
+        torque_loop_maps(model, pair, with_compensator=False)
+    with pytest.raises(ValueError, match=message):
+        TorqueLoopScenario(model=model, controller=pair)
+    maps = closed_loop_maps(model.P, pair)
+    assert maps.from_r.y.den.degree > ctrl.c2.den.degree
 
 
 def test_torque_loop_motion_map(model, ctrl):
@@ -424,7 +451,9 @@ def test_torque_loop_motion_map(model, ctrl):
 def test_torque_loop_maps_with_pi_controller(model):
     pi = PiController(204.0, 111.0)
     g1, g2 = torque_loop_maps(model, pi.as_pair(), with_compensator=False)
-    assert is_stable(g1) and is_stable(g2)
+    assert is_hurwitz(g1.den) and is_hurwitz(g2.den)
+    exact = _exact_reference_map(model, *pi.as_pair())
+    assert g1.num == exact.num and g1.den == exact.den
     for f_hz in (0.5, 5.0):
         s = 2j * np.pi * f_hz
         c = pi.as_pair()[0](s)

@@ -6,11 +6,8 @@ import pytest
 from seakit import (
     FrequencyResponse,
     NumericsError,
-    Polynomial,
     RationalTF,
     frequency_response,
-    is_stable,
-    minimal_form,
     poles,
     to_state_space,
     zeros,
@@ -59,50 +56,6 @@ def test_algebra_matches_pointwise():
         assert np.isclose((g / h)(s), g(s) / h(s))
         assert np.isclose((g + 2.0)(s), g(s) + 2.0)
         assert np.isclose((1.0 - g)(s), 1.0 - g(s))
-
-
-def test_minimal_form_cancels_shared_factor():
-    # (s+1)(s+2) / ((s+1)(s+3)) -> (s+2)/(s+3)
-    num = Polynomial.from_roots([-1.0, -2.0])
-    den = Polynomial.from_roots([-1.0, -3.0])
-    m = minimal_form(RationalTF(num, den))
-    np.testing.assert_allclose(m.num.coeffs, [1.0, 2.0], atol=1e-12)
-    np.testing.assert_allclose(m.den.coeffs, [1.0, 3.0], atol=1e-12)
-
-
-def test_minimal_form_no_match_returns_exact_input():
-    g = tf([1.0, 2.0], [1.0, 3.0, 5.0])
-    m = minimal_form(g)
-    # no shared roots: coefficients must come back bit-identical, not
-    # round-tripped through a root expansion
-    assert m.num.coeffs is g.num.coeffs
-    assert m.den.coeffs is g.den.coeffs
-
-
-def test_minimal_form_keeps_close_but_distinct_roots():
-    # 1e-3 apart is a genuine dipole, not a cancellation
-    g = RationalTF(
-        Polynomial.from_roots([-28.26]), Polynomial.from_roots([-28.288, -1.0])
-    )
-    m = minimal_form(g)
-    assert m.num.degree == 1
-    assert m.den.degree == 2
-
-
-def test_minimal_form_zero():
-    m = minimal_form(tf([0.0], [1.0, 1.0]))
-    assert m.num.is_zero
-
-
-def test_is_stable():
-    assert is_stable(tf([1.0], [1.0, 2.0, 3.0]))
-    assert not is_stable(tf([1.0], [1.0, -1.0]))
-    # unstable pole hidden under an exact cancellation leaves a stable map
-    num = Polynomial.from_roots([1.0])
-    den = Polynomial.from_roots([1.0, -2.0])
-    assert is_stable(RationalTF(num, den))
-    # integrator is not strictly stable
-    assert not is_stable(tf([1.0], [1.0, 0.0]))
 
 
 def test_poles_zeros():
