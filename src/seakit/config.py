@@ -305,10 +305,10 @@ def write_bundle(
 _CSV_BLOCK_ROWS = 4096
 
 
-def _csv_blocks(rows: np.ndarray, line: str):
-    """The CSV text of rows, one %-operation per _CSV_BLOCK_ROWS rows."""
-    for i in range(0, len(rows), _CSV_BLOCK_ROWS):
-        block = rows[i:i + _CSV_BLOCK_ROWS]
+def _csv_blocks(columns: list, line: str):
+    """The CSV text of columns, _CSV_BLOCK_ROWS rows stacked at a time."""
+    for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in columns])
         yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -321,8 +321,10 @@ def _usable_cpus() -> int:
 def write_csv(path: str, header: list[str], columns: list) -> None:
     """Numeric columns as CSV: 9 significant digits, LF line endings.
 
-    Rows are formatted a block at a time with one %-operation per block.
-    From 4 * _CSV_BLOCK_ROWS rows up, on a host with os.fork and 2 usable
+    ValueError, before the file is opened, unless header names each
+    column once and the columns have one length.  Rows are stacked and
+    formatted a block at a time, with one %-operation per block.  From
+    4 * _CSV_BLOCK_ROWS rows up, on a host with os.fork and 2 usable
     CPUs, a forked helper writes the first half of the rows through the
     shared descriptor while this process formats the second half, which
     it writes once the helper is reaped; the bytes are those of the
@@ -334,27 +336,31 @@ def write_csv(path: str, header: list[str], columns: list) -> None:
     Tables that mix text and numbers (plant.csv, summary.csv) are written
     by the commands that make them.
     """
-    rows = np.column_stack(columns)
-    line = ",".join(["%.9g"] * rows.shape[1]) + "\n"
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    lengths = sorted({len(c) for c in columns})
+    if len(lengths) != 1:
+        raise ValueError(f"columns must have one length, not {lengths}")
+    line = ",".join(["%.9g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if len(rows) < 4 * _CSV_BLOCK_ROWS or not hasattr(os, "fork") \
+        if lengths[0] < 4 * _CSV_BLOCK_ROWS or not hasattr(os, "fork") \
                 or _usable_cpus() < 2:
-            fh.writelines(_csv_blocks(rows, line))
+            fh.writelines(_csv_blocks(columns, line))
             return
         fh.flush()  # the helper inherits a copy of fh's buffer
-        half = len(rows) // 2
+        half = lengths[0] // 2
         pid = os.fork()
         if pid == 0:
             status = 1
             try:
-                fh.writelines(_csv_blocks(rows[:half], line))
+                fh.writelines(_csv_blocks([c[:half] for c in columns], line))
                 fh.flush()  # os._exit does not flush
                 status = 0
             finally:
                 os._exit(status)
         try:
-            tail = list(_csv_blocks(rows[half:], line))
+            tail = list(_csv_blocks([c[half:] for c in columns], line))
         finally:
             status = os.waitpid(pid, 0)[1]
         if status != 0:

@@ -35,10 +35,12 @@ the modes in sequence, and solves again after 8 steps in a row at +sat
 or -sat, or after `wait` steps inside.  wait starts at 1, doubles up to
 8 after an inside solve that keeps fewer than 8 steps, and drops back to
 1 after a solve that keeps at least 8.
-Every input, phi_ref and handle motion included, is sampled once, by
-_step_inputs: deterministic signals on the half-step grid the
+Every nonzero input, phi_ref and handle motion included, is sampled
+once, by _step_inputs: deterministic signals on the half-step grid the
 integrator needs, seeded noise held constant across each step
-(zero-order hold).
+(zero-order hold).  A zero input adds exactly 0 to every product, so
+it is never sampled or multiplied; each group's input block is filled
+straight from the samples of the others.
 
 Everything is deterministic: same scenario, same trace, bit for bit.
 """
@@ -685,27 +687,31 @@ def _single_step(zk: np.ndarray, x: np.ndarray, q: np.ndarray, n: np.ndarray,
     return _clamped_step(zk, u, n, low, sat)
 
 
-def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
-               h: float, sat: float) -> tuple[np.ndarray, dict[str, int]]:
+def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, inputs: dict,
+               nsteps: int, h: float, sat: float) -> tuple[np.ndarray, dict[str, int]]:
     """States at every sample, solved as the module docstring describes, and
     the number of steps that took each path, keyed as the first five
     fields of SimStats.
 
-    a is the unclamped loop matrix A + b_w c_u; w0, wh, w1 hold the inputs
-    at the start, midpoint and end of each step, one row per step.  An
-    attempt from row j of a block resumes by superposition, its forced
-    response F plus M (x - F_(j-1)).  The saturated modes, the open map of
-    (A, B, b_w) with w = +-sat, are built when first met.  Integration
-    stops at a non-finite state, NaN after.
+    a is the unclamped loop matrix A + b_w c_u.  inputs maps the index of
+    each nonzero input to its values at the start, midpoint and end of each
+    of the nsteps steps; an input it omits is zero, and its columns of the
+    step maps are never multiplied.  An attempt from row j of a block
+    resumes by superposition, its forced response F plus M (x - F_(j-1)).
+    The saturated modes, the open map of (A, B, b_w) with w = +-sat, are
+    built when first met.  Integration stops at a non-finite state, NaN
+    after.
     """
-    nsteps, (nx, ni) = len(w0), loop.B.shape
+    nx, ni = loop.B.shape
     m = nx + 3 * ni
     nz = nx + 4
     b = loop.B + np.outer(loop.b_w, loop.d_u)
     closed = np.vstack(_step_maps(a, b, np.zeros(nx), loop.c_u, loop.d_u, h))
     opened = np.vstack(_step_maps(loop.A, loop.B, loop.b_w, loop.c_u, loop.d_u, h))
     n, low = opened[:nx, m:], tuple(opened[nx:, m:][np.tril_indices(4, -1)].tolist())
-    q, gam = closed[:, :nx], closed[:, nx:m]
+    # the input columns of the nonzero inputs, start, midpoint, then end
+    cols = [nx + j * ni + i for j in range(3) for i in inputs]
+    q, gam, gam_open = closed[:, :nx], closed[:, cols], opened[:, cols]
     maps = {_INSIDE: _block_maps(q)}  # per mode: M and the Toeplitz map
     # a row is accepted while its state is finite and its commands lie in
     # [lo, hi] of the mode
@@ -724,9 +730,13 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
     # the inside mode; clean: no single step since the group began
     mode, run, wait, clean = _INSIDE, _RESUME, 1, True
     span = _BLOCK * _GROUP
+    block = np.empty((span, len(cols)))
     for g in range(0, nsteps, span):
         e = min(g + span, nsteps)
-        v = np.hstack([w0[g:e], wh[g:e], w1[g:e]])
+        v = block[:e - g]
+        for c, sampled in enumerate(inputs.values()):
+            for j in range(3):
+                v[:, j * len(inputs) + c] = sampled[j][g:e]
         z[g + 1:e + 1] = v @ gam.T
         forced = {_INSIDE: _forced(z[g + 1:e + 1], *maps[_INSIDE])}
         whole, clean, k = clean, True, g
@@ -738,7 +748,7 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
                         # each step's input terms with w = 1 at every stage
                         terms = np.tile(opened[:, m:].sum(1), (_BLOCK, 1))
                         unit = _forced(terms, *maps[_UPPER])[0]
-                    free = _forced(v @ opened[:, nx:m].T, *maps[_UPPER])
+                    free = _forced(v @ gam_open.T, *maps[_UPPER])
                     for side in (_UPPER, _LOWER):
                         forced[side] = free + (side * sat) * unit
                 # the whole group, or the rest of block i from its row j
@@ -775,7 +785,8 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, w0, wh, w1,
 
 
 def _step_inputs(spec: SignalSpec, dt_s: float, nsteps: int):
-    """Input values (start, midpoint, end of each step; every sample).
+    """Input values (start, midpoint, end of each step; every sample), as
+    four views of one sampled array.
 
     Smooth signals are sampled on the half-step grid the integrator
     needs; seeded noise is held constant across each step (zero-order
@@ -816,16 +827,17 @@ def simulate_torque_loop(sc: TorqueLoopScenario) -> SimTrace:
     _check_step(a, dt)
 
     r_spec = sc.reference if sc.i_d is None else sc.phi_ref
-    ins = [
-        _step_inputs(spec, dt, nsteps)
-        for spec in (r_spec, sc.disturbance, sc.noise, sc.handle_motion)
-    ]
-    w0, wh, w1, samples = (np.column_stack([s[j] for s in ins]) for j in range(4))
+    ins = {i: _step_inputs(spec, dt, nsteps) for i, spec in enumerate(
+        (r_spec, sc.disturbance, sc.noise, sc.handle_motion)) if spec.kind != "zero"}
 
     x0 = (sc.load.phi0 if sc.load is not None else 0.0) * loop.out_x[2]
     sat = sc.saturation_rad_s
-    xs, counts = _integrate(loop, a, x0, w0, wh, w1, dt, sat)
-    tau, u, phi, r = loop.out_x @ xs.T + loop.out_v @ samples.T
+    xs, counts = _integrate(loop, a, x0, ins, nsteps, dt, sat)
+    out = loop.out_x @ xs.T
+    del xs  # frees the integrator's rows before the channels are built
+    if ins:
+        out += loop.out_v[:, list(ins)] @ np.array([w[3] for w in ins.values()])
+    tau, u, phi, r = out
 
     bad = ~(np.isfinite(tau) & np.isfinite(u) & np.isfinite(phi))
     if bad.any():
@@ -834,8 +846,8 @@ def simulate_torque_loop(sc: TorqueLoopScenario) -> SimTrace:
             f"simulation diverged: non-finite state at sample {k} "
             f"(t = {k * dt:.6g} s)"
         )
-    u_presat = u + samples[:, _D]
-    n = samples[:, _N]
+    d, n = (ins[i][3] if i in ins else np.zeros(nsteps + 1) for i in (_D, _N))
+    u_presat = u + d
     omega_d = np.clip(u_presat, -sat, sat)
     clamped = int(np.count_nonzero(omega_d != u_presat))
     stats = SimStats(**counts, clamped_samples=clamped, saturation_rad_s=sat,
@@ -845,7 +857,7 @@ def simulate_torque_loop(sc: TorqueLoopScenario) -> SimTrace:
         "r": r,
         "u_presat": u_presat,
         "omega_d": omega_d,
-        "d": samples[:, _D],
+        "d": d,
         "n": n,
         "tau_L": tau,
         "y_meas": tau + n,

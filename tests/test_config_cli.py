@@ -5,6 +5,7 @@ import json
 import os
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -461,10 +462,10 @@ def test_write_csv_leaves_no_child(tmp_path, monkeypatch, helper_fails):
         parent = os.getpid()
         blocks = config._csv_blocks
 
-        def failing_in_helper(rows, line):
+        def failing_in_helper(columns, line):
             if os.getpid() != parent:
                 raise RuntimeError("helper failure")
-            return blocks(rows, line)
+            return blocks(columns, line)
 
         monkeypatch.setattr(config, "_csv_blocks", failing_in_helper)
         with pytest.raises(OSError, match=re.escape(str(path))):
@@ -473,6 +474,52 @@ def test_write_csv_leaves_no_child(tmp_path, monkeypatch, helper_fails):
         write_csv(str(path), ["a", "t", "b"], _csv_columns(60001))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("header, columns, message", [
+    (["a", "b"], [np.ones(3)] * 3, "2 header names for 3 columns"),
+    (["a", "b", "c"], [np.ones(3), np.ones(60001), np.ones(3)],
+     r"one length, not \[3, 60001\]"),
+])
+def test_write_csv_rejects_a_table_that_does_not_match(tmp_path, monkeypatch,
+                                                       header, columns, message):
+    # checked before the file is opened and before any fork
+    forks = _counting_fork(monkeypatch)
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=message):
+        write_csv(str(path), header, columns)
+    assert forks == [] and not path.exists()
+
+
+@pytest.mark.parametrize("serial", [True, False])
+def test_write_csv_stacks_no_whole_table(tmp_path, monkeypatch, serial):
+    """tracemalloc peak of writing 100k rows of 10 columns (8 MB as one
+    stack).  One process holds one block of rows at a time, about 2.4 MB
+    here, so the bound is the whole-table stack.  With the forked helper
+    this process also keeps the text of its half until the helper is
+    reaped (6.1 MB here); apart from that text, about 1.7 MB remains, and
+    the bound is half the whole-table stack."""
+    if serial:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif not hasattr(os, "fork") or config._usable_cpus() < 2:
+        pytest.skip("the split path needs os.fork and two usable CPUs")
+    rows, ncols = 100_000, 10
+    rng = np.random.default_rng(5)
+    cols = [rng.standard_normal(rows) for _ in range(ncols)]
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_csv(str(path), [f"c{i}" for i in range(ncols)], cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = rows * ncols * 8
+    if serial:
+        assert peak < stack, peak
+    else:
+        lines = path.read_bytes().split(b"\n")[1:-1]
+        held = sum(len(x) + 1 for x in lines[rows // 2:])
+        assert peak - held < stack / 2, (peak, held)
 
 
 # ---------------------------------------------------------------- cli

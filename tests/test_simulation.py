@@ -1,5 +1,7 @@
 """Unit tests for signal generation, the loop integrator, and trace analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -324,12 +326,25 @@ def test_assembled_state_counts(model, ctrl):
         assert simulation._assemble(sc).A.shape == (nx, nx)
 
 
-def _stagewise_integrate(loop, a, x0, w0, wh, w1, h, sat, clamped=None):
+def _dense_inputs(inputs, nsteps):
+    """_integrate's inputs as the dense per-step values (start, midpoint,
+    end): three (nsteps, 4) arrays over [r, d, n, phi], the columns of the
+    inputs it omits zero."""
+    w = np.zeros((3, nsteps, simulation._N_INPUTS))
+    for i, sampled in inputs.items():
+        for j in range(3):
+            w[j, :, i] = sampled[j]
+    return w
+
+
+def _stagewise_integrate(loop, a, x0, inputs, nsteps, h, sat, clamped=None):
     """Reference integrator: plain RK4 with the clamp applied at every
     stage.  Returns the states and path counts as _integrate does, every
     step a single one, and appends to clamped the index of each step where
     the clamp acts.  The closed-loop matrix a that _integrate takes is not
     used."""
+    w0, wh, w1 = _dense_inputs(inputs, nsteps)
+
     def f(x, v):
         u = float(loop.c_u @ x + loop.d_u @ v)
         acts.append(abs(u) > sat)
@@ -521,9 +536,10 @@ def test_fused_step_matches_stagewise_rk4(model, ctrl, monkeypatch, case):
     assert bool(saturated or fallback_steps) == saturates
 
 
-def _closed_recurrence(loop, a, x0, w0, wh, w1, h):
+def _closed_recurrence(loop, a, x0, inputs, nsteps, h):
     """x_(k+1) = Phi x_k + f_k, one step at a time, with Phi and the input
     terms f_k from the closed-loop RK4 step map."""
+    w0, wh, w1 = _dense_inputs(inputs, nsteps)
     nx = len(x0)
     b = loop.B + np.outer(loop.b_w, loop.d_u)
     step, _ = simulation._step_maps(a, b, np.zeros(nx), loop.c_u, loop.d_u, h)
@@ -577,17 +593,17 @@ def test_block_solve_matches_the_plain_recurrence(model, ctrl, monkeypatch, case
             i_d=default_params().k_s, load=LoadModel(phi0=1.0),
         ))
     (args, (xs, counts)), = runs
-    loop, a, x0, w0, wh, w1, h, _ = args
+    loop, a, x0, inputs, nsteps, h, _ = args
     assert len(x0) == {"fig9_two_dof": 6, "forced_12": 12}.get(case, 14)
     if case == "forced_12":
-        assert len(w0) == 1003
-    ref = _closed_recurrence(loop, a, x0, w0, wh, w1, h)
+        assert nsteps == 1003
+    ref = _closed_recurrence(loop, a, x0, inputs, nsteps, h)
     scale = np.max(np.abs(ref), axis=0)
     assert np.all(np.abs(xs - ref) <= 1e-12 * scale)
-    assert counts["closed_block"] == len(w0)
+    assert counts["closed_block"] == nsteps
     span = simulation._BLOCK * simulation._GROUP
-    assert len(attempts) == -(-len(w0) // span)
-    assert sum(attempts) == -(-len(w0) // simulation._BLOCK)
+    assert len(attempts) == -(-nsteps // span)
+    assert sum(attempts) == -(-nsteps // simulation._BLOCK)
     assert (len(attempts) > 1) == (case != "forced_12")
     q, = built
     closed, _ = simulation._step_maps(a, loop.B + np.outer(loop.b_w, loop.d_u),
@@ -609,7 +625,8 @@ def test_saturated_block_matches_the_open_recurrence(model, ctrl, monkeypatch):
         noise=SignalSpec.white_noise(0.01, seed=5), duration_s=0.5,
     ))
     (args, (xs, counts)), = runs
-    loop, _, _, w0, wh, w1, h, sat = args
+    loop, _, _, inputs, nsteps, h, sat = args
+    w0, wh, w1 = _dense_inputs(inputs, nsteps)
     step, cmds = simulation._step_maps(loop.A, loop.B, loop.b_w, loop.c_u,
                                        loop.d_u, h)
     m = step.shape[1] - 4  # the columns of [x, v0, vh, v1]; then w1..w4
@@ -643,7 +660,8 @@ def test_clamped_step_is_the_stagewise_clamped_step(model, monkeypatch):
         reference=SignalSpec.sine(3.0, 2.0), dt_s=1e-3, duration_s=1.0,
     ))
     (args, (xs, _)), = runs
-    loop, a, _, w0, wh, w1, h, sat = args
+    loop, a, _, inputs, nsteps, h, sat = args
+    w0, wh, w1 = _dense_inputs(inputs, nsteps)
     nx = xs.shape[1]
     b = loop.B + np.outer(loop.b_w, loop.d_u)
     closed = np.vstack(simulation._step_maps(a, b, np.zeros(nx), loop.c_u,
@@ -659,8 +677,8 @@ def test_clamped_step_is_the_stagewise_clamped_step(model, monkeypatch):
         if np.all(np.abs(zk[nx:]) <= sat):
             continue
         modes.append(simulation._clamped_step(zk, zk[nx:].tolist(), n, low, sat))
-        ref, _ = _stagewise_integrate(loop, a, xs[k], w0[k:k + 1], wh[k:k + 1],
-                                      w1[k:k + 1], h, sat)
+        one = {i: [w[k:k + 1] for w in sampled] for i, sampled in inputs.items()}
+        ref, _ = _stagewise_integrate(loop, a, xs[k], one, 1, h, sat)
         assert np.all(np.abs(zk[:nx] - ref[1]) <= 1e-12 * scale), k
         # every command past +sat (-sat) with the earlier ones at +sat (-sat)
         free, past = cmds[:, :m] @ np.r_[xs[k], v], sat * cmds[:, m:].sum(1)
@@ -699,15 +717,78 @@ def test_overflowing_block_power_does_not_end_the_run_early():
         c_u=np.zeros(1), d_u=np.zeros(4), out_x=np.zeros((4, 1)),
         out_v=np.zeros((4, 4)),
     )
-    w = np.zeros((200, 4))
     x0 = np.array([1e-300])
-    xs, _ = simulation._integrate(loop, loop.A, x0, w, w, w, h, 50.0)
-    ref = _closed_recurrence(loop, loop.A, x0, w, w, w, h)
+    xs, _ = simulation._integrate(loop, loop.A, x0, {}, 200, h, 50.0)
+    ref = _closed_recurrence(loop, loop.A, x0, {}, 200, h)
     finite = np.isfinite(ref[:, 0])
     last = int(np.argmin(finite)) - 1  # the last finite state
     assert 64 < last < 199
     assert np.isfinite(xs[:last + 1, 0]).all() and not np.isfinite(xs[last + 1:]).any()
     np.testing.assert_allclose(xs[:last + 1, 0], ref[:last + 1, 0], rtol=1e-12)
+
+
+def _input_cases(model, ctrl):
+    """fig10's chirp, fig9's noisy PI loop and fig11's 14-state load loop,
+    each shortened to 5 s."""
+    k_s = default_params().k_s
+    return {
+        "chirp_6": TorqueLoopScenario(
+            model=model, controller=ctrl, dt_s=2e-4, duration_s=5.0,
+            reference=SignalSpec.chirp(0.02, 0.1, 40.0, 5.0)),
+        "noisy_pi": TorqueLoopScenario(
+            model=model, controller=PiController(204.0, 111.0), duration_s=5.0,
+            reference=SignalSpec.sine(0.033, 2.0),
+            noise=SignalSpec.white_noise(0.01, seed=1101)),
+        "load_14": TorqueLoopScenario(
+            model=model, controller=ctrl, compensator_on=True, duration_s=5.0,
+            i_d=k_s, load=LoadModel(phi0=1.0)),
+    }
+
+
+def test_only_nonzero_inputs_are_sampled(model, ctrl, monkeypatch):
+    """A zero input is never sampled: the chirp run samples its reference,
+    the noisy run its reference and noise, the load run nothing.  A zero d
+    or n channel is still a full-length array of zeros, and no two channels
+    of a trace share memory."""
+    generate_n = simulation._generate_n
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].kind)
+        return generate_n(*args)
+
+    monkeypatch.setattr(simulation, "_generate_n", counting)
+    expected = {"chirp_6": ["chirp"], "noisy_pi": ["sine", "white_noise"],
+                "load_14": []}
+    for name, sc in _input_cases(model, ctrl).items():
+        calls.clear()
+        trace = simulate_torque_loop(sc)
+        assert calls == expected[name], name
+        for ch in ("d", "n") if name != "noisy_pi" else ("d",):
+            assert trace.channel(ch).shape == (trace.n_samples,)
+            assert not trace.channel(ch).any()
+        chans = list(trace.channels.values())
+        for i, a in enumerate(chans):
+            for b in chans[i + 1:]:
+                assert not np.shares_memory(a, b), name
+
+
+def test_simulation_peak_memory_per_step(model, ctrl):
+    """tracemalloc peak of one simulate_torque_loop call, per step.  It
+    holds at once the integrator's rows, 8 (nx + 4) B a step, the four
+    output rows (32 B) and the sampled inputs (16 B a step for a smooth
+    one, 8 for noise): 128, 120 and 176 B.  Each bound leaves a third on
+    top, and stays below the 80 B a step of one more copy of the trace."""
+    bounds = {"chirp_6": 175, "noisy_pi": 165, "load_14": 235}
+    for name, sc in _input_cases(model, ctrl).items():
+        nsteps = round(sc.duration_s / sc.dt_s)
+        tracemalloc.start()
+        try:
+            simulate_torque_loop(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / nsteps <= bounds[name], (name, peak / nsteps)
 
 
 def test_feedforward_does_not_touch_disturbance_response(model, ctrl):
