@@ -256,6 +256,9 @@ def parse_config(raw: dict) -> ProjectConfig:
     sd = raw.get("scenarios", {})
     if not isinstance(sd, dict):
         raise ConfigError("config.scenarios must be an object")
+    for name in sd:  # a name is the stem of its trace_<name> files
+        if not name or {"/", os.sep, os.altsep} & set(name):
+            raise ConfigError(f"config.scenarios: name {name!r} is no file-name stem")
     model = build_plant(params) if sd else None
     design = functools.cache(lambda: h2_synthesize(model.P, weights))
     scenarios = {

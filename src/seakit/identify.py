@@ -93,17 +93,20 @@ def estimate_frf(
     Raises
     ------
     ValueError
-        Length mismatch, a dt_s that is not finite and positive,
-        insufficient data, a requested frequency
-        outside the resolvable band, or vanishing input power at a
-        requested frequency.
+        Length mismatch, a non-finite sample or frequency (named), a
+        dt_s that is not finite and positive, insufficient data, a
+        requested frequency outside the resolvable band, or vanishing
+        input power at a requested frequency.
     """
     u = np.asarray(input_series, dtype=float)
     y = np.asarray(output_series, dtype=float)
     if u.shape != y.shape or u.ndim != 1:
         raise ValueError("input and output must be equal-length 1-D series")
+    for name, x in (("input_series", u), ("output_series", y)):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{name} must be finite")
     freqs = np.asarray(freqs_hz, dtype=float)
-    if len(freqs) == 0 or np.any(freqs <= 0.0) or np.any(np.diff(freqs) <= 0.0):
+    if not (len(freqs) and np.all(freqs > 0.0) and np.all(np.diff(freqs) > 0.0)):
         raise ValueError("freqs_hz must be positive and strictly ascending")
     if not (np.isfinite(dt_s) and dt_s > 0.0):
         raise ValueError("dt_s must be finite and positive")

@@ -3,8 +3,8 @@
 Coefficients are stored highest degree first, matching ``np.polyval``.
 This module carries the numerical substrate for controller synthesis:
 root extraction with a Newton polish, Hurwitz tests, spectral
-factorization of even polynomials, and an approximate-GCD degree used
-only to check that a plant's numerator and denominator are coprime.
+factorization of even polynomials, and a coprimality test of a plant's
+numerator and denominator that compares all their root pairs at once.
 
 All tolerances are relative; absolute thresholds would silently change
 meaning between the physical parameter scale (coefficients spanning
@@ -26,7 +26,7 @@ __all__ = [
     "roots",
     "is_hurwitz",
     "spectral_factor",
-    "gcd_degree",
+    "shares_root",
 ]
 
 # Leading coefficients of a sum below this fraction of the operands' own
@@ -38,7 +38,7 @@ _STRIP_REL = 1e-12
 
 _ROOT_REL_TOL = 1e-8  # bound on the scaled residual of a root
 _NEWTON_STEPS = 4  # Newton corrections per root
-_GCD_TOL = 1e-6  # relative distance within which gcd_degree matches roots
+_GCD_TOL = 1e-6  # relative distance within which shares_root pairs roots
 _SPECTRAL_REL_TOL = 1e-8  # bound on a spectral factor's reconstruction error
 _AXIS_REL = 1e-7  # |Re r| / max(1, |r|) at or below which r is an axis root
 
@@ -93,9 +93,7 @@ class Polynomial:
     @property
     def degree(self) -> int:
         """Polynomial degree; -1 for the zero polynomial."""
-        if self.is_zero:
-            return -1
-        return len(self.coeffs) - 1
+        return -1 if self.is_zero else len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
@@ -179,8 +177,7 @@ class Polynomial:
 
     def negate_argument(self) -> "Polynomial":
         """Return p(-s): flips the sign of odd-power coefficients."""
-        deg = len(self.coeffs) - 1
-        signs = np.array([(-1.0) ** (deg - i) for i in range(len(self.coeffs))])
+        signs = (-1.0) ** np.arange(len(self.coeffs) - 1, -1, -1)
         return Polynomial(self.coeffs * signs)
 
     def __repr__(self) -> str:
@@ -235,27 +232,20 @@ def _pair_conjugates(rts: np.ndarray) -> np.ndarray:
 
     A root is near-real when |imag| <= 1e-8 max(1, |r|), judged by its
     own magnitude: a resonance at 1 rad/s stays complex beside a root at
-    1e9 rad/s.
+    1e9 rad/s.  Sorted by (real, imag), the upper-half-plane roots pair
+    in order with the conjugates of the lower ones into their mean and
+    its conjugate; strays (real coefficients leave none) keep their real
+    parts, a root of NaN magnitude is dropped, and the result is sorted.
     """
     snap = 1e-8 * np.maximum(1.0, np.abs(rts))
-    real_part = [complex(r.real, 0.0) for r, t in zip(rts, snap) if abs(r.imag) <= t]
-    pos = sorted((r for r, t in zip(rts, snap) if r.imag > t),
-                 key=lambda r: (r.real, r.imag))
-    neg = sorted((r for r, t in zip(rts, snap) if r.imag < -t),
-                 key=lambda r: (r.real, -r.imag))
-    paired = []
-    # Real coefficients guarantee matching counts; if they differ the strays
-    # are effectively real within tolerance.
-    while pos and neg:
-        a = pos.pop(0)
-        b = neg.pop(0)
-        re = 0.5 * (a.real + b.real)
-        im = 0.5 * (a.imag - b.imag)
-        paired.extend([complex(re, im), complex(re, -im)])
-    for leftover in pos + neg:
-        real_part.append(complex(leftover.real, 0.0))
-    out = np.array(real_part + paired, dtype=complex)
-    return np.array(sorted(out, key=lambda r: (r.real, r.imag)), dtype=complex)
+    up = rts[rts.imag > snap]
+    down = rts[rts.imag < -snap].conj()
+    up, down = (z[np.lexsort((z.imag, z.real))] for z in (up, down))
+    n = min(len(up), len(down))
+    mid = 0.5 * (up[:n] + down[:n])
+    real = np.concatenate((rts[np.abs(rts.imag) <= snap], up[n:], down[n:])).real
+    out = np.concatenate((real, np.column_stack((mid, mid.conj())).ravel()))
+    return out[np.lexsort((out.imag, out.real))]
 
 
 def roots(p: Polynomial) -> np.ndarray:
@@ -332,43 +322,16 @@ def _all_stable(rs: np.ndarray) -> bool:
     return bool(np.all(rs.real < -1e-9 * scale))
 
 
-def _match_pairs(
-    left: np.ndarray, right: np.ndarray, tol: float
-) -> list[tuple[int, int]]:
-    """Greedy closest-pair matching between two root sets.
+def shares_root(p: Polynomial, q: Polynomial) -> bool:
+    """True when roots r_p of ``p`` and r_q of ``q`` have, over all pairs
+    at once, |r_p - r_q| <= _GCD_TOL * max(1, |r_p|, |r_q|).
 
-    Pairs are accepted in order of increasing distance while the distance
-    stays below ``tol * max(1, |left|, |right|)``; each root is used once.
+    A nonzero constant has no roots, so it shares none; the zero
+    polynomial raises ``ValueError``, as in ``roots``.
     """
-    pairs = []
-    for i, zl in enumerate(left):
-        for j, zr in enumerate(right):
-            scale = max(1.0, abs(zl), abs(zr))
-            d = abs(zl - zr)
-            if d <= tol * scale:
-                pairs.append((d / scale, i, j))
-    pairs.sort(key=lambda t: t[0])
-    used_l: set[int] = set()
-    used_r: set[int] = set()
-    out = []
-    for _, i, j in pairs:
-        if i in used_l or j in used_r:
-            continue
-        used_l.add(i)
-        used_r.add(j)
-        out.append((i, j))
-    return out
-
-
-def gcd_degree(p: Polynomial, q: Polynomial) -> int:
-    """Degree of the approximate GCD: count of root matches within ``_GCD_TOL``.
-
-    Roots r_p, r_q match when |r_p - r_q| <= _GCD_TOL * max(1, |r_p|, |r_q|),
-    matched greedily closest-first.  Returns 0 for coprime inputs; a
-    nonzero constant is coprime to everything.  The zero polynomial
-    raises ``ValueError``, as in ``roots``.
-    """
-    return len(_match_pairs(roots(p), roots(q), _GCD_TOL))
+    rp, rq = roots(p)[:, None], roots(q)[None, :]
+    scale = np.maximum(1.0, np.maximum(_magnitude(rp), _magnitude(rq)))
+    return bool(np.any(_magnitude(rp - rq) <= _GCD_TOL * scale))
 
 
 def spectral_factor(
@@ -404,15 +367,11 @@ def spectral_factor(
         raise ValueError("weights must be strictly positive")
     if a.is_zero and b.is_zero:
         raise ValueError("a and b must not both be zero")
-    E = (a.negate_argument() * a) * (weight_a**2) + (b.negate_argument() * b) * (
-        weight_b**2
-    )
+    E = (a.negate_argument() * a) * (weight_a**2)
+    E = E + (b.negate_argument() * b) * (weight_b**2)
     # E is even by construction; odd coefficients are pure roundoff.
     coeffs = E.coeffs.copy()
-    deg = E.degree
-    for i in range(len(coeffs)):
-        if (deg - i) % 2 == 1:
-            coeffs[i] = 0.0
+    coeffs[len(coeffs) % 2::2] = 0.0  # the odd powers of s
     E = Polynomial(coeffs)
     # exact conjugate pairs, sorted: lhp needs no re-pairing before from_roots
     rts = roots(E)
@@ -431,8 +390,7 @@ def spectral_factor(
         raise NumericsError("spectral factor lost positivity at s = 0")
     d = monic * (math.sqrt(e0) / m0)
     recon = d.negate_argument() * d
-    err_poly = recon - E
-    err = float(np.max(np.abs(err_poly.coeffs))) if not err_poly.is_zero else 0.0
+    err = float(np.max(np.abs((recon - E).coeffs)))
     bound = _SPECTRAL_REL_TOL * float(np.max(np.abs(E.coeffs)))
     if err > bound:
         raise NumericsError(

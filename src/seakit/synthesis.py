@@ -29,9 +29,9 @@ from .plant import SeaModel
 from .polynomials import (
     Polynomial,
     _all_stable,
-    gcd_degree,
     is_hurwitz,
     roots,
+    shares_root,
     spectral_factor,
 )
 from .transfer import RationalTF
@@ -284,7 +284,7 @@ def h2_synthesize(P: RationalTF, w: SynthesisWeights) -> TwoDofController:
         raise ValueError("plant numerator must be nonzero")
     if not P.is_strictly_proper():
         raise ValueError("plant must be strictly proper")
-    if gcd_degree(a, b) > 0:
+    if shares_root(a, b):
         raise NumericsError("plant numerator and denominator share a root")
     b0 = float(b(0.0))
     if abs(b0) < 1e-12 * float(np.max(np.abs(b.coeffs))):

@@ -244,9 +244,10 @@ class FrequencyResponse:
                 len(self.phase_deg), len(self.coherence)}
         if len(lens) != 1:
             raise ValueError("channel lengths differ")
-        if len(self.freqs_hz) and np.any(np.diff(self.freqs_hz) <= 0):
-            raise ValueError("frequencies must be strictly ascending")
-        if np.any(self.coherence < 0.0) or np.any(self.coherence > 1.0):
+        f = self.freqs_hz
+        if not (np.all(np.isfinite(f)) and np.all(np.diff(f) > 0)):
+            raise ValueError("freqs_hz must be finite and strictly ascending")
+        if not np.all((self.coherence >= 0.0) & (self.coherence <= 1.0)):
             raise ValueError("coherence must lie in [0, 1]")
 
 
@@ -294,8 +295,8 @@ def frequency_response(tf: RationalTF, freqs_hz) -> FrequencyResponse:
     freqs = np.asarray(freqs_hz, dtype=float)
     if freqs.ndim != 1 or freqs.size == 0:
         raise ValueError("frequency grid must be a non-empty 1-D array")
-    if np.any(freqs < 0) or np.any(np.diff(freqs) <= 0):
-        raise ValueError("frequencies must be nonnegative and strictly ascending")
+    if not (np.all(np.isfinite(freqs) & (freqs >= 0)) and np.all(np.diff(freqs) > 0)):
+        raise ValueError("freqs_hz must be finite, nonnegative and strictly ascending")
     w = 2.0 * np.pi * freqs
     with np.errstate(divide="ignore"):
         mag_db = 20.0 * np.log10(np.abs(tf(1j * w)))

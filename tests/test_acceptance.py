@@ -35,7 +35,6 @@ from seakit import (
     default_params,
     estimate_frf,
     fit_sine,
-    gcd_degree,
     h2_synthesize,
     is_hurwitz,
     peak_envelope,
@@ -44,6 +43,7 @@ from seakit import (
     roots,
     run_preset,
     run_reproduce,
+    shares_root,
     simulate_torque_loop,
     torque_loop_maps,
 )
@@ -121,7 +121,7 @@ def _random_stable_plant(rng) -> RationalTF:
         b = Polynomial(rng.normal(size=m + 1) * 10.0)
         if abs(b(0.0)) < 0.1:
             continue
-        if b.degree >= 1 and gcd_degree(a, b) > 0:
+        if b.degree >= 1 and shares_root(a, b):
             continue
         return RationalTF(b, a)
 

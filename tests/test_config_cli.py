@@ -768,6 +768,22 @@ def test_cli_rejects_a_scenario_named_after_a_preset(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_rejects_a_scenario_name_that_is_no_file_stem(tmp_path, capsys):
+    # "a/b" used to load; sim then made --out and exited 5 on the missing
+    # directory of 'trace_a/b.csv'.  "" wrote trace_.csv
+    body = {"duration_s": 0.01, "dt_s": 1e-3}
+    for name in ("a/b", "", os.sep + "x", "x" + os.sep):
+        with pytest.raises(ConfigError, match=r"^config\.scenarios: name "):
+            parse_config({"scenarios": {name: body}})
+        cfg = _write_project(tmp_path, scenarios={name: body})
+        out = tmp_path / "o"
+        assert main(["sim", name, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config.scenarios: name ")
+        assert not out.exists()
+    parse_config({"scenarios": {"a.b-c_d e": body}})
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"plant": {"mass": 1.0}}))

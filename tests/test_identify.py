@@ -96,6 +96,24 @@ def test_estimate_frf_validation():
             estimate_frf(u, y, bad, np.array([1.0]))
 
 
+def test_estimate_frf_rejects_non_finite_input_naming_the_field():
+    # one NaN sample used to give an all-NaN response, and a NaN frequency
+    # a NaN row: NaN compares false, so the range checks let it through
+    dt = 1e-3
+    u = np.random.default_rng(0).standard_normal(60000)
+    freqs = np.array([1.0, 10.0])
+    for bad in (np.nan, np.inf):
+        hole = u.copy()
+        hole[123] = bad
+        with pytest.raises(ValueError, match="^input_series must be finite"):
+            estimate_frf(hole, u, dt, freqs)
+        with pytest.raises(ValueError, match="^output_series must be finite"):
+            estimate_frf(u, hole, dt, freqs)
+    for grid in ([np.nan], [1.0, np.nan], [1.0, np.nan, 10.0]):
+        with pytest.raises(ValueError, match="^freqs_hz "):
+            estimate_frf(u, u, dt, np.array(grid))
+
+
 def test_estimate_frf_rejects_unexcited_frequency():
     dt = 1e-3
     t = np.arange(60000) * dt

@@ -9,12 +9,12 @@ from seakit import (
     RationalTF,
     bandwidth_3db,
     format_poly,
-    gcd_degree,
     is_hurwitz,
     loop_margins,
     phase_at,
     poles,
     roots,
+    shares_root,
     spectral_factor,
     zeros,
 )
@@ -175,6 +175,49 @@ def test_array_polish_matches_scalar_polish_bit_for_bit(monkeypatch):
             roots(p)
 
 
+def _former_pair_conjugates(rts):
+    """_pair_conjugates as it was: Python lists, sorted, paired by pops."""
+    snap = 1e-8 * np.maximum(1.0, np.abs(rts))
+    real_part = [complex(r.real, 0.0) for r, t in zip(rts, snap) if abs(r.imag) <= t]
+    pos = sorted((r for r, t in zip(rts, snap) if r.imag > t),
+                 key=lambda r: (r.real, r.imag))
+    neg = sorted((r for r, t in zip(rts, snap) if r.imag < -t),
+                 key=lambda r: (r.real, -r.imag))
+    paired = []
+    while pos and neg:
+        a = pos.pop(0)
+        b = neg.pop(0)
+        re = 0.5 * (a.real + b.real)
+        im = 0.5 * (a.imag - b.imag)
+        paired.extend([complex(re, im), complex(re, -im)])
+    for leftover in pos + neg:
+        real_part.append(complex(leftover.real, 0.0))
+    out = np.array(real_part + paired, dtype=complex)
+    return np.array(sorted(out, key=lambda r: (r.real, r.imag)), dtype=complex)
+
+
+def test_pair_conjugates_matches_the_former_list_sort_bit_for_bit():
+    # real parts from a few values (ties, signed zeros), imaginary parts
+    # exactly zero, near-real or complex, partners off by roundoff-sized
+    # amounts, unmatched strays on either side, and NaN parts
+    rng = np.random.default_rng(11)
+    for _ in range(1500):
+        n = int(rng.integers(0, 7))
+        re = rng.choice([-3.0, -1e-3, -0.0, 0.0, 2.5, -1e5], n)
+        im = rng.choice([0.0, 1e-12, 5e-9, 0.7, 4e3], n) * 10.0 ** rng.uniform(0, 2, n)
+        up = re + 1j * im
+        wobble = 1.0 + 1e-9 * rng.standard_normal((2, n))
+        down = re * wobble[0] - 1j * im * wobble[1]
+        rts = np.concatenate([up, down[rng.random(n) < 0.8]])
+        extra = rng.standard_normal(int(rng.integers(0, 3))) * (1 + 1j)
+        rts = np.concatenate([rts, extra])
+        rts[rng.random(len(rts)) < 0.05] = complex(np.nan, 1.0)
+        rts[rng.random(len(rts)) < 0.05] = complex(-2.0, np.nan)
+        rts = rng.permutation(rts)
+        want = _former_pair_conjugates(rts)
+        assert _pair_conjugates(rts).tobytes() == want.tobytes()
+
+
 def test_roots_keep_a_small_complex_pair_beside_a_large_root():
     # near-real is judged per root: the pair at 1 rad/s is not snapped to
     # the axis because another root lies at 1e9
@@ -205,10 +248,10 @@ def test_a_nonzero_constant_has_no_roots():
     assert is_hurwitz(Polynomial([-4.0]))
     with pytest.raises(ValueError):
         is_hurwitz(Polynomial([0.0]))
-    assert gcd_degree(Polynomial([4.0]), Polynomial([1.0, 2.0])) == 0
-    assert gcd_degree(Polynomial([1.0, 2.0]), Polynomial([3.0])) == 0
+    assert not shares_root(Polynomial([4.0]), Polynomial([1.0, 2.0]))
+    assert not shares_root(Polynomial([1.0, 2.0]), Polynomial([3.0]))
     with pytest.raises(ValueError):
-        gcd_degree(Polynomial([0.0]), Polynomial([1.0, 2.0]))
+        shares_root(Polynomial([0.0]), Polynomial([1.0, 2.0]))
     const = RationalTF([3.0], [2.0])
     assert poles(const).shape == (0,) and zeros(const).shape == (0,)
     with pytest.raises(ValueError):
@@ -268,12 +311,63 @@ def test_spectral_factor_rejects_axis_roots_and_bad_weights():
         spectral_factor(osc, osc, 0.0, 1.0)
 
 
-def test_gcd_degree():
+def test_shares_root():
     a = Polynomial.from_roots([-1.0, -2.0])
     b = Polynomial.from_roots([-3.0])
-    assert gcd_degree(a, b) == 0
+    assert not shares_root(a, b)
     shared = Polynomial.from_roots([-1.0, -4.0])
-    assert gcd_degree(a, shared) == 1
+    assert shares_root(a, shared) and shares_root(shared, a)
+
+
+def _former_match_count(left, right, tol):
+    """The greedy closest-pair matcher that shares_root replaced: the
+    number of roots it matched, each used once, closest first."""
+    pairs = []
+    for i, zl in enumerate(left):
+        for j, zr in enumerate(right):
+            scale = max(1.0, abs(zl), abs(zr))
+            d = abs(zl - zr)
+            if d <= tol * scale:
+                pairs.append((d / scale, i, j))
+    pairs.sort(key=lambda t: t[0])
+    used_l: set[int] = set()
+    used_r: set[int] = set()
+    for _, i, j in pairs:
+        if i not in used_l and j not in used_r:
+            used_l.add(i)
+            used_r.add(j)
+    return len(used_l)
+
+
+def _random_root_set(rng, n):
+    """n real roots or conjugate pairs, over six decades of magnitude."""
+    mags = 10.0 ** rng.uniform(-2, 4, n)
+    real = rng.random(n) < 0.4
+    z = mags[~real] * np.exp(1j * np.pi * rng.uniform(0.5, 1.0, n - real.sum()))
+    return np.concatenate([-mags[real], z, z.conj()]).astype(complex)
+
+
+def test_shares_root_is_the_former_greedy_count_above_zero():
+    # one root of q sits 1e-9 .. 1e-4 (relative) from a root of p, so the
+    # pairs straddle _GCD_TOL = 1e-6 on both sides
+    rng = np.random.default_rng(25)
+    decisions = []
+    for _ in range(200):
+        rp = _random_root_set(rng, int(rng.integers(1, 5)))
+        rq = _random_root_set(rng, int(rng.integers(1, 4)))
+        target = rp[rng.integers(len(rp))]
+        gap = 10.0 ** rng.uniform(-9, -4) * max(1.0, abs(target))
+        if target.imag == 0.0:
+            rq = np.append(rq, target + gap)
+        else:
+            near = target + gap * np.exp(1j * rng.uniform(0.0, np.pi / 2))
+            rq = np.append(rq, [near, np.conj(near)])
+        p = Polynomial.from_roots(rp, rng.uniform(0.5, 2.0))
+        q = Polynomial.from_roots(rq, rng.uniform(0.5, 2.0))
+        want = _former_match_count(roots(p), roots(q), polynomials._GCD_TOL) > 0
+        assert shares_root(p, q) == want
+        decisions.append(want)
+    assert 0.2 < np.mean(decisions) < 0.8
 
 
 def test_format_poly_readable():

@@ -1,5 +1,7 @@
 """Unit tests for rational transfer functions and realizations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,23 @@ def test_frequency_response_validation():
         FrequencyResponse(**{**good, "freqs_hz": np.array([2.0, 1.0])})
     with pytest.raises(ValueError, match="coherence"):
         FrequencyResponse(**{**good, "coherence": np.array([0.5, 1.5])})
+    # NaN compares false, so each of these used to pass
+    for freqs in ([np.nan, 1.0], [1.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="^freqs_hz "):
+            FrequencyResponse(**{**good, "freqs_hz": np.array(freqs)})
+    one = {k: v[:1] for k, v in good.items()}
+    with pytest.raises(ValueError, match="^freqs_hz "):
+        FrequencyResponse(**{**one, "freqs_hz": np.array([np.nan])})
+    with pytest.raises(ValueError, match="^coherence "):
+        FrequencyResponse(**{**good, "coherence": np.array([1.0, np.nan])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN grid point used to warn, then pass
+        for grid in ([np.nan], [0.0, np.nan, 2.0], [1.0, np.inf]):
+            with pytest.raises(ValueError, match="^freqs_hz "):
+                frequency_response(tf([1.0], [1.0, 1.0]), grid)
+    # a zero on the grid stays a -inf magnitude
+    fr = frequency_response(tf([1.0, 0.0], [1.0, 1.0]), [0.0, 1.0])
+    assert fr.magnitude_db[0] == -np.inf
     # a model's response has coherence 1 throughout
     fr = frequency_response(tf([1.0], [1.0, 1.0]), [0.0, 1.0, 2.0])
     np.testing.assert_array_equal(fr.coherence, np.ones(3))
