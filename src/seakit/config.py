@@ -35,6 +35,7 @@ import functools
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
@@ -84,7 +85,9 @@ def _get_num(d: dict, key: str, ctx: str, default=None):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int or float with a float value (a JSON integer of 1e400 has none)."""
+    return isinstance(v, float) or (
+        isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
 
 
 def _read_json(path: str):

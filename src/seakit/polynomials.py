@@ -2,9 +2,10 @@
 
 Coefficients are stored highest degree first, matching ``np.polyval``.
 This module carries the numerical substrate for controller synthesis:
-root extraction with a Newton polish, Hurwitz tests, spectral
-factorization of even polynomials, and a coprimality test of a plant's
-numerator and denominator that compares all their root pairs at once.
+root extraction from the companion matrix with a residual check,
+Hurwitz tests, spectral factorization of even polynomials, and a
+coprimality test of a plant's numerator and denominator that compares
+all their root pairs at once.
 
 All tolerances are relative; absolute thresholds would silently change
 meaning between the physical parameter scale (coefficients spanning
@@ -37,7 +38,6 @@ __all__ = [
 _STRIP_REL = 1e-12
 
 _ROOT_REL_TOL = 1e-8  # bound on the scaled residual of a root
-_NEWTON_STEPS = 4  # Newton corrections per root
 _GCD_TOL = 1e-6  # relative distance within which shares_root pairs roots
 _SPECTRAL_REL_TOL = 1e-8  # bound on a spectral factor's reconstruction error
 _AXIS_REL = 1e-7  # |Re r| / max(1, |r|) at or below which r is an axis root
@@ -168,12 +168,7 @@ class Polynomial:
     def __hash__(self):
         return hash(self.coeffs.tobytes())
 
-    # -- calculus / transforms ----------------------------------------
-
-    def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial([0.0])
-        return Polynomial(np.polyder(self.coeffs))
+    # -- transforms ----------------------------------------------------
 
     def negate_argument(self) -> "Polynomial":
         """Return p(-s): flips the sign of odd-power coefficients."""
@@ -227,36 +222,16 @@ def _eval_scale(coeffs: np.ndarray, rts: np.ndarray) -> np.ndarray:
     return np.maximum(s, 1e-300)
 
 
-def _pair_conjugates(rts: np.ndarray) -> np.ndarray:
-    """Snap near-real roots to the axis and force exact conjugate pairs.
-
-    A root is near-real when |imag| <= 1e-8 max(1, |r|), judged by its
-    own magnitude: a resonance at 1 rad/s stays complex beside a root at
-    1e9 rad/s.  Sorted by (real, imag), the upper-half-plane roots pair
-    in order with the conjugates of the lower ones into their mean and
-    its conjugate; strays (real coefficients leave none) keep their real
-    parts, a root of NaN magnitude is dropped, and the result is sorted.
-    """
-    snap = 1e-8 * np.maximum(1.0, np.abs(rts))
-    up = rts[rts.imag > snap]
-    down = rts[rts.imag < -snap].conj()
-    up, down = (z[np.lexsort((z.imag, z.real))] for z in (up, down))
-    n = min(len(up), len(down))
-    mid = 0.5 * (up[:n] + down[:n])
-    real = np.concatenate((rts[np.abs(rts.imag) <= snap], up[n:], down[n:])).real
-    out = np.concatenate((real, np.column_stack((mid, mid.conj())).ravel()))
-    return out[np.lexsort((out.imag, out.real))]
-
-
 def roots(p: Polynomial) -> np.ndarray:
-    """All roots of ``p`` via the balanced companion matrix, polished.
+    """All roots of ``p``: the eigenvalues of its balanced companion matrix.
 
-    Each eigenvalue gets up to ``_NEWTON_STEPS`` Newton corrections which
-    are only accepted while they reduce |p(r)|; the polish is skipped
-    near-multiple roots where p'(r) underflows the local scale.  The
+    Companion eigenvalues are backward stable (Edelman & Murakami, Math.
+    Comp. 64, 1995), and LAPACK returns a real matrix's complex
+    eigenvalues in exact conjugate pairs.  A root is snapped to the real
+    axis when |imag| <= 1e-8 max(1, |r|), judged by its own magnitude: a
+    resonance at 1 rad/s stays complex beside a root at 1e9 rad/s.  The
     result is a complex array of the deg p roots, multiplicities
-    repeated, in exact conjugate pairs (near-real roots snapped to the
-    axis) and sorted by (real, imag).  A nonzero constant has no roots:
+    repeated, sorted by (real, imag).  A nonzero constant has no roots:
     the result is then an empty complex array, as from ``np.roots``.
 
     Raises
@@ -265,43 +240,23 @@ def roots(p: Polynomial) -> np.ndarray:
         If ``p`` is the zero polynomial.
     NumericsError
         If the companion eigenvalues cannot be computed, or if the scaled
-        residual max |p(r)| / scale(r) exceeds ``_ROOT_REL_TOL``.
+        residual max |p(r)| / scale(r) exceeds ``_ROOT_REL_TOL`` or is not
+        a number (a NaN eigenvalue included).
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no root set")
     coeffs = p.coeffs
-    der = p.derivative().coeffs
     try:
         r = np.roots(coeffs).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"roots failed at degree {p.degree}: {exc}") from exc
-    fr = np.polyval(coeffs, r)
-    # Every root takes its corrections at once; `live` holds the roots
-    # still being corrected, and a root leaves it for good.
-    live = np.arange(len(r))
-    for _ in range(_NEWTON_STEPS):
-        dfr = np.polyval(der, r[live])
-        # derivative too small: near-multiple root, keep as is
-        keep = ~(_magnitude(dfr) < 1e-14 * _eval_scale(der, r[live]))
-        live, dfr = live[keep], dfr[keep]
-        cand = r[live] - fr[live] / dfr
-        fc = np.polyval(coeffs, cand)
-        better = _magnitude(fc) < _magnitude(fr[live])
-        live = live[better]
-        r[live] = cand[better]
-        fr[live] = fc[better]
-        if not len(live):
-            break
-    sym = _pair_conjugates(r)
-    residual = float(np.max(
-        _magnitude(np.polyval(coeffs, sym)) / _eval_scale(coeffs, sym),
-        initial=0.0,
-    ))
+    r = np.where(np.abs(r.imag) <= 1e-8 * np.maximum(1.0, np.abs(r)), r.real, r)
+    r = r[np.lexsort((r.imag, r.real))]
+    scaled = _magnitude(np.polyval(coeffs, r)) / _eval_scale(coeffs, r)
+    residual = float(np.max(scaled, initial=0.0))
     if not residual <= _ROOT_REL_TOL:  # a NaN residual fails too
-        raise NumericsError(
-            f"root refinement residual {residual:.3e} exceeds {_ROOT_REL_TOL:.1e}"
-        )
-    return sym
+        raise NumericsError(f"root residual {residual:.3e} exceeds {_ROOT_REL_TOL:.1e}")
+    return r
 
 
 def is_hurwitz(p: Polynomial) -> bool:

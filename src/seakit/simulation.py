@@ -85,6 +85,9 @@ _SIGNAL_FIELDS = {
     "piecewise_linear": ("breakpoints", "offset"),
 }
 
+# Most steps of one run: at about 175 B a step (the 14-state loop), 1.6 GiB.
+_MAX_STEPS = 10**7
+
 _NUMERIC_FIELDS = ("amplitude", "frequency_hz", "f0_hz", "f1_hz", "sweep_s",
                    "offset", "start_s", "variance")
 
@@ -329,6 +332,8 @@ class TorqueLoopScenario:
             raise ValueError("dt_s must be positive")
         if self.duration_s < 10.0 * self.dt_s:
             raise ValueError("duration_s must cover at least 10 steps")
+        if self.duration_s / self.dt_s > _MAX_STEPS:
+            raise ValueError(f"duration_s must cover at most {_MAX_STEPS:.0e} steps")
         if not self.saturation_rad_s > 0.0:
             raise ValueError("saturation_rad_s must be positive")
         _shared_denominator_pair(self.controller)
@@ -338,8 +343,8 @@ class TorqueLoopScenario:
             if self.load is not None:
                 raise ValueError("load applies only with i_d set")
             return
-        if not (math.isfinite(self.i_d) and self.i_d > 0.0):
-            raise ValueError("i_d must be finite and positive")
+        if not 0.0 < self.i_d <= 1e100:  # a stiffer spring overflows the loop
+            raise ValueError("i_d must be positive and at most 1e+100")
         if self.reference.kind != "zero":
             raise ValueError(
                 "reference must be zero: impedance mode derives the torque "
@@ -516,15 +521,17 @@ def _check_step(a: np.ndarray, h: float) -> None:
     """Reject h if RK4 grows a decaying mode of the unclamped loop matrix a.
 
     RK4 scales a mode lambda by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
-    z = h lambda, per step.
+    z = h lambda, per step; a non-finite |R(z)| (a huge loop gain) is growth.
     """
     lam = np.linalg.eigvals(a)
     z = h * lam[lam.real < 0.0]
-    amp = np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))
-    if amp.size and amp.max() > 1.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0))))
+    worst = float(np.max(np.where(np.isfinite(amp), amp, np.inf), initial=0.0))
+    if worst > 1.0:
         raise ValueError(
             f"dt_s = {h:.6g} s is too large for RK4: a decaying loop mode "
-            f"grows by {amp.max():.3g} per step"
+            f"grows by {worst:.3g} per step"
         )
 
 
@@ -817,8 +824,9 @@ def simulate_torque_loop(sc: TorqueLoopScenario) -> SimTrace:
     NumericsError
         On divergence, with the first non-finite sample index.
     ValueError
-        If any block is improper (not realizable), or dt_s is too large
-        for RK4 on a decaying mode of the unclamped loop.
+        If any block is improper (not realizable), if dt_s is too large
+        for RK4 on a decaying mode of the unclamped loop, or if an input
+        is not finite at every sample (a sine at 1e308 Hz).
     """
     dt = sc.dt_s
     nsteps = int(round(sc.duration_s / dt))
@@ -826,17 +834,23 @@ def simulate_torque_loop(sc: TorqueLoopScenario) -> SimTrace:
     a = loop.A + np.outer(loop.b_w, loop.c_u)  # the loop with the clamp inactive
     _check_step(a, dt)
 
-    r_spec = sc.reference if sc.i_d is None else sc.phi_ref
-    ins = {i: _step_inputs(spec, dt, nsteps) for i, spec in enumerate(
-        (r_spec, sc.disturbance, sc.noise, sc.handle_motion)) if spec.kind != "zero"}
+    names = ("reference" if sc.i_d is None else "phi_ref", "disturbance", "noise",
+             "handle_motion")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        ins = {i: _step_inputs(getattr(sc, name), dt, nsteps)
+               for i, name in enumerate(names) if getattr(sc, name).kind != "zero"}
+    for i, w in ins.items():
+        if not (np.isfinite(w[1]).all() and np.isfinite(w[3]).all()):
+            raise ValueError(f"{names[i]} is not finite at every sample of the run")
 
     x0 = (sc.load.phi0 if sc.load is not None else 0.0) * loop.out_x[2]
     sat = sc.saturation_rad_s
-    xs, counts = _integrate(loop, a, x0, ins, nsteps, dt, sat)
-    out = loop.out_x @ xs.T
-    del xs  # frees the integrator's rows before the channels are built
-    if ins:
-        out += loop.out_v[:, list(ins)] @ np.array([w[3] for w in ins.values()])
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence, reported below
+        xs, counts = _integrate(loop, a, x0, ins, nsteps, dt, sat)
+        out = loop.out_x @ xs.T
+        del xs  # frees the integrator's rows before the channels are built
+        if ins:
+            out += loop.out_v[:, list(ins)] @ np.array([w[3] for w in ins.values()])
     tau, u, phi, r = out
 
     bad = ~(np.isfinite(tau) & np.isfinite(u) & np.isfinite(phi))

@@ -234,6 +234,10 @@ def test_scenario_fields_checked_at_load():
         ("dt_s", {"dt_s": -1e-4}),
         ("saturation_rad_s", {"saturation_rad_s": 0.0}),
         ("duration_s", {"dt_s": 1e-3, "duration_s": 5e-3}),
+        ("duration_s", {"duration_s": 1e6}),
+        ("duration_s", {"duration_s": 1e308}),
+        ("duration_s", {"duration_s": 10**400}),  # a JSON integer with no float
+        ("i_d", {"type": "impedance", "i_d": 1e101}),
         ("reference", {"type": "impedance", "i_d": 0.02, "reference": _SINE}),
     ]
     for field, body in bad:

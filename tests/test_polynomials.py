@@ -1,5 +1,7 @@
 """Unit tests for the polynomial substrate."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from seakit import (
     zeros,
 )
 from seakit import polynomials
-from seakit.polynomials import _pair_conjugates
 
 
 def test_construction_strips_exact_leading_zeros():
@@ -111,12 +112,6 @@ def test_negate_argument():
         assert np.isclose(q(s), p(-s))
 
 
-def test_derivative():
-    p = Polynomial([3.0, 2.0, 1.0])
-    np.testing.assert_allclose(p.derivative().coeffs, [6.0, 2.0])
-    assert Polynomial([5.0]).derivative().is_zero
-
-
 def test_roots_accuracy_on_clustered_pair():
     # two real roots 1e-3 apart must come back distinct and accurate
     p = Polynomial.from_roots([-28.26, -28.288, -0.05])
@@ -124,35 +119,25 @@ def test_roots_accuracy_on_clustered_pair():
     np.testing.assert_allclose(got, [-28.288, -28.26, -0.05], rtol=1e-9)
 
 
-def _scalar_polish_roots(p, newton_steps=4):
-    """The root polish one root at a time, with numpy complex scalars:
-    the reference the array polish must reproduce bit for bit."""
+def _scalar_roots(p):
+    """np.roots snapped and sorted one root at a time, with Python complex
+    scalars: the reference roots must reproduce bit for bit."""
 
     def scale(c, r):
         powers = abs(r) ** np.arange(len(c) - 1, -1, -1, dtype=float)
         return max(float(np.sum(np.abs(c) * powers)), 1e-300)
 
-    coeffs, der = p.coeffs, p.derivative().coeffs
-    polished = []
-    for r in np.roots(coeffs).astype(complex):
-        fr = np.polyval(coeffs, r)
-        for _ in range(newton_steps):
-            dfr = np.polyval(der, r)
-            if abs(dfr) < 1e-14 * scale(der, r):
-                break
-            cand = r - fr / dfr
-            fc = np.polyval(coeffs, cand)
-            if abs(fc) < abs(fr):
-                r, fr = cand, fc
-            else:
-                break
-        polished.append(r)
-    sym = _pair_conjugates(np.array(polished, dtype=complex))
-    residual = max(abs(complex(np.polyval(coeffs, r))) / scale(coeffs, r) for r in sym)
-    return sym, residual
+    snapped = [
+        complex(r.real, 0.0) if abs(r.imag) <= 1e-8 * max(1.0, abs(r)) else complex(r)
+        for r in np.roots(p.coeffs).astype(complex)
+    ]
+    want = np.array(sorted(snapped, key=lambda r: (r.real, r.imag)), dtype=complex)
+    residual = max((abs(complex(np.polyval(p.coeffs, r))) / scale(p.coeffs, r)
+                    for r in want), default=0.0)
+    return want, residual
 
 
-def test_array_polish_matches_scalar_polish_bit_for_bit(monkeypatch):
+def test_roots_are_the_companion_eigenvalues_snapped_and_sorted(monkeypatch):
     rng = np.random.default_rng(7)
     polys = [
         Polynomial(rng.standard_normal(rng.integers(2, 14))
@@ -160,12 +145,17 @@ def test_array_polish_matches_scalar_polish_bit_for_bit(monkeypatch):
         for _ in range(400)
     ]
     for _ in range(200):
-        # repeated roots, where the polish stops on a vanishing derivative
+        # repeated roots, whose eigenvalues scatter around the true root
         base = np.round(rng.standard_normal(rng.integers(1, 5)), 1)
         repeated = np.repeat(base, rng.integers(1, 4, len(base)))
         polys.append(Polynomial(np.poly(repeated)))
     for p in polys:
-        want, residual = _scalar_polish_roots(p)
+        want, residual = _scalar_roots(p)
+        got = roots(p)
+        assert got.tobytes() == want.tobytes() and len(got) == p.degree
+        # every complex root's conjugate is in the set, as often as the root
+        counts = collections.Counter(got.tolist())
+        assert all(counts[z.conjugate()] == n for z, n in counts.items())
         # the scalar residual is the one roots enforces: the same bytes
         # at a tolerance equal to the residual, an error one ulp below it
         monkeypatch.setattr(polynomials, "_ROOT_REL_TOL", residual)
@@ -173,49 +163,15 @@ def test_array_polish_matches_scalar_polish_bit_for_bit(monkeypatch):
         monkeypatch.setattr(polynomials, "_ROOT_REL_TOL", np.nextafter(residual, -1.0))
         with pytest.raises(NumericsError):
             roots(p)
+        monkeypatch.undo()
 
 
-def _former_pair_conjugates(rts):
-    """_pair_conjugates as it was: Python lists, sorted, paired by pops."""
-    snap = 1e-8 * np.maximum(1.0, np.abs(rts))
-    real_part = [complex(r.real, 0.0) for r, t in zip(rts, snap) if abs(r.imag) <= t]
-    pos = sorted((r for r, t in zip(rts, snap) if r.imag > t),
-                 key=lambda r: (r.real, r.imag))
-    neg = sorted((r for r, t in zip(rts, snap) if r.imag < -t),
-                 key=lambda r: (r.real, -r.imag))
-    paired = []
-    while pos and neg:
-        a = pos.pop(0)
-        b = neg.pop(0)
-        re = 0.5 * (a.real + b.real)
-        im = 0.5 * (a.imag - b.imag)
-        paired.extend([complex(re, im), complex(re, -im)])
-    for leftover in pos + neg:
-        real_part.append(complex(leftover.real, 0.0))
-    out = np.array(real_part + paired, dtype=complex)
-    return np.array(sorted(out, key=lambda r: (r.real, r.imag)), dtype=complex)
-
-
-def test_pair_conjugates_matches_the_former_list_sort_bit_for_bit():
-    # real parts from a few values (ties, signed zeros), imaginary parts
-    # exactly zero, near-real or complex, partners off by roundoff-sized
-    # amounts, unmatched strays on either side, and NaN parts
-    rng = np.random.default_rng(11)
-    for _ in range(1500):
-        n = int(rng.integers(0, 7))
-        re = rng.choice([-3.0, -1e-3, -0.0, 0.0, 2.5, -1e5], n)
-        im = rng.choice([0.0, 1e-12, 5e-9, 0.7, 4e3], n) * 10.0 ** rng.uniform(0, 2, n)
-        up = re + 1j * im
-        wobble = 1.0 + 1e-9 * rng.standard_normal((2, n))
-        down = re * wobble[0] - 1j * im * wobble[1]
-        rts = np.concatenate([up, down[rng.random(n) < 0.8]])
-        extra = rng.standard_normal(int(rng.integers(0, 3))) * (1 + 1j)
-        rts = np.concatenate([rts, extra])
-        rts[rng.random(len(rts)) < 0.05] = complex(np.nan, 1.0)
-        rts[rng.random(len(rts)) < 0.05] = complex(-2.0, np.nan)
-        rts = rng.permutation(rts)
-        want = _former_pair_conjugates(rts)
-        assert _pair_conjugates(rts).tobytes() == want.tobytes()
+def test_a_nan_eigenvalue_raises_instead_of_shrinking_the_root_set(monkeypatch):
+    p = Polynomial.from_roots([-1.0, -2.0, -3.0])
+    for bad in (complex(np.nan, 0.0), complex(np.nan, 1.0), complex(-2.0, np.nan)):
+        monkeypatch.setattr(np, "roots", lambda c, bad=bad: np.array([-1.0, -3.0, bad]))
+        with pytest.raises(NumericsError, match="residual nan exceeds"):
+            roots(p)
 
 
 def test_roots_keep_a_small_complex_pair_beside_a_large_root():

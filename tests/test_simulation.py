@@ -280,8 +280,7 @@ def test_saturation_clamps_velocity_command(model, ctrl):
     assert not set(TRACE_CHANNELS) & set(vars(stats))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # the overflow on the way is not reported
 def test_divergence_raises_with_sample_index(model):
     # a controller pair with a pole at +1e6 makes the loop unstable; any
     # nonzero torque makes its state blow up within a few dozen steps
@@ -310,6 +309,48 @@ def test_step_too_large_for_rk4_is_rejected(model):
     )
     with pytest.raises(ValueError, match="dt_s"):
         simulate_torque_loop(sc)
+
+
+@pytest.mark.filterwarnings("error")
+def test_step_check_counts_a_non_finite_amplification_as_growth(model):
+    # a PI pair at 1e200 overflowed |R(z)| with a RuntimeWarning before the
+    # dt_s error; an amplification that comes out NaN let the run start
+    sc = TorqueLoopScenario(model=model, controller=PiController(1e200, 1e200),
+                            reference=SignalSpec.step(1.0), duration_s=0.05)
+    with pytest.raises(ValueError, match=r"^dt_s = 0\.0001 s .* grows by inf per"):
+        simulate_torque_loop(sc)
+    # eigenvalues -1e200 +- 1e200j: h lambda's complex products give inf - inf
+    a = np.array([[-1e200, 1e200], [-1e200, -1e200]])
+    with pytest.raises(ValueError, match="grows by inf per step"):
+        simulation._check_step(a, 1e-4)
+    simulation._check_step(np.array([[-1.0]]), 1e-4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_input_that_is_not_finite_is_named(model, ctrl):
+    # 2 pi f t overflows at 1e308 Hz: the run used to start on NaN samples
+    # and report a divergence at sample 0, after numpy's RuntimeWarnings
+    sc = TorqueLoopScenario(model=model, controller=ctrl, duration_s=0.05,
+                            reference=SignalSpec.sine(0.03, 1e308))
+    with pytest.raises(ValueError, match="^reference is not finite at every sample"):
+        simulate_torque_loop(sc)
+    sc = TorqueLoopScenario(model=model, controller=ctrl, duration_s=0.05, i_d=0.5,
+                            handle_motion=SignalSpec(kind="constant", amplitude=1e308,
+                                                     offset=1e308))
+    with pytest.raises(ValueError, match="^handle_motion is not finite at every sample"):
+        simulate_torque_loop(sc)
+
+
+def test_a_scenario_beyond_the_step_cap_fails_when_built(model, ctrl):
+    # built only, never run: 1e6 s used to fail when numpy could not
+    # allocate its 1e10 steps, and 1e308 s in int(round(inf))
+    loop = dict(model=model, controller=ctrl, dt_s=1e-4)
+    for duration in (1e6, 1000.0001, 1e308):
+        with pytest.raises(ValueError, match=r"^duration_s must cover at most 1e\+07 "):
+            TorqueLoopScenario(**loop, duration_s=duration)
+    TorqueLoopScenario(**loop, duration_s=1000.0)  # exactly 1e7 steps
+    with pytest.raises(ValueError, match="^duration_s must cover at most"):
+        TorqueLoopScenario(model=model, controller=ctrl, dt_s=1e-320, duration_s=1.0)
 
 
 def test_assembled_state_counts(model, ctrl):

@@ -27,7 +27,6 @@ from seakit import (
     spectral_factor,
     torque_loop_maps,
 )
-from seakit.polynomials import _pair_conjugates
 from seakit.synthesis import (
     CoprimeFactorization,
     _check_bezout,
@@ -169,7 +168,7 @@ def _reference_spectral_factor(a, b, wa, wb):
         if max(abs(r.real), abs(q.real)) <= 1e-7 * max(1.0, abs(r)):
             raise NumericsError("imaginary-axis root")
         selected.append(r if r.real < 0 else q)
-    monic = Polynomial.from_roots(_pair_conjugates(np.array(selected)))
+    monic = Polynomial.from_roots(sorted(selected, key=lambda r: (r.real, r.imag)))
     d = monic * (math.sqrt(float(E(0.0))) / float(monic(0.0)))
     err = np.max(np.abs((d.negate_argument() * d - E).coeffs))
     if err > 1e-8 * np.max(np.abs(E.coeffs)):
