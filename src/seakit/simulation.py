@@ -13,8 +13,8 @@ motion or, with a load set, the state of that load.
 The linear blocks are assembled once, by _assemble, into a single
 state-space system over the inputs [r, d, n, phi_L]: 6 states for the
 2-DOF loop, 4 for PI, 12 with C_L, 14 with the load too.  The virtual
-spring and the load are rows of that system, and tau_L, u, phi_L and the
-recorded reference all come out of one product over [x, v].
+spring and the load are rows of that system, and tau_L, u_presat, phi_L
+and the recorded reference all come out of one product over [x, v].
 The saturation is the only nonlinearity, applied to the scalar
 velocity command at every stage of a fixed-step classical Runge-Kutta
 integrator; a step too large for RK4 is rejected up front.  The RK4
@@ -40,7 +40,12 @@ once, by _step_inputs: deterministic signals on the half-step grid the
 integrator needs, seeded noise held constant across each step
 (zero-order hold).  A zero input adds exactly 0 to every product, so
 it is never sampled or multiplied; each group's input block is filled
-straight from the samples of the others.
+straight from the samples of the others.  The integrator holds only the
+current group's states, and records the four rows of each group as it
+ends.  So a run peaks at its trace, 80 B a step, or, while it
+integrates, at the 32 B a step of recorded rows plus its sampled inputs,
+16 B a step for each smooth one and 8 for noise: about 100 B a step with
+four smooth inputs.
 
 Everything is deterministic: same scenario, same trace, bit for bit.
 """
@@ -85,7 +90,7 @@ _SIGNAL_FIELDS = {
     "piecewise_linear": ("breakpoints", "offset"),
 }
 
-# Most steps of one run: at about 175 B a step (the 14-state loop), 1.6 GiB.
+# Most steps of one run: at about 100 B a step (four smooth inputs), 1 GiB.
 _MAX_STEPS = 10**7
 
 _NUMERIC_FIELDS = ("amplitude", "frequency_hz", "f0_hz", "f1_hz", "sweep_s",
@@ -435,8 +440,10 @@ class _LoopSystem:
 
         dx/dt = A x + B v + b_w w,    u_presat = c_u x + d_u v,
 
-    and out_x x + out_v v gives the recorded [tau_L, u, phi_L, r], where
-    u = u_presat - d is the controller output and r the torque reference.
+    and out_x x + out_v v gives the recorded [tau_L, u_presat, phi_L, r],
+    r the torque reference.  These four rows are recorded as each group of
+    steps ends, 32 B a step, in place of the states and stage commands,
+    8 (nx + 4) B a step.
     Whenever the clamp is inactive the loop is the LTI system
     (A + b_w c_u, B + b_w d_u).
     """
@@ -512,8 +519,8 @@ def _assemble(sc: TorqueLoopScenario) -> _LoopSystem:
         b_w=b_w,
         c_u=u_presat[:nx],
         d_u=u_presat[nx:],
-        out_x=np.stack([tau[:nx], u[:nx], phi[:nx], r[:nx]]),
-        out_v=np.stack([tau[nx:], u[nx:], phi[nx:], r[nx:]]),
+        out_x=np.stack([tau[:nx], u_presat[:nx], phi[:nx], r[:nx]]),
+        out_v=np.stack([tau[nx:], u_presat[nx:], phi[nx:], r[nx:]]),
     )
 
 
@@ -696,18 +703,22 @@ def _single_step(zk: np.ndarray, x: np.ndarray, q: np.ndarray, n: np.ndarray,
 
 def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, inputs: dict,
                nsteps: int, h: float, sat: float) -> tuple[np.ndarray, dict[str, int]]:
-    """States at every sample, solved as the module docstring describes, and
-    the number of steps that took each path, keyed as the first five
-    fields of SimStats.
+    """The recorded rows out_x x + out_v v at every sample, of the states
+    solved as the module docstring describes, and the number of steps that
+    took each path, keyed as the first five fields of SimStats.
 
     a is the unclamped loop matrix A + b_w c_u.  inputs maps the index of
     each nonzero input to its values at the start, midpoint and end of each
-    of the nsteps steps; an input it omits is zero, and its columns of the
-    step maps are never multiplied.  An attempt from row j of a block
-    resumes by superposition, its forced response F plus M (x - F_(j-1)).
-    The saturated modes, the open map of (A, B, b_w) with w = +-sat, are
-    built when first met.  Integration stops at a non-finite state, NaN
-    after.
+    of the nsteps steps, then at every sample; an input it omits is zero,
+    and its columns of the step maps are never multiplied.  Only the
+    current group of states is held: as a group ends, its samples are
+    recorded from its states and its step-start inputs, and the last
+    sample from the last state and each input's last sample.  A recorded
+    row that no state and no nonzero input reaches stays zero.  An attempt
+    from row j of a block resumes by superposition, its forced response F
+    plus M (x - F_(j-1)).  The saturated modes, the open map of (A, B, b_w)
+    with w = +-sat, are built when first met.  Integration stops at a
+    non-finite state, every recorded row NaN after.
     """
     nx, ni = loop.B.shape
     m = nx + 3 * ni
@@ -728,24 +739,38 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, inputs: dict,
     hi[:, nx:] = [[sat], [np.inf], [-sat]]
     block_path = ("closed_block", "upper_block", "lower_block")
     counts = dict.fromkeys(block_path + ("closed_single", "clamped_single"), 0)
-    # Row k + 1 holds x_(k+1) followed by the stage commands of step k;
-    # it starts out as the closed map's input terms of step k.
-    z = np.empty((nsteps + 1, nz))
+    live = np.flatnonzero(loop.out_x.any(1) | loop.out_v[:, list(inputs)].any(1))
+    out_x, out_v = loop.out_x[live], loop.out_v[live][:, list(inputs)]
+    out = np.zeros((len(loop.out_x), nsteps + 1))
+
+    def record(k, rows):  # samples k, k + 1, ... from the group's first rows
+        rec = out_x @ xs[:rows].T
+        if inputs:
+            rec += out_v @ block[:rows, :len(inputs)].T
+        out[live, k:k + rows] = rec
+
+    # Row j + 1 of the group holds x_(g+j+1) followed by the stage commands
+    # of step g + j; it starts out as the closed map's input terms of that
+    # step.  Row 0 holds the group's start state.
+    span = _BLOCK * _GROUP
+    z = np.empty((span + 1, nz))
     z[0, :nx] = x0
     xs = z[:, :nx]
+    # the inputs of each step of the group, then, in the row after its last
+    # step, each input at the sample that ends the group
+    block = np.empty((span + 1, len(cols)))
     # run: steps in mode since a block stopped; wait: the run that resumes
     # the inside mode; clean: no single step since the group began
     mode, run, wait, clean = _INSIDE, _RESUME, 1, True
-    span = _BLOCK * _GROUP
-    block = np.empty((span, len(cols)))
     for g in range(0, nsteps, span):
         e = min(g + span, nsteps)
         v = block[:e - g]
         for c, sampled in enumerate(inputs.values()):
             for j in range(3):
                 v[:, j * len(inputs) + c] = sampled[j][g:e]
-        z[g + 1:e + 1] = v @ gam.T
-        forced = {_INSIDE: _forced(z[g + 1:e + 1], *maps[_INSIDE])}
+            block[e - g, c] = sampled[3][e]
+        z[1:e - g + 1] = v @ gam.T
+        forced = {_INSIDE: _forced(z[1:e - g + 1], *maps[_INSIDE])}
         whole, clean, k = clean, True, g
         while k < e:
             if run >= (wait if mode == _INSIDE else _RESUME):
@@ -762,10 +787,10 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, inputs: dict,
                 fb, (i, j) = forced[mode], divmod(k - g, _BLOCK)
                 nb = len(fb) if whole and k == g and mode == _INSIDE else 1
                 r, end = j * nz, min(k - j + nb * _BLOCK, e)
-                x = xs[k] - fb[i, r - nz:r - nz + nx] if j else xs[k]
+                x = xs[k - g] - fb[i, r - nz:r - nz + nx] if j else xs[k - g]
                 rows = _attempt(fb[i:i + nb, r:], maps[mode][0], x, lo[mode],
                                 hi[mode], end - k)
-                z[k + 1:k + len(rows) + 1] = rows
+                z[k - g + 1:k - g + len(rows) + 1] = rows
                 counts[block_path[mode]] += len(rows)
                 k += len(rows)
                 if len(rows) >= _SUB:
@@ -775,10 +800,11 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, inputs: dict,
                 if k == end:
                     continue
                 run = 0
-            step = _single_step(z[k + 1], xs[k], q, n, low, sat)
+            step = _single_step(z[k - g + 1], xs[k - g], q, n, low, sat)
             if step is False:
-                xs[k + 1:] = np.nan
-                return xs, counts
+                record(g, k - g + 1)
+                out[:, k + 1:] = np.nan
+                return out, counts
             counts["closed_single" if step == _INSIDE else "clamped_single"] += 1
             if step is _MIXED:
                 run = 0
@@ -788,7 +814,9 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, inputs: dict,
                 mode, run = step, 1
             clean = False
             k += 1
-    return xs, counts
+        record(g, e - g + (e == nsteps))  # the last group also records sample e
+        z[0, :nx] = z[e - g, :nx]
+    return out, counts
 
 
 def _step_inputs(spec: SignalSpec, dt_s: float, nsteps: int):
@@ -839,21 +867,17 @@ def simulate_torque_loop(sc: TorqueLoopScenario) -> SimTrace:
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         ins = {i: _step_inputs(getattr(sc, name), dt, nsteps)
                for i, name in enumerate(names) if getattr(sc, name).kind != "zero"}
-    for i, w in ins.items():
-        if not (np.isfinite(w[1]).all() and np.isfinite(w[3]).all()):
+    for i in ins:
+        if not (np.isfinite(ins[i][1]).all() and np.isfinite(ins[i][3]).all()):
             raise ValueError(f"{names[i]} is not finite at every sample of the run")
 
     x0 = (sc.load.phi0 if sc.load is not None else 0.0) * loop.out_x[2]
     sat = sc.saturation_rad_s
     with np.errstate(over="ignore", invalid="ignore"):  # divergence, reported below
-        xs, counts = _integrate(loop, a, x0, ins, nsteps, dt, sat)
-        out = loop.out_x @ xs.T
-        del xs  # frees the integrator's rows before the channels are built
-        if ins:
-            out += loop.out_v[:, list(ins)] @ np.array([w[3] for w in ins.values()])
-    tau, u, phi, r = out
+        out, counts = _integrate(loop, a, x0, ins, nsteps, dt, sat)
+    tau, u_presat, phi, r = out
 
-    bad = ~(np.isfinite(tau) & np.isfinite(u) & np.isfinite(phi))
+    bad = ~(np.isfinite(tau) & np.isfinite(u_presat) & np.isfinite(phi))
     if bad.any():
         k = int(np.argmax(bad))
         raise NumericsError(
@@ -861,13 +885,13 @@ def simulate_torque_loop(sc: TorqueLoopScenario) -> SimTrace:
             f"(t = {k * dt:.6g} s)"
         )
     d, n = (ins[i][3] if i in ins else np.zeros(nsteps + 1) for i in (_D, _N))
-    u_presat = u + d
+    del ins  # frees the sampled inputs that are no channel of the trace
     omega_d = np.clip(u_presat, -sat, sat)
     clamped = int(np.count_nonzero(omega_d != u_presat))
     stats = SimStats(**counts, clamped_samples=clamped, saturation_rad_s=sat,
                      peak_u_presat=float(max(u_presat.max(), -u_presat.min())))
     rec = {
-        "t": np.arange(nsteps + 1) * dt,
+        "t": np.arange(nsteps + 1.0) * dt,
         "r": r,
         "u_presat": u_presat,
         "omega_d": omega_d,

@@ -19,10 +19,13 @@ _BASE = {
                     "reference": _SINE,
                     "noise": {"kind": "white_noise", "variance": 1e-6, "seed": 3}},
         "pi": {"dt_s": 1e-4, "duration_s": 0.05, "saturation_rad_s": 50.0,
-               "reference": _SINE,
+               "reference": {"kind": "chirp", "amplitude": 0.03, "f0_hz": 1.0,
+                             "f1_hz": 20.0, "sweep_s": 0.04, "offset": 0.01},
                "controller": {"type": "pi", "kp": 204.0, "ki": 111.0}},
         "imp": {"type": "impedance", "i_d": 0.02, "dt_s": 1e-4, "duration_s": 0.05,
                 "saturation_rad_s": 50.0, "compensator_on": True,
+                "phi_ref": {"kind": "piecewise_linear", "offset": 0.01,
+                            "breakpoints": [[0.0, 0.0], [0.02, 0.1], [0.04, -0.05]]},
                 "handle_motion": {"kind": "sine", "amplitude": 0.1, "frequency_hz": 1.0}},
     },
 }
@@ -38,9 +41,19 @@ _PATHS = (
        ("scenarios", "two_dof", "noise", "seed"),
        ("scenarios", "pi", "controller", "kp"),
        ("scenarios", "pi", "controller", "ki")]
+    + [("scenarios", "pi", "reference", f)
+       for f in ("amplitude", "f0_hz", "f1_hz", "sweep_s", "offset")]
+    + [("scenarios", "imp", "phi_ref", "offset"),
+       ("scenarios", "imp", "phi_ref", "breakpoints"),
+       ("scenarios", "imp", "phi_ref", "breakpoints", 1, 0),
+       ("scenarios", "imp", "phi_ref", "breakpoints", 2, 1)]
 )
 _ODD = [0, -1.0, 1e-320, 1e308, float("nan"), float("inf"), -float("inf"),
         "x", [1.0], None, True, 10**400]
+# whole breakpoint lists: too short, not increasing, not pairs, not numbers
+_ODD_BREAKPOINTS = [[], [[0.0, 1.0]], [[0.02, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]],
+                    [[0.0, 0.0, 1.0], [1.0, 2.0]], [[0.0, "x"], [1.0, 2.0]],
+                    [0.0, 1.0], [[0.0, 0.0], [1e308, 1e308]]]
 
 
 def _value(rng, path):
@@ -49,6 +62,9 @@ def _value(rng, path):
     Durations and steps are drawn so that no accepted scenario runs more
     than 2e4 steps: a long duration always lies beyond the step cap."""
     field = path[-1]
+    if field == "breakpoints":
+        odd = _ODD_BREAKPOINTS if rng.random() < 0.8 else _ODD
+        return odd[rng.integers(len(odd))]
     if field in ("kp", "ki") and rng.random() < 0.6:
         return 10.0 ** rng.uniform(0.0, 300.0)
     if field == "duration_s" and rng.random() < 0.5:
@@ -85,9 +101,10 @@ def _nan_root(roots):
 
 
 def test_mutated_configs_end_in_a_documented_exit_code(tmp_path, capsys, monkeypatch):
-    # plant constants, weights, scenario timing, signals and PI gains (up to
-    # 1e300) take odd values, durations reach 1e308, and every tenth config
-    # runs with a NaN eigenvalue among the roots np.roots returns
+    # plant constants, weights, scenario timing, signals (sine, noise,
+    # chirp, and a piecewise-linear phi_ref) and PI gains (up to 1e300)
+    # take odd values, durations reach 1e308, and every tenth config runs
+    # with a NaN eigenvalue among the roots np.roots returns
     rng = np.random.default_rng(14)
     t0 = time.perf_counter()
     exits = []

@@ -1,5 +1,6 @@
 """Unit tests for signal generation, the loop integrator, and trace analysis."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -408,16 +409,34 @@ def _stagewise_integrate(loop, a, x0, inputs, nsteps, h, sat, clamped=None):
                     clamped_single=len(clamped))
 
 
-def _record_integrate(monkeypatch, integrate=None):
-    """Route simulate_torque_loop through integrate (default:
-    simulation._integrate);
-    returns the list that collects (args, result) of every call."""
-    integrate = integrate or simulation._integrate
+def _states(loop):
+    """loop recording its states: _integrate's rows are then x at every
+    sample, exactly."""
+    nx = len(loop.A)
+    return dataclasses.replace(loop, out_x=np.eye(nx),
+                               out_v=np.zeros((nx, simulation._N_INPUTS)))
+
+
+def _recorded(loop, xs, inputs):
+    """The recorded rows out_x x + out_v v of the states xs, each input at
+    every sample, as one product over the whole run."""
+    rows = loop.out_x @ xs.T
+    if inputs:
+        rows += loop.out_v[:, list(inputs)] @ np.array([w[3] for w in inputs.values()])
+    return rows
+
+
+def _record_integrate(monkeypatch):
+    """Route simulate_torque_loop through simulation._integrate run on the
+    loop recording its states, and record from those states; returns the
+    list that collects (args, (states, counts)) of every call."""
+    integrate = simulation._integrate
     runs = []
 
-    def recording(*args):
-        runs.append((args, integrate(*args)))
-        return runs[-1][1]
+    def recording(loop, a, x0, inputs, *args):
+        rows, counts = integrate(_states(loop), a, x0, inputs, *args)
+        runs.append(((loop, a, x0, inputs, *args), (rows.T, counts)))
+        return _recorded(loop, rows.T, inputs), counts
 
     monkeypatch.setattr(simulation, "_integrate", recording)
     return runs
@@ -530,9 +549,14 @@ def test_fused_step_matches_stagewise_rk4(model, ctrl, monkeypatch, case):
     runs = _record_integrate(monkeypatch)
     fused = _parity_run(case, model, ctrl)
     (_, (_, counts)), = runs
-    ref_clamped = []
-    ref_runs = _record_integrate(
-        monkeypatch, lambda *args: _stagewise_integrate(*args, ref_clamped))
+    ref_clamped, ref_runs = [], []
+
+    def reference(loop, a, x0, inputs, *args):
+        xs, ref_counts = _stagewise_integrate(loop, a, x0, inputs, *args, ref_clamped)
+        ref_runs.append(ref_counts)
+        return _recorded(loop, xs, inputs), ref_counts
+
+    monkeypatch.setattr(simulation, "_integrate", reference)
     ref = _parity_run(case, model, ctrl)
     assert len(ref_runs) == 1
 
@@ -759,7 +783,8 @@ def test_overflowing_block_power_does_not_end_the_run_early():
         out_v=np.zeros((4, 4)),
     )
     x0 = np.array([1e-300])
-    xs, _ = simulation._integrate(loop, loop.A, x0, {}, 200, h, 50.0)
+    rows, _ = simulation._integrate(_states(loop), loop.A, x0, {}, 200, h, 50.0)
+    xs = rows.T
     ref = _closed_recurrence(loop, loop.A, x0, {}, 200, h)
     finite = np.isfinite(ref[:, 0])
     last = int(np.argmin(finite)) - 1  # the last finite state
@@ -784,6 +809,47 @@ def _input_cases(model, ctrl):
             model=model, controller=ctrl, compensator_on=True, duration_s=5.0,
             i_d=k_s, load=LoadModel(phi0=1.0)),
     }
+
+
+def test_recorded_rows_are_the_rows_of_the_states(model, ctrl, monkeypatch):
+    """_integrate records out_x x + out_v v group by group, bit for bit the
+    product over the whole run of the states it solves and every input
+    sample.  The last sample of noisy_pi takes the noise's own final draw,
+    not the one held over the last step; a diverging run names the first
+    non-finite sample of that product, and records NaN in every row after
+    it."""
+    integrate = simulation._integrate
+    runs = []
+
+    def recording(loop, a, x0, inputs, *args):
+        rows, counts = integrate(loop, a, x0, inputs, *args)
+        states, _ = integrate(_states(loop), a, x0, inputs, *args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs.append((rows, _recorded(loop, states.T, inputs), inputs))
+        return rows, counts
+
+    monkeypatch.setattr(simulation, "_integrate", recording)
+    unstable = RationalTF([1.0], [1.0, -1e6])
+    cases = {**_input_cases(model, ctrl), "diverging": TorqueLoopScenario(
+        model=model, controller=(unstable, unstable),
+        reference=SignalSpec.step(1.0), duration_s=0.05)}
+    for name, sc in cases.items():
+        runs.clear()
+        if name != "diverging":
+            simulate_torque_loop(sc)
+            (rows, ref, inputs), = runs
+            assert rows.tobytes() == ref.tobytes(), name
+            if name == "noisy_pi":  # the final draw is no held value
+                noise = inputs[simulation._N]
+                assert noise[3][-1] != noise[0][-1]
+            continue
+        with pytest.raises(NumericsError) as err:
+            simulate_torque_loop(sc)
+        (rows, ref, _), = runs
+        k = int(np.argmax(~np.isfinite(ref[:3]).all(0)))
+        assert k > 0 and f"at sample {k} " in str(err.value)
+        assert rows[:, :k].tobytes() == ref[:, :k].tobytes()
+        assert np.isnan(rows[:, k + 1:]).all()
 
 
 def test_only_nonzero_inputs_are_sampled(model, ctrl, monkeypatch):
@@ -815,12 +881,17 @@ def test_only_nonzero_inputs_are_sampled(model, ctrl, monkeypatch):
 
 
 def test_simulation_peak_memory_per_step(model, ctrl):
-    """tracemalloc peak of one simulate_torque_loop call, per step.  It
-    holds at once the integrator's rows, 8 (nx + 4) B a step, the four
-    output rows (32 B) and the sampled inputs (16 B a step for a smooth
-    one, 8 for noise): 128, 120 and 176 B.  Each bound leaves a third on
-    top, and stays below the 80 B a step of one more copy of the trace."""
-    bounds = {"chirp_6": 175, "noisy_pi": 165, "load_14": 235}
+    """tracemalloc peak of one simulate_torque_loop call, per step.  The
+    trace is 80 B a step: the four recorded rows and six more channels.
+    While the integrator runs it holds the recorded rows, the sampled
+    inputs (16 B a step for a smooth one, 8 for noise) and one group's
+    working set of about 1 MB, 42 B a step over chirp_6's 25k steps:
+    32 + 16 + 42 = 90 B.  noisy_pi peaks
+    at the trace, 81 B, plus the 0.7 MB that numpy.random imports on its
+    first draw in a process: 94 B when this test runs alone.  load_14 peaks
+    at the trace, 81 B.  Each bound leaves a third on top, and stays below
+    the 80 B a step of one more copy of the trace."""
+    bounds = {"chirp_6": 120, "noisy_pi": 125, "load_14": 110}
     for name, sc in _input_cases(model, ctrl).items():
         nsteps = round(sc.duration_s / sc.dt_s)
         tracemalloc.start()
