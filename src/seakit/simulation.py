@@ -884,7 +884,9 @@ def simulate_torque_loop(sc: TorqueLoopScenario) -> SimTrace:
             f"simulation diverged: non-finite state at sample {k} "
             f"(t = {k * dt:.6g} s)"
         )
-    d, n = (ins[i][3] if i in ins else np.zeros(nsteps + 1) for i in (_D, _N))
+    # a smooth input's samples are a stride-2 view: copy them off the grid
+    d, n = (np.ascontiguousarray(ins[i][3]) if i in ins else np.zeros(nsteps + 1)
+            for i in (_D, _N))
     del ins  # frees the sampled inputs that are no channel of the trace
     omega_d = np.clip(u_presat, -sat, sat)
     clamped = int(np.count_nonzero(omega_d != u_presat))

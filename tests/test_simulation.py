@@ -903,6 +903,29 @@ def test_simulation_peak_memory_per_step(model, ctrl):
         assert peak / nsteps <= bounds[name], (name, peak / nsteps)
 
 
+def test_a_smooth_run_keeps_no_half_step_samples(model, ctrl):
+    """An impedance run with four smooth inputs returns ten contiguous
+    channels of 8 B a step each, 80 B, and its trace holds no more: a d or
+    n channel that stayed a stride-2 view of its input's half-step samples
+    kept 16 B a step, about 96 B in all."""
+    k_s = default_params().k_s
+    sc = TorqueLoopScenario(
+        model=model, controller=ctrl, compensator_on=True, duration_s=5.0,
+        i_d=k_s, phi_ref=SignalSpec.sine(0.05, 1.0),
+        disturbance=SignalSpec.sine(0.1, 3.0), noise=SignalSpec.sine(1e-3, 40.0),
+        handle_motion=SignalSpec.sine(0.2, 0.5))
+    nsteps = round(sc.duration_s / sc.dt_s)
+    tracemalloc.start()
+    try:
+        trace = simulate_torque_loop(sc)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    for name, ch in trace.channels.items():
+        assert ch.flags.c_contiguous, name
+    assert held / nsteps <= 82, held / nsteps
+
+
 def test_feedforward_does_not_touch_disturbance_response(model, ctrl):
     """Replacing C1 must leave every d- and n-driven channel bit-identical."""
     def run(c1):

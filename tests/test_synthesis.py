@@ -32,7 +32,6 @@ from seakit.synthesis import (
     CoprimeFactorization,
     _check_bezout,
     _design_reference_map,
-    _fillable,
 )
 
 
@@ -218,48 +217,8 @@ def _reference_spectral_factor(a, b, wa, wb):
     return [d]
 
 
-def _reference_conjugate_units(rts):
-    """coprime_factorize's former grouping: a linear search for each conjugate."""
-    remaining = list(rts)
-    units = []
-    while remaining:
-        r = remaining.pop(0)
-        if r.imag == 0.0:
-            units.append([r])
-            continue
-        conj = r.conjugate()
-        remaining.pop(next(i for i, s in enumerate(remaining) if s == conj))
-        units.append([r, conj])
-    return units
-
-
-def _reference_split(P, c2):
-    """(f, h) of coprime_factorize, grouped by _reference_conjugate_units."""
-    n = P.den.degree
-    c = P.den * c2.den + P.num * c2.num
-    units = _reference_conjugate_units(roots(c))
-    units.sort(
-        key=lambda u: (-abs(u[0].real), -abs(u[0].imag), u[0].real, u[0].imag)
-    )
-    sizes = [len(u) for u in units]
-    f_roots, h_roots, cap = [], [], n
-    for i, unit in enumerate(units):
-        if len(unit) <= cap and _fillable(cap - len(unit), sizes[i + 1:]):
-            f_roots.extend(unit)
-            cap -= len(unit)
-        else:
-            h_roots.extend(unit)
-    return [Polynomial.from_roots(f_roots, leading=float(c.coeffs[0])),
-            Polynomial.from_roots(h_roots)]
-
-
 def _spectral(a, b, wa, wb):
     return [spectral_factor(a, b, wa, wb)]
-
-
-def _split(P, c2):
-    fact = coprime_factorize(P, c2)
-    return [fact.f, fact.h]
 
 
 def _coeff_bytes(fn, *args):
@@ -270,10 +229,31 @@ def _coeff_bytes(fn, *args):
         return "NumericsError"
 
 
+def _check_split(P, c2):
+    """coprime_factorize's split of c = a p0 + b q0: deg f = deg a, f and h
+    Hurwitz, h monic and f h = c within 1e-12 relative.  It raises "cannot
+    split" exactly when the roots of c hold fewer real roots than the
+    n - 2 min(pairs, n // 2) that f needs.  True when it split."""
+    n = P.den.degree
+    c = P.den * c2.den + P.num * c2.num
+    rts = roots(c)
+    pairs, real = int(np.sum(rts.imag > 0.0)), int(np.sum(rts.imag == 0.0))
+    if n - 2 * min(pairs, n // 2) > real:
+        with pytest.raises(NumericsError, match=r"^cannot split the characteristic "):
+            coprime_factorize(P, c2)
+        return False
+    fact = coprime_factorize(P, c2)
+    assert fact.f.degree == n and is_hurwitz(fact.f) and is_hurwitz(fact.h)
+    assert fact.h.coeffs[0] == 1.0
+    err = np.max(np.abs((fact.f * fact.h - c).coeffs)) / np.max(np.abs(c.coeffs))
+    assert err <= 1e-12, err
+    return True
+
+
 def test_root_conventions_match_the_former_pairing_bit_for_bit():
     # spectral_factor takes the left-half-plane roots as roots returns them,
-    # and coprime_factorize its conjugate units; both must build the same
-    # bytes as the former mirror search and conjugate search did
+    # and must build the same bytes as the former mirror search did; on the
+    # same plants coprime_factorize's split keeps its properties
     rng = np.random.default_rng(20)
     base, w0 = default_params(), SynthesisWeights(rho=5e-4, lam=1.0, k=1.0)
     names = ("j_a", "b_f", "k_s", "k_pv", "k_iv")
@@ -310,11 +290,21 @@ def test_root_conventions_match_the_former_pairing_bit_for_bit():
             c2 = h2_synthesize(P, w).c2
         except NumericsError:
             continue
-        got = _coeff_bytes(_split, P, c2)
-        if got != "NumericsError":
-            assert got == _coeff_bytes(_reference_split, P, c2)
-            checked["coprime"] += 1
+        checked["coprime"] += _check_split(P, c2)
     assert checked["spectral"] >= 450 and checked["coprime"] >= 200, checked
+
+
+def test_coprime_factorize_rejects_an_unstable_or_unsplittable_loop():
+    P = RationalTF([1.0], [1.0, 1.0])
+    # C0 = -3/(s + 1) gives c = s^2 + 2s - 2, a root at -1 + sqrt 3
+    with pytest.raises(NumericsError,
+                       match=r"^C0 does not stabilize P: a p0 \+ b q0 is not Hurwitz$"):
+        coprime_factorize(P, RationalTF([-3.0], [1.0, 1.0]))
+    # C0 = 1/(s + 1) gives c = s^2 + 2s + 2: one conjugate pair, no real
+    # root for f of degree 1
+    with pytest.raises(NumericsError, match=r"^cannot split the characteristic "
+                       r"polynomial into real factors of degrees 1 and 1$"):
+        coprime_factorize(P, RationalTF([1.0], [1.0, 1.0]))
 
 
 def test_closed_loop_map_identities(model, ctrl):
