@@ -24,9 +24,12 @@ designed for, so a stale bundle is detectable, as indent-2 JSON with LF
 line endings and a trailing newline.  Both formats carry format_version
 1 (FORMAT_VERSION); a config may omit it.
 
-write_csv is the package's one writer of numeric CSV tables.  The
-numerics are single-process; write_csv shares the text of a large table
-with one forked helper, byte for byte as one process writes it.
+write_csv is the package's one writer of numeric CSV tables.  It writes
+each value as "%.9g" % v does, byte for byte, but formats a block of
+rows with whole-array numpy arithmetic and table lookups instead of one
+% a value.  The numerics are single-process; write_csv shares the text
+of a large table with one forked helper, byte for byte as one process
+writes it.
 """
 
 from __future__ import annotations
@@ -309,13 +312,163 @@ def write_bundle(
 
 
 _CSV_BLOCK_ROWS = 4096
+_CSV_SUB_ROWS = 1024
+
+# write_csv's "%.9g" runs on whole arrays, with table lookups and integer
+# arithmetic: an exact float-to-decimal conversion in the manner of Ryu
+# (Adams, PLDI 2018).  A value v = +-m 10^(x - 8), m its nine digits, is
+# four little-endian words whose NUL bytes the text drops:
+#   word 0: "-", the "0.000" prefix of -4 <= x < 0, the first digit and
+#           a slot;
+#   words 1, 2: digits 2-5 and 6-9, each followed by a slot;
+#   word 3: the "e%+03d" suffix, and the separator in the top byte.
+# The digits come from "d.d.d.d." words, a point in every slot; one mask
+# per (sign, x, trailing zeros of m) keeps the digits %g writes and the
+# slot that holds its point.  x is floor(log10(2**e)) for the binary
+# exponent e of v, plus one where |v| reaches the next power of 10, and m
+# is |v| 10^(8 - x) rounded.  With 10^(8 - x) from a table of correctly
+# rounded powers, that product is within 3e-7 of exact, so m is exact
+# unless the product lies within 1e-6 of a tie.  Those values, and zeros,
+# non-finite values and |x| >= 290 (subnormals included), are formatted
+# by "%.9g" % v.
+_CSV_X = 290  # row of x = 0; rows 1 .. 2 * _CSV_X hold x = 1 - _CSV_X .. _CSV_X
 
 
-def _csv_blocks(columns: list, line: str):
-    """The CSV text of columns, _CSV_BLOCK_ROWS rows stacked at a time."""
+def _csv_tables():
+    """The formatter's tables; building them takes about a millisecond."""
+    def words(b):  # the little-endian words of the bytes along the last axis
+        return np.ascontiguousarray(b, dtype=np.uint8).view("<u8")
+
+    ten = np.array([float(f"1e{k}") for k in range(-300, 301)])  # 10**k, rounded
+    nx = 2 * _CSV_X + 1
+    # by the top 12 bits of v: the row of its smaller x (0: fall back), and
+    # the |v| from which x is one larger
+    e = np.arange(4096)
+    xe = (((e & 2047) - 1023) * 78913) >> 18  # floor(log10(2**(e - 1023)))
+    fast = (e & 2047 > 0) & (e & 2047 < 2047) & (xe > -_CSV_X) & (xe < _CSV_X - 1)
+    row = np.where(fast, (e >> 11) * nx + xe + _CSV_X, 0)
+    above = np.where(fast, ten[np.clip(xe + 301, 0, 600)], 2.0)
+    # by row: 10^(8 - x), and the four words' masks and suffix for 0 .. 8
+    # trailing zeros of m
+    x = np.arange(-_CSV_X, _CSV_X + 1)
+    scale = np.tile(np.where(x > -_CSV_X, ten[np.clip(308 - x, 0, 600)], 1.0), 2)
+    fixed = (x >= -4) & (x < 9)
+    point = np.where(fixed, np.maximum(x + 1, 0), 1)  # digits before the point
+    last = np.maximum(8 - np.arange(9), point[:, None] - 1)  # the last digit kept
+    # by (point, last): digit j is byte 6 + 2j of words 0-2, its slot 7 + 2j
+    j, p, q = np.arange(9), np.arange(10)[:, None, None], np.arange(9)[:, None]
+    keep = np.zeros((10, 9, 24), np.uint8)
+    keep[..., 6::2] = j <= q
+    keep[..., 7::2] = (j == p - 1) & (q >= p)
+    rows = np.zeros((2 * nx, 9, 4), np.uint64)
+    rows[:nx, :, :3] = words(keep * 255)[point[:, None], last]
+    # by x: the "0." and -x - 1 zeros of word 0, and word 3's "e%+03d"
+    ends = np.zeros((nx, 16), np.uint8)
+    ends[:, 1:6] = 255 * ((x < 0)[:, None] & fixed[:, None] & (j[:5] <= -x[:, None]))
+    ax = np.abs(x)
+    ends[:, 8:13] = np.where(fixed[:, None], 0, np.stack(
+        [np.full(nx, ord("e")), np.where(x < 0, ord("-"), ord("+")),
+         np.where(ax >= 100, ax // 100 + ord("0"), 0), ax // 10 % 10 + ord("0"),
+         ax % 10 + ord("0")], axis=1))
+    ends = words(ends)
+    rows[:nx, :, 0] |= ends[:, :1]
+    rows[:nx, :, 3] = ends[:, 1:]
+    rows[nx:] = rows[:nx]
+    rows[nx:, :, 0] |= np.uint64(0xFF)  # the "-" of a negative v
+    # "d.d.d.d." and the count of trailing zeros of 0 .. 9999
+    d = np.arange(10, dtype=np.uint64) + np.uint64(ord("0") + (ord(".") << 8))
+    digits = d[:, None, None, None] | d[:, None, None] << np.uint64(16) \
+        | d[:, None] << np.uint64(32) | d << np.uint64(48)
+    d = np.arange(10) == 0
+    zeros = d * (1 + d[:, None] * (1 + d[:, None, None] * (1 + d[:, None, None, None])))
+    return row, above, scale, rows.reshape(-1, 4), digits.ravel(), zeros.ravel()
+
+
+_CSV_ROW, _CSV_ABOVE, _CSV_SCALE, _CSV_MASKS, _CSV_DIGITS, _CSV_ZEROS = _csv_tables()
+_CSV_WORD0 = np.frombuffer(b"-0.0000.", "<u8")[0]
+_CSV_ZERO = np.frombuffer(b"0".ljust(32, b"\0"), "<u8")
+_CSV_SEPARATORS = np.array([ord(","), ord("\n")], "<u8") << np.uint64(56)
+
+
+def _csv_words(v: np.ndarray) -> np.ndarray:
+    """The (len(v), 4) words of "%.9g" % v for a float64 vector v."""
+    bits = v.view(np.uint64)
+    top = (bits >> np.uint64(52)).view(np.int64)
+    row = np.take(_CSV_ROW, top)
+    slow = row == 0
+    a = np.abs(v)
+    a[slow] = 1.0  # keeps their arithmetic finite; % writes them below
+    row += a >= np.take(_CSV_ABOVE, top)
+    s = a * np.take(_CSV_SCALE, row)
+    s += 0.5
+    m = np.floor(s)
+    s -= m
+    slow |= (s < 1e-6) | (s > 1.0 - 1e-6)
+    m = m.astype(np.int64)
+    carry = m == 1_000_000_000
+    if carry.any():
+        m[carry] = 100_000_000
+        row[carry] += 1
+    d0 = m // 100_000_000
+    m -= d0 * 100_000_000
+    g1 = m // 10_000
+    m -= g1 * 10_000
+    w = np.take(_CSV_MASKS,
+                row * 9 + np.take(_CSV_ZEROS, m) + (m == 0) * np.take(_CSV_ZEROS, g1),
+                axis=0)
+    w[:, 0] &= (d0.view(np.uint64) << np.uint64(48)) | _CSV_WORD0
+    w[:, 1] &= np.take(_CSV_DIGITS, g1)
+    w[:, 2] &= np.take(_CSV_DIGITS, m)
+    slow = np.flatnonzero(slow)
+    if len(slow):
+        text = "".join([("%.9g" % f).ljust(32, "\0") for f in v[slow].tolist()])
+        w[slow] = np.frombuffer(text.encode("ascii"), "<u8").reshape(-1, 4)
+    return w
+
+
+def _csv_text(block: list, separators: np.ndarray, buf: bytearray) -> str:
+    """The CSV rows of a block of columns.
+
+    A column whose bits are all zero is written "0", and one bitwise
+    equal to an earlier column (-0.0 and NaN payloads count) repeats its
+    words, so each distinct column is formatted once.  They are formatted
+    _CSV_SUB_ROWS rows at a time, which bounds the working arrays, and
+    their words are laid out in buf, which _csv_blocks hands from block
+    to block."""
+    source, distinct, zero = [], [], []
+    for j, c in enumerate(block):
+        c = np.asarray(c, dtype=np.float64).view(np.int64)
+        if not c.any():
+            zero.append(j)
+            source.append(0)
+            continue
+        for i, d in enumerate(distinct):
+            if d[-1] == c[-1] and np.array_equal(d, c):
+                break
+        else:
+            i = len(distinct)
+            distinct.append(c)
+        source.append(i)
+    n, k = len(block[0]), len(block)
+    if len(buf) != n * k * 32:
+        buf = bytearray(n * k * 32)
+    out = np.frombuffer(buf, "<u8").reshape(n, k, 4)
+    if distinct:
+        for r in range(0, n, _CSV_SUB_ROWS):
+            v = np.column_stack([d[r:r + _CSV_SUB_ROWS] for d in distinct])
+            w = _csv_words(v.view(np.float64).ravel()).reshape(len(v), len(distinct), 4)
+            np.take(w, source, axis=1, out=out[r:r + len(v)], mode="clip")
+    out[:, zero] = _CSV_ZERO
+    out[:, :, 3] |= separators
+    return buf.translate(None, b"\0").decode("ascii")
+
+
+def _csv_blocks(columns: list):
+    """The CSV text of columns, _CSV_BLOCK_ROWS rows at a time."""
+    separators = _CSV_SEPARATORS[[0] * (len(columns) - 1) + [1]]
+    buf = bytearray(min(len(columns[0]), _CSV_BLOCK_ROWS) * len(columns) * 32)
     for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in columns])
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+        yield _csv_text([c[i:i + _CSV_BLOCK_ROWS] for c in columns], separators, buf)
 
 
 def _usable_cpus() -> int:
@@ -328,13 +481,15 @@ def write_csv(path: str, header: list[str], columns: list) -> None:
     """Numeric columns as CSV: 9 significant digits, LF line endings.
 
     ValueError, before the file is opened, unless header names each
-    column once and the columns have one length.  Rows are stacked and
-    formatted a block at a time, with one %-operation per block.  From
-    4 * _CSV_BLOCK_ROWS rows up, on a host with os.fork and 2 usable
-    CPUs, a forked helper writes the first half of the rows through the
-    shared descriptor while this process formats the second half, which
-    it writes once the helper is reaped; the bytes are those of the
-    one-process loop.  The helper is reaped before this returns or
+    column once and the columns have one length.  Each value reads as
+    "%.9g" % v; the rows are formatted a block at a time, with whole-array
+    numpy arithmetic that leaves to % only the values it cannot prove
+    exact (_csv_words), and each distinct column of a block is formatted
+    once (_csv_text).  From 4 * _CSV_BLOCK_ROWS rows up, on a host with
+    os.fork and 2 usable CPUs, a forked helper writes the first half of
+    the rows through the shared descriptor while this process formats
+    the second half, which it writes once the helper is reaped; the
+    bytes are those of the one-process loop.  The helper is reaped before this returns or
     raises, and if it failed, OSError names the path.  It makes no BLAS
     call and takes no lock, so CPython's warning (Python >= 3.12) about
     fork in a process with threads, such as OpenBLAS's, does not apply.
@@ -347,12 +502,11 @@ def write_csv(path: str, header: list[str], columns: list) -> None:
     lengths = sorted({len(c) for c in columns})
     if len(lengths) != 1:
         raise ValueError(f"columns must have one length, not {lengths}")
-    line = ",".join(["%.9g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         if lengths[0] < 4 * _CSV_BLOCK_ROWS or not hasattr(os, "fork") \
                 or _usable_cpus() < 2:
-            fh.writelines(_csv_blocks(columns, line))
+            fh.writelines(_csv_blocks(columns))
             return
         fh.flush()  # the helper inherits a copy of fh's buffer
         half = lengths[0] // 2
@@ -360,13 +514,13 @@ def write_csv(path: str, header: list[str], columns: list) -> None:
         if pid == 0:
             status = 1
             try:
-                fh.writelines(_csv_blocks([c[:half] for c in columns], line))
+                fh.writelines(_csv_blocks([c[:half] for c in columns]))
                 fh.flush()  # os._exit does not flush
                 status = 0
             finally:
                 os._exit(status)
         try:
-            tail = list(_csv_blocks([c[half:] for c in columns], line))
+            tail = list(_csv_blocks([c[half:] for c in columns]))
         finally:
             status = os.waitpid(pid, 0)[1]
         if status != 0:

@@ -52,21 +52,27 @@ def _welch(u: np.ndarray, y: np.ndarray, fs: float, nperseg: int):
     nperseg / 2 (a tail shorter than that is dropped), no detrending,
     and the mean over segments of |U|^2, |Y|^2 and conj(U) Y, scaled to
     a density as scipy.signal.welch and csd scale it.  Welch, IEEE
-    Trans. Audio Electroacoust. 15 (1967) 70-73.
+    Trans. Audio Electroacoust. 15 (1967) 70-73.  One segment is
+    transformed at a time and added to the three sums in order, which
+    is how np.mean adds the rows of a stack, bit for bit; only one
+    segment's spectra are held.
     """
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
-
-    def segment_spectra(x):
-        segments = sliding_window_view(x, nperseg)[:: nperseg // 2]
-        return np.fft.rfft(segments * window, axis=1)
-
-    su, sy = segment_spectra(u), segment_spectra(y)
+    step = nperseg // 2
+    sums = None
+    for count, (su, sy) in enumerate(zip(sliding_window_view(u, nperseg)[::step],
+                                         sliding_window_view(y, nperseg)[::step]), 1):
+        su, sy = np.fft.rfft(su * window), np.fft.rfft(sy * window)
+        terms = (su.real**2 + su.imag**2, sy.real**2 + sy.imag**2, np.conj(su) * sy)
+        if sums is None:
+            sums = terms
+        else:
+            for total, term in zip(sums, terms):
+                total += term
     # one-sided: every bin but DC and Nyquist (nperseg is even) twice
     scale = np.full(nperseg // 2 + 1, 2.0 / (fs * np.sum(window**2)))
     scale[[0, -1]] *= 0.5
-    s_uu = scale * np.mean(su.real**2 + su.imag**2, axis=0)
-    s_yy = scale * np.mean(sy.real**2 + sy.imag**2, axis=0)
-    s_uy = scale * np.mean(np.conj(su) * sy, axis=0)
+    s_uu, s_yy, s_uy = (scale * (total / count) for total in sums)
     return np.fft.rfftfreq(nperseg, 1.0 / fs), s_uu, s_yy, s_uy
 
 

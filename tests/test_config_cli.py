@@ -6,6 +6,7 @@ import os
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,69 @@ def test_write_csv_format(tmp_path):
     assert lines[1:-1] == ["%.9g,%.9g" % (x, y) for x, y in zip(a, b)]
 
 
+def _per_value(columns):
+    """The CSV rows of columns, one "%.9g" per value."""
+    return "".join(",".join("%.9g" % x for x in row) + "\n"
+                   for row in zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def _check_blocks(columns):
+    """_csv_blocks writes each row as _per_value does, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = "".join(config._csv_blocks(columns)).split("\n")
+    want = _per_value(columns).split("\n")
+    if got != want:  # name the first row that differs, not the whole text
+        i = next(i for i, (a, b) in enumerate(zip(got + [None], want + [None])) if a != b)
+        pytest.fail(f"row {i}: {got[i:i + 1]} != {want[i:i + 1]}")
+
+
+def test_csv_formatter_matches_per_value_format_on_every_decade():
+    rng = np.random.default_rng(30)
+    # 1.2M values, 2000 a decade, with both signs: 1e-320 .. 1e308,
+    # subnormals included
+    decade = rng.integers(-320, 309, 1_200_000)
+    top = np.where(decade == 308, 1.79, 10.0)
+    v = rng.uniform(1.0, top) * 10.0 ** decade.astype(float)
+    v[rng.random(v.size) < 0.5] *= -1.0
+    v[:12] = [123456789.5, 0.5, 2.5, 0.0, -0.0, np.inf, -np.inf, np.nan,
+              5e-324, -2.5e-310, 2.2250738585072009e-308, 1e-5]
+    _check_blocks([v[0::3], v[1::3], v[2::3]])
+    # the powers of ten and ties d.dddddddd5e(k), with their neighbours
+    ks = np.arange(-323, 309)
+    ties = [float(f"{m}5e{k}") for k in ks for m in
+            (f"{d / 1e8:.8f}" for d in rng.integers(100_000_000, 1_000_000_000, 6))]
+    exact = np.array([float(f"1e{k}") for k in ks] + ties + [9.999999995, 999999999.5])
+    near = np.concatenate([exact, np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf),
+                           np.nextafter(np.nextafter(exact, 0.0), 0.0)])
+    near = np.concatenate([near, -near])
+    _check_blocks([near])
+
+
+def test_csv_formatter_column_shortcuts():
+    # all-zero, -0.0, bitwise-duplicate and equal-but-not-bitwise columns,
+    # over more rows than a block, with the shortcut holding in some blocks
+    n = 3 * config._CSV_BLOCK_ROWS + 100
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 10, n)
+    late = np.where(np.arange(n) < 5000, 0.0, a)
+    signed = np.where(np.arange(n) % 3 == 0, 0.0, a)
+    other = signed.copy()
+    other[::3] = -0.0  # equal to signed in value, not in bits
+    nan = np.full(n, np.nan)
+    payload = nan.view(np.int64) | 1
+    columns = [np.zeros(n), -np.zeros(n), a, a.copy(), late, signed, other,
+               nan, payload.view(np.float64), np.arange(n), np.arange(n) % 3 == 0, a]
+    _check_blocks(columns)
+    assert "".join(config._csv_blocks([np.zeros(n), np.zeros(n)])) == "0,0\n" * n
+    for rows in (0, 1):
+        columns = [np.arange(rows) - 0.5, np.zeros(rows), -np.zeros(rows),
+                   np.arange(rows) == 0, np.arange(rows) + 7]
+        _check_blocks(columns)
+    assert "".join(config._csv_blocks(
+        [np.array([-0.0]), np.array([True]), np.array([2**60])])) == "-0,1,1.1529215e+18\n"
+
+
 def _csv_columns(n):
     """Three columns of n rows with -0, nan and +-inf near both ends."""
     rng = np.random.default_rng(n)
@@ -466,10 +530,10 @@ def test_write_csv_leaves_no_child(tmp_path, monkeypatch, helper_fails):
         parent = os.getpid()
         blocks = config._csv_blocks
 
-        def failing_in_helper(columns, line):
+        def failing_in_helper(columns):
             if os.getpid() != parent:
                 raise RuntimeError("helper failure")
-            return blocks(columns, line)
+            return blocks(columns)
 
         monkeypatch.setattr(config, "_csv_blocks", failing_in_helper)
         with pytest.raises(OSError, match=re.escape(str(path))):
@@ -498,11 +562,12 @@ def test_write_csv_rejects_a_table_that_does_not_match(tmp_path, monkeypatch,
 @pytest.mark.parametrize("serial", [True, False])
 def test_write_csv_stacks_no_whole_table(tmp_path, monkeypatch, serial):
     """tracemalloc peak of writing 100k rows of 10 columns (8 MB as one
-    stack).  One process holds one block of rows at a time, about 2.4 MB
-    here, so the bound is the whole-table stack.  With the forked helper
-    this process also keeps the text of its half until the helper is
-    reaped (6.1 MB here); apart from that text, about 1.7 MB remains, and
-    the bound is half the whole-table stack."""
+    stack).  One process holds one block's words (1.3 MB, 32 B a value),
+    the working arrays of 1024 of its rows and the block's text, about
+    3.0 MB here, so the bound is the whole-table stack.  With the forked
+    helper this process also keeps the text of its half until the helper
+    is reaped (6.1 MB here); apart from that text, about 2.5 MB remains,
+    and the bound is half the whole-table stack."""
     if serial:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     elif not hasattr(os, "fork") or config._usable_cpus() < 2:
