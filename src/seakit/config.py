@@ -27,9 +27,7 @@ line endings and a trailing newline.  Both formats carry format_version
 write_csv is the package's one writer of numeric CSV tables.  It writes
 each value as "%.9g" % v does, byte for byte, but formats a block of
 rows with whole-array numpy arithmetic and table lookups instead of one
-% a value.  The numerics are single-process; write_csv shares the text
-of a large table with one forked helper, byte for byte as one process
-writes it.
+% a value, and writes each block's bytes before it formats the next.
 """
 
 from __future__ import annotations
@@ -317,81 +315,86 @@ _CSV_SUB_ROWS = 1024
 # write_csv's "%.9g" runs on whole arrays, with table lookups and integer
 # arithmetic: an exact float-to-decimal conversion in the manner of Ryu
 # (Adams, PLDI 2018).  A value v = +-m 10^(x - 8), m its nine digits, is
-# four little-endian words whose NUL bytes the text drops:
-#   word 0: "-", the "0.000" prefix of -4 <= x < 0, the first digit and
-#           a slot;
-#   words 1, 2: digits 2-5 and 6-9, each followed by a slot;
-#   word 3: the "e%+03d" suffix, and the separator in the top byte.
-# The digits come from "d.d.d.d." words, a point in every slot; one mask
-# per (sign, x, trailing zeros of m) keeps the digits %g writes and the
-# slot that holds its point.  x is floor(log10(2**e)) for the binary
-# exponent e of v, plus one where |v| reaches the next power of 10, and m
-# is |v| 10^(8 - x) rounded.  With 10^(8 - x) from a table of correctly
+# two little-endian words, 16 bytes, whose NUL bytes the text drops:
+#   byte 0: "-";  bytes 1 .. -x: the "0.000" prefix of -4 <= x < 0;
+#   from byte 1, or from byte 2 - x after a prefix: the nine digits, with
+#   a NUL byte shifted in for the point that %g writes after digit x + 1
+#   (fixed notation) or after digit 1 (the "e%+03d" form);
+#   bytes 11 .. 14: the "e%+03d" suffix;  byte 15: the separator.
+# So "-0.000123456789," and "-1.23456789e-05," fill all 16 bytes.  A row
+# of _CSV_LAYOUT per (sign, x, trailing zeros of m) masks the last eight
+# digits before and after the point, keeping those %g writes, gives the
+# shift that places the digits, and holds the "-", the prefix, the point
+# and the suffix.  x is floor(log10(2**e)) for the binary exponent e of
+# v, plus one where |v| reaches the next power of 10, and m is
+# |v| 10^(8 - x) rounded.  With 10^(8 - x) from a table of correctly
 # rounded powers, that product is within 3e-7 of exact, so m is exact
-# unless the product lies within 1e-6 of a tie.  Those values, and zeros,
-# non-finite values and |x| >= 290 (subnormals included), are formatted
-# by "%.9g" % v.
-_CSV_X = 290  # row of x = 0; rows 1 .. 2 * _CSV_X hold x = 1 - _CSV_X .. _CSV_X
+# unless the product lies within 1e-6 of a tie.  Those values, zeros,
+# non-finite values and those whose binade [2**e, 2**(e + 1)) does not
+# start in [1e-99, 1e99), so every |x| >= 100 and the subnormals, are
+# formatted by "%.9g" % v.
+_CSV_X = 100  # row of x = 0; row r < 2 * _CSV_X holds x = r - _CSV_X
 
 
 def _csv_tables():
-    """The formatter's tables; building them takes about a millisecond."""
+    """The formatter's tables; building them takes about half a millisecond."""
     def words(b):  # the little-endian words of the bytes along the last axis
         return np.ascontiguousarray(b, dtype=np.uint8).view("<u8")
 
-    ten = np.array([float(f"1e{k}") for k in range(-300, 301)])  # 10**k, rounded
-    nx = 2 * _CSV_X + 1
+    ten = np.array([float(f"1e{k}") for k in range(-_CSV_X, _CSV_X + 9)])  # 10**k, rounded
+    nx = 2 * _CSV_X
     # by the top 12 bits of v: the row of its smaller x (0: fall back), and
     # the |v| from which x is one larger
     e = np.arange(4096)
     xe = (((e & 2047) - 1023) * 78913) >> 18  # floor(log10(2**(e - 1023)))
     fast = (e & 2047 > 0) & (e & 2047 < 2047) & (xe > -_CSV_X) & (xe < _CSV_X - 1)
     row = np.where(fast, (e >> 11) * nx + xe + _CSV_X, 0)
-    above = np.where(fast, ten[np.clip(xe + 301, 0, 600)], 2.0)
-    # by row: 10^(8 - x), and the four words' masks and suffix for 0 .. 8
-    # trailing zeros of m
-    x = np.arange(-_CSV_X, _CSV_X + 1)
-    scale = np.tile(np.where(x > -_CSV_X, ten[np.clip(308 - x, 0, 600)], 1.0), 2)
-    fixed = (x >= -4) & (x < 9)
-    point = np.where(fixed, np.maximum(x + 1, 0), 1)  # digits before the point
-    last = np.maximum(8 - np.arange(9), point[:, None] - 1)  # the last digit kept
-    # by (point, last): digit j is byte 6 + 2j of words 0-2, its slot 7 + 2j
-    j, p, q = np.arange(9), np.arange(10)[:, None, None], np.arange(9)[:, None]
-    keep = np.zeros((10, 9, 24), np.uint8)
-    keep[..., 6::2] = j <= q
-    keep[..., 7::2] = (j == p - 1) & (q >= p)
-    rows = np.zeros((2 * nx, 9, 4), np.uint64)
-    rows[:nx, :, :3] = words(keep * 255)[point[:, None], last]
-    # by x: the "0." and -x - 1 zeros of word 0, and word 3's "e%+03d"
-    ends = np.zeros((nx, 16), np.uint8)
-    ends[:, 1:6] = 255 * ((x < 0)[:, None] & fixed[:, None] & (j[:5] <= -x[:, None]))
-    ax = np.abs(x)
-    ends[:, 8:13] = np.where(fixed[:, None], 0, np.stack(
-        [np.full(nx, ord("e")), np.where(x < 0, ord("-"), ord("+")),
-         np.where(ax >= 100, ax // 100 + ord("0"), 0), ax // 10 % 10 + ord("0"),
-         ax % 10 + ord("0")], axis=1))
-    ends = words(ends)
-    rows[:nx, :, 0] |= ends[:, :1]
-    rows[:nx, :, 3] = ends[:, 1:]
-    rows[nx:] = rows[:nx]
-    rows[nx:, :, 0] |= np.uint64(0xFF)  # the "-" of a negative v
-    # "d.d.d.d." and the count of trailing zeros of 0 .. 9999
-    d = np.arange(10, dtype=np.uint64) + np.uint64(ord("0") + (ord(".") << 8))
-    digits = d[:, None, None, None] | d[:, None, None] << np.uint64(16) \
-        | d[:, None] << np.uint64(32) | d << np.uint64(48)
+    above = np.where(fast, ten[np.clip(xe + 1 + _CSV_X, 0, nx)], 2.0)
+    # by row: 10^(8 - x), and 1 in row 0, where the values % writes are
+    x = np.arange(-_CSV_X, _CSV_X)
+    scale = np.tile(ten[8 - x + _CSV_X], 2)
+    scale[0] = 1.0
+    # by (row, trailing zeros of m), six words: the masks of the last
+    # eight digits before and after the point, the fixed bytes of the two
+    # words, and the left and right shifts that place the digits
+    fixed, prefix = (x >= -4) & (x < 9), (x >= -4) & (x < 0)
+    # of the last eight digits: those before the point (8: it is not
+    # among them), and those %g writes
+    point = np.where(prefix, 8, np.where(fixed, x, 0))[:, None]
+    kept = np.maximum(8 - np.arange(9), np.where(fixed, x, 0)[:, None])
+    text = np.frombuffer(b"".join(
+        (b"\0" + b"0.000"[:1 - k] if -4 <= k < 0 else b"").ljust(11, b"\0")
+        + (b"" if -4 <= k < 9 else b"e%+03d" % k).ljust(5, b"\0")
+        for k in range(-_CSV_X, _CSV_X)), np.uint8).reshape(nx, 1, 16)
+    dot = (np.arange(16) == 2 + point[..., None]) & (kept > point)[..., None]
+    text = text + dot * ord(".")
+    j = np.arange(8)
+    keep, before = words(255 * (j < kept[..., None]))[..., 0], words(255 * (j < point))
+    shift = np.where(prefix, 16 - 8 * x, 8)[:, None]  # to the byte of the first digit
+    layout = np.zeros((2, nx, 9, 6), np.uint64)
+    layout[..., 0], layout[..., 1] = keep & before, keep & ~before
+    layout[..., 2:4] = words(text)
+    layout[..., 4], layout[..., 5] = shift, 56 - shift
+    layout[1, ..., 2] |= np.uint64(ord("-"))
+    # "dddd" and the count of trailing zeros of 0 .. 9999
+    d = np.arange(10, dtype=np.uint64) + np.uint64(ord("0"))
+    digits = d[:, None, None, None] | d[:, None, None] << np.uint64(8) \
+        | d[:, None] << np.uint64(16) | d << np.uint64(24)
     d = np.arange(10) == 0
     zeros = d * (1 + d[:, None] * (1 + d[:, None, None] * (1 + d[:, None, None, None])))
-    return row, above, scale, rows.reshape(-1, 4), digits.ravel(), zeros.ravel()
+    return row, above, scale, layout.reshape(-1, 6), digits.ravel(), zeros.ravel()
 
 
-_CSV_ROW, _CSV_ABOVE, _CSV_SCALE, _CSV_MASKS, _CSV_DIGITS, _CSV_ZEROS = _csv_tables()
-_CSV_WORD0 = np.frombuffer(b"-0.0000.", "<u8")[0]
-_CSV_ZERO = np.frombuffer(b"0".ljust(32, b"\0"), "<u8")
+_CSV_ROW, _CSV_ABOVE, _CSV_SCALE, _CSV_LAYOUT, _CSV_DIGITS, _CSV_ZEROS = _csv_tables()
+_CSV_ZERO = np.frombuffer(b"0".ljust(16, b"\0"), "<u8")
 _CSV_SEPARATORS = np.array([ord(","), ord("\n")], "<u8") << np.uint64(56)
 
 
 def _csv_words(v: np.ndarray) -> np.ndarray:
-    """The (len(v), 4) words of "%.9g" % v for a float64 vector v."""
+    """The (len(v), 2) words of "%.9g" % v for a float64 vector v.
+
+    A 16-character text of %, such as "-1.23456789e+100", fills both
+    words and leaves no byte for the separator."""
     bits = v.view(np.uint64)
     top = (bits >> np.uint64(52)).view(np.int64)
     row = np.take(_CSV_ROW, top)
@@ -413,28 +416,33 @@ def _csv_words(v: np.ndarray) -> np.ndarray:
     m -= d0 * 100_000_000
     g1 = m // 10_000
     m -= g1 * 10_000
-    w = np.take(_CSV_MASKS,
+    t = np.take(_CSV_LAYOUT,
                 row * 9 + np.take(_CSV_ZEROS, m) + (m == 0) * np.take(_CSV_ZEROS, g1),
                 axis=0)
-    w[:, 0] &= (d0.view(np.uint64) << np.uint64(48)) | _CSV_WORD0
-    w[:, 1] &= np.take(_CSV_DIGITS, g1)
-    w[:, 2] &= np.take(_CSV_DIGITS, m)
+    eight = np.take(_CSV_DIGITS, g1) | np.take(_CSV_DIGITS, m) << np.uint64(32)
+    before, after = eight & t[:, 0], eight & t[:, 1]
+    w = np.empty((len(v), 2), np.uint64)
+    d0 += ord("0")
+    w[:, 0] = (d0.view(np.uint64) | before << np.uint64(8) | after << np.uint64(16)) \
+        << t[:, 4] | t[:, 2]
+    w[:, 1] = before >> t[:, 5] | after >> np.uint64(40) | t[:, 3]
     slow = np.flatnonzero(slow)
     if len(slow):
-        text = "".join([("%.9g" % f).ljust(32, "\0") for f in v[slow].tolist()])
-        w[slow] = np.frombuffer(text.encode("ascii"), "<u8").reshape(-1, 4)
+        text = "".join([("%.9g" % f).ljust(16, "\0") for f in v[slow].tolist()])
+        w[slow] = np.frombuffer(text.encode("ascii"), "<u8").reshape(-1, 2)
     return w
 
 
-def _csv_text(block: list, separators: np.ndarray, buf: bytearray) -> str:
-    """The CSV rows of a block of columns.
+def _csv_text(block: list, separators: np.ndarray, buf: bytearray) -> bytearray:
+    """The CSV rows of a block of columns, as ASCII bytes.
 
     A column whose bits are all zero is written "0", and one bitwise
     equal to an earlier column (-0.0 and NaN payloads count) repeats its
     words, so each distinct column is formatted once.  They are formatted
     _CSV_SUB_ROWS rows at a time, which bounds the working arrays, and
     their words are laid out in buf, which _csv_blocks hands from block
-    to block."""
+    to block.  A block that holds a 16-character text of % is laid out
+    again at 32 bytes a value, so that each separator has its byte."""
     source, distinct, zero = [], [], []
     for j, c in enumerate(block):
         c = np.asarray(c, dtype=np.float64).view(np.int64)
@@ -450,31 +458,28 @@ def _csv_text(block: list, separators: np.ndarray, buf: bytearray) -> str:
             distinct.append(c)
         source.append(i)
     n, k = len(block[0]), len(block)
-    if len(buf) != n * k * 32:
-        buf = bytearray(n * k * 32)
-    out = np.frombuffer(buf, "<u8").reshape(n, k, 4)
+    if len(buf) != n * k * 16:
+        buf = bytearray(n * k * 16)
+    out = np.frombuffer(buf, "<u8").reshape(n, k, 2)
     if distinct:
         for r in range(0, n, _CSV_SUB_ROWS):
             v = np.column_stack([d[r:r + _CSV_SUB_ROWS] for d in distinct])
-            w = _csv_words(v.view(np.float64).ravel()).reshape(len(v), len(distinct), 4)
+            w = _csv_words(v.view(np.float64).ravel()).reshape(len(v), len(distinct), 2)
             np.take(w, source, axis=1, out=out[r:r + len(v)], mode="clip")
     out[:, zero] = _CSV_ZERO
-    out[:, :, 3] |= separators
-    return buf.translate(None, b"\0").decode("ascii")
+    if np.frombuffer(buf, np.uint8)[15::16].any():  # a 16-character text
+        buf = bytearray(np.concatenate([out, np.zeros_like(out)], axis=2))
+        out = np.frombuffer(buf, "<u8").reshape(n, k, 4)
+    out[:, :, -1] |= separators
+    return buf.translate(None, b"\0")
 
 
 def _csv_blocks(columns: list):
-    """The CSV text of columns, _CSV_BLOCK_ROWS rows at a time."""
+    """The CSV bytes of columns, _CSV_BLOCK_ROWS rows at a time."""
     separators = _CSV_SEPARATORS[[0] * (len(columns) - 1) + [1]]
-    buf = bytearray(min(len(columns[0]), _CSV_BLOCK_ROWS) * len(columns) * 32)
+    buf = bytearray(min(len(columns[0]), _CSV_BLOCK_ROWS) * len(columns) * 16)
     for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         yield _csv_text([c[i:i + _CSV_BLOCK_ROWS] for c in columns], separators, buf)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def write_csv(path: str, header: list[str], columns: list) -> None:
@@ -485,14 +490,8 @@ def write_csv(path: str, header: list[str], columns: list) -> None:
     "%.9g" % v; the rows are formatted a block at a time, with whole-array
     numpy arithmetic that leaves to % only the values it cannot prove
     exact (_csv_words), and each distinct column of a block is formatted
-    once (_csv_text).  From 4 * _CSV_BLOCK_ROWS rows up, on a host with
-    os.fork and 2 usable CPUs, a forked helper writes the first half of
-    the rows through the shared descriptor while this process formats
-    the second half, which it writes once the helper is reaped; the
-    bytes are those of the one-process loop.  The helper is reaped before this returns or
-    raises, and if it failed, OSError names the path.  It makes no BLAS
-    call and takes no lock, so CPython's warning (Python >= 3.12) about
-    fork in a process with threads, such as OpenBLAS's, does not apply.
+    once (_csv_text).  Each block's bytes are written as they are made,
+    so the text of the whole table is never held.
 
     Tables that mix text and numbers (plant.csv, summary.csv) are written
     by the commands that make them.
@@ -502,28 +501,6 @@ def write_csv(path: str, header: list[str], columns: list) -> None:
     lengths = sorted({len(c) for c in columns})
     if len(lengths) != 1:
         raise ValueError(f"columns must have one length, not {lengths}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        if lengths[0] < 4 * _CSV_BLOCK_ROWS or not hasattr(os, "fork") \
-                or _usable_cpus() < 2:
-            fh.writelines(_csv_blocks(columns))
-            return
-        fh.flush()  # the helper inherits a copy of fh's buffer
-        half = lengths[0] // 2
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                fh.writelines(_csv_blocks([c[:half] for c in columns]))
-                fh.flush()  # os._exit does not flush
-                status = 0
-            finally:
-                os._exit(status)
-        try:
-            tail = list(_csv_blocks([c[half:] for c in columns]))
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if status != 0:
-            raise OSError(f"cannot write {path}: the CSV helper process exited "
-                          f"with status {os.waitstatus_to_exitcode(status)}")
-        fh.writelines(tail)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.writelines(_csv_blocks(columns))

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import os
-import re
 import time
 import tracemalloc
 import warnings
@@ -408,7 +407,7 @@ def _check_blocks(columns):
     """_csv_blocks writes each row as _per_value does, with no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = "".join(config._csv_blocks(columns)).split("\n")
+        got = b"".join(config._csv_blocks(columns)).decode("ascii").split("\n")
     want = _per_value(columns).split("\n")
     if got != want:  # name the first row that differs, not the whole text
         i = next(i for i, (a, b) in enumerate(zip(got + [None], want + [None])) if a != b)
@@ -435,6 +434,13 @@ def test_csv_formatter_matches_per_value_format_on_every_decade():
                            np.nextafter(np.nextafter(exact, 0.0), 0.0)])
     near = np.concatenate([near, -near])
     _check_blocks([near])
+    # the edges of the 16-byte layout: two texts that fill it with their
+    # separator, the last decades on each side of the fast path, and a
+    # value whose rounding carries x from 99 to 100 ("1e+100")
+    edges = np.array([-0.000123456789, -1.23456789e-05, 9.9999999951e99,
+                      9.99999999e99, -9.99999999e99, 9.99999999e-99, -9.99999999e-99,
+                      1e100, -1e100, 1e-100, -1e-100])
+    _check_blocks([edges, edges[::-1], -edges])
 
 
 def test_csv_formatter_column_shortcuts():
@@ -452,13 +458,13 @@ def test_csv_formatter_column_shortcuts():
     columns = [np.zeros(n), -np.zeros(n), a, a.copy(), late, signed, other,
                nan, payload.view(np.float64), np.arange(n), np.arange(n) % 3 == 0, a]
     _check_blocks(columns)
-    assert "".join(config._csv_blocks([np.zeros(n), np.zeros(n)])) == "0,0\n" * n
+    assert b"".join(config._csv_blocks([np.zeros(n), np.zeros(n)])) == b"0,0\n" * n
     for rows in (0, 1):
         columns = [np.arange(rows) - 0.5, np.zeros(rows), -np.zeros(rows),
                    np.arange(rows) == 0, np.arange(rows) + 7]
         _check_blocks(columns)
-    assert "".join(config._csv_blocks(
-        [np.array([-0.0]), np.array([True]), np.array([2**60])])) == "-0,1,1.1529215e+18\n"
+    assert b"".join(config._csv_blocks(
+        [np.array([-0.0]), np.array([True]), np.array([2**60])])) == b"-0,1,1.1529215e+18\n"
 
 
 def _csv_columns(n):
@@ -470,78 +476,21 @@ def _csv_columns(n):
     return [a, np.arange(n) * 1e-4, -a[::-1]]
 
 
-def _counting_fork(monkeypatch):
-    """Count the os.fork calls made by this process."""
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-needs_split = pytest.mark.skipif(
-    not hasattr(os, "fork") or config._usable_cpus() < 2,
-    reason="the split path needs os.fork and two usable CPUs")
-
-
-@needs_split
 @pytest.mark.parametrize("n", [16383, 16384, 16385, 16386, 60001])
 def test_write_csv_split_rows_equal_per_value_format(tmp_path, monkeypatch, n):
-    # From 4 formatting blocks of rows up, a forked helper writes the
-    # first half of the rows; below that, one process writes them all.
-    # At 16386 rows the helper's last block is one short row, which stays
-    # in the file object's buffer until the helper flushes it.
-    forks = _counting_fork(monkeypatch)
+    # The rows are split into formatting blocks of 4096, and one process
+    # writes them all, 4 blocks of rows and more included; at 16385 and
+    # 16386 rows the last block is one or two short rows.
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()), raising=False)
     cols = _csv_columns(n)
-    path = tmp_path / "split.csv"
+    path = tmp_path / "rows.csv"
     write_csv(str(path), ["a", "t", "b"], cols)
-    assert forks == ([] if n < 16384 else [os.getpid()])
+    assert forks == []
     lines = path.read_bytes().decode().split("\n")
     assert lines[0] == "a,t,b" and lines[-1] == "" and len(lines) == n + 2
     assert lines[1:-1] == ["%.9g,%.9g,%.9g" % row for row in zip(*cols)]
     assert lines[1].startswith("-0,") and lines[n].startswith("-inf,")
-
-
-@pytest.mark.parametrize("serial", ["one_cpu", "no_fork"])
-def test_write_csv_serial_fallback_writes_same_bytes(tmp_path, monkeypatch, serial):
-    cols = _csv_columns(60001)
-    write_csv(str(tmp_path / "default.csv"), ["a", "t", "b"], cols)
-    forks = _counting_fork(monkeypatch)
-    if serial == "one_cpu":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    else:
-        monkeypatch.delattr(os, "fork")
-    write_csv(str(tmp_path / "serial.csv"), ["a", "t", "b"], cols)
-    assert forks == []
-    assert (tmp_path / "serial.csv").read_bytes() == \
-        (tmp_path / "default.csv").read_bytes()
-
-
-@needs_split
-@pytest.mark.parametrize("helper_fails", [False, True])
-def test_write_csv_leaves_no_child(tmp_path, monkeypatch, helper_fails):
-    path = tmp_path / "reaped.csv"
-    if helper_fails:
-        # The helper inherits this patch through fork; only it raises.
-        parent = os.getpid()
-        blocks = config._csv_blocks
-
-        def failing_in_helper(columns):
-            if os.getpid() != parent:
-                raise RuntimeError("helper failure")
-            return blocks(columns)
-
-        monkeypatch.setattr(config, "_csv_blocks", failing_in_helper)
-        with pytest.raises(OSError, match=re.escape(str(path))):
-            write_csv(str(path), ["a", "t", "b"], _csv_columns(60001))
-    else:
-        write_csv(str(path), ["a", "t", "b"], _csv_columns(60001))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("header, columns, message", [
@@ -549,29 +498,20 @@ def test_write_csv_leaves_no_child(tmp_path, monkeypatch, helper_fails):
     (["a", "b", "c"], [np.ones(3), np.ones(60001), np.ones(3)],
      r"one length, not \[3, 60001\]"),
 ])
-def test_write_csv_rejects_a_table_that_does_not_match(tmp_path, monkeypatch,
-                                                       header, columns, message):
-    # checked before the file is opened and before any fork
-    forks = _counting_fork(monkeypatch)
+def test_write_csv_rejects_a_table_that_does_not_match(tmp_path, header, columns,
+                                                       message):
+    # checked before the file is opened
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match=message):
         write_csv(str(path), header, columns)
-    assert forks == [] and not path.exists()
+    assert not path.exists()
 
 
-@pytest.mark.parametrize("serial", [True, False])
-def test_write_csv_stacks_no_whole_table(tmp_path, monkeypatch, serial):
+def test_write_csv_stacks_no_whole_table(tmp_path):
     """tracemalloc peak of writing 100k rows of 10 columns (8 MB as one
-    stack).  One process holds one block's words (1.3 MB, 32 B a value),
-    the working arrays of 1024 of its rows and the block's text, about
-    3.0 MB here, so the bound is the whole-table stack.  With the forked
-    helper this process also keeps the text of its half until the helper
-    is reaped (6.1 MB here); apart from that text, about 2.5 MB remains,
-    and the bound is half the whole-table stack."""
-    if serial:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    elif not hasattr(os, "fork") or config._usable_cpus() < 2:
-        pytest.skip("the split path needs os.fork and two usable CPUs")
+    stack).  It holds one block's words (0.66 MB, 16 B a value), the
+    working arrays of 1024 of its rows and the block's text, about 2.8 MB
+    here, so the bound is half the whole-table stack."""
     rows, ncols = 100_000, 10
     rng = np.random.default_rng(5)
     cols = [rng.standard_normal(rows) for _ in range(ncols)]
@@ -582,13 +522,7 @@ def test_write_csv_stacks_no_whole_table(tmp_path, monkeypatch, serial):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    stack = rows * ncols * 8
-    if serial:
-        assert peak < stack, peak
-    else:
-        lines = path.read_bytes().split(b"\n")[1:-1]
-        held = sum(len(x) + 1 for x in lines[rows // 2:])
-        assert peak - held < stack / 2, (peak, held)
+    assert peak < rows * ncols * 8 / 2, peak
 
 
 # ---------------------------------------------------------------- cli
@@ -748,6 +682,16 @@ def test_cli_output_error_has_its_own_exit_code(tmp_path, capsys):
     assert main(["plant", "--out", str(blocker / "sub")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("output error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_csv_write_error_has_the_output_exit_code(tmp_path, capsys):
+    # write_csv cannot open a trace path that is a directory
+    trace = tmp_path / "fig9" / "trace_two_dof.csv"
+    trace.mkdir(parents=True)
+    assert main(["sim", "fig9", "--out", str(tmp_path)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and str(trace) in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -60,6 +60,27 @@ def test_bench_reads_resolve_on_the_package():
             obj = getattr(obj, part)
 
 
+def test_package_starts_no_second_process_or_thread():
+    # seakit is single-process: no module forks, spawns or starts a thread
+    banned = {"subprocess", "multiprocessing", "threading"}
+    src = os.path.dirname(os.path.abspath(seakit.__file__))
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in banned and not name.startswith("os.fork"), \
+                    f"{os.path.basename(path)}:{node.lineno} uses {name}"
+
+
 def test_import_loads_no_scipy():
     # scipy is a test and benchmark reference only; importing it took
     # about 1.5 s of every command's start-up
