@@ -12,7 +12,7 @@ motion or, with a load set, the state of that load.
 
 The linear blocks are assembled once, by _assemble, into a single
 state-space system over the inputs [r, d, n, phi_L]: 6 states for the
-2-DOF loop, 4 for PI, 12 with C_L, 14 with the load too.  The virtual
+2-DOF loop, 4 for PI, 9 with C_L, 11 with the load too.  The virtual
 spring and the load are rows of that system, and tau_L, u_presat, phi_L
 and the recorded reference all come out of one product over [x, v].
 The saturation is the only nonlinearity, applied to the scalar
@@ -59,7 +59,8 @@ import numpy as np
 
 from .errors import NumericsError
 from .plant import SeaModel
-from .synthesis import build_compensator, _controller_pair, _shared_denominator_pair
+from .synthesis import (build_compensator, _controller_pair, _feedforward_quotient,
+                        _shared_denominator_pair)
 from .transfer import RationalTF, to_state_space
 
 __all__ = [
@@ -458,32 +459,31 @@ class _LoopSystem:
 
 
 def _assemble(sc: TorqueLoopScenario) -> _LoopSystem:
-    """Build the loop u = C1 re - C2 (tau_L + n) as one state-space system.
+    """Build the loop u = C1 r - C2 (tau_L + n) as one state-space system.
 
     The plant pair is one observable canonical block over den(P) =
     s den(G), driven by [w, phi_L]: tau_L = P w + (G s / s) phi_L.  The
-    controller pair is one block over its shared denominator p, driven
-    by [re, y]: u = (n1 re - q y) / p.  The reference r is the R input
-    in torque mode (i_d None) and the virtual spring i_d (R - phi_L) in
-    impedance mode; re = r - C_L phi_L with the compensator on.  The
-    state layout is plant pair, controller, [C_L], [phi_L, phi_L'].
+    controller is one block over one denominator, driven by [r, y] (u =
+    (n1 r - q y) / p) and, with the compensator on, by phi_L: u = C1 r -
+    C2 y - (C1 C_L) phi_L over p den(C1 C_L), C1 C_L from
+    ``_feedforward_quotient``.  The reference r is the R input in torque
+    mode (i_d None) and the virtual spring i_d (R - phi_L) in impedance
+    mode.  The state layout is plant pair, controller, [phi_L, phi_L'].
     Every scalar signal of the loop is built as a row over [x, v].
     """
     model, i_d, load = sc.model, sc.i_d, sc.load
     c1, c2 = _controller_pair(sc.controller)
-    pg = to_state_space(model.P, model.G * RationalTF([1.0, 0.0], [1.0, 0.0]))
-    ctl = to_state_space(c1, -c2)
-    comp = None
+    g_s = model.G * RationalTF([1.0, 0.0], [1.0, 0.0])  # G s / s, over den(P)
+    tfs = (c1, -c2)
     if sc.compensator_on:
-        comp = to_state_space(build_compensator(model, (c1, c2)))
-    sizes = [
-        pg.order,
-        ctl.order,
-        comp.order if comp is not None else 0,
-        2 if load is not None else 0,
-    ]
+        build_compensator(model, sc.controller)  # raises unless a p + b n2 is Hurwitz
+        ff = _feedforward_quotient(model.P, sc.controller, g_s.num)  # C1 C_L
+        over = RationalTF(ff.den, ff.den)
+        tfs = (c1 * over, -c2 * over, RationalTF(c1.den, c1.den) * -ff)
+    pg, ctl = to_state_space(model.P, g_s), to_state_space(*tfs)
+    sizes = [pg.order, ctl.order, 2 if load is not None else 0]
     ends = np.cumsum(sizes)
-    s_p, s_k, s_c, s_l = (slice(e - n, e) for e, n in zip(ends, sizes))
+    s_p, s_k, s_l = (slice(e - n, e) for e, n in zip(ends, sizes))
     nx = int(ends[-1])
     nz = nx + _N_INPUTS
 
@@ -496,8 +496,8 @@ def _assemble(sc: TorqueLoopScenario) -> _LoopSystem:
     tau = row(s_p, pg.C) + pg.D[1] * phi  # P is strictly proper
     y = tau + row(nx + _N)
     r = row(nx + _R) if i_d is None else i_d * (row(nx + _R) - phi)
-    re = r if comp is None else r - (row(s_c, comp.C) + comp.D[0] * phi)
-    u = row(s_k, ctl.C) + ctl.D[0] * re + ctl.D[1] * y
+    drives = (r, y, phi) if sc.compensator_on else (r, y)
+    u = row(s_k, ctl.C) + sum(gain * v for gain, v in zip(ctl.D, drives))
     u_presat = u + row(nx + _D)
 
     F = np.zeros((nx, nz))  # dx/dt = F [x, v] + b_w w
@@ -505,10 +505,8 @@ def _assemble(sc: TorqueLoopScenario) -> _LoopSystem:
     b_w[s_p] = pg.B[:, 0]  # the plant is driven by the clamped command w
     F[s_p, s_p] = pg.A
     F[s_p] += np.outer(pg.B[:, 1], phi)
-    for blk, s, drives in ((ctl, s_k, (re, y)), (comp, s_c, (phi,))):
-        if blk is not None:
-            F[s, s] = blk.A
-            F[s] += blk.B @ np.stack(drives)
+    F[s_k, s_k] = ctl.A
+    F[s_k] += ctl.B @ np.stack(drives)
     if load is not None:
         phid = row(s_l.start + 1)
         F[s_l.start] = phid
@@ -628,8 +626,8 @@ def _block_maps(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     nz, nx = q.shape
     # Phi^j as Phi Phi^(j-1), the order of the step-by-step recursion: on
-    # the 14-state loop this keeps the states 3x closer to it than
-    # squaring up does
+    # the 11-state loop this keeps the states 1.7x closer to it than
+    # binary powering does
     powers = [np.eye(nx)]
     for _ in range(_BLOCK - 1):
         powers.append(q[:nx] @ powers[-1])

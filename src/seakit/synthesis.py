@@ -433,22 +433,27 @@ def build_compensator(model: SeaModel, ctrl) -> RationalTF:
     return cl
 
 
-def _design_reference_map(P: RationalTF, ctrl) -> RationalTF | None:
-    """G1 of a 2-DOF design on the plant P, from the design's factors.
+def _feedforward_quotient(P: RationalTF, ctrl, num: Polynomial) -> RationalTF:
+    """(num/a) C1 / (1 + P C2) for P = b/a, C1 = n1/p and C2 = n2/p.
 
-    None unless ctrl is a ``TwoDofController`` whose Diophantine identity
-    holds on P (see ``torque_loop_maps``).
+    num = b gives the reference map G1, num = num(G) s the compensated
+    feedforward C1 C_L.  In general this is the exact quotient num n1 /
+    (a p + b n2).  For a ``TwoDofController`` on the plant it was
+    designed for it is kappa num / d_rho instead, from the design's own
+    factors: C1 = kappa d_lambda_k / p with kappa = d_rho(0)/b(0), and
+    a p + b q = d_rho d_lambda_k, so d_lambda_k divides out.  The guard
+    is that identity on P, within ``solve_diophantine``'s bound (1e-8 of
+    the largest coefficient of d_rho d_lambda_k).
     """
-    if not isinstance(ctrl, TwoDofController):
-        return None
-    a, b = P.den, P.num
-    target = ctrl.d_rho * ctrl.d_lambda_k
-    residual = a * ctrl.p + b * ctrl.q - target
-    bound = _DIOPHANTINE_TOL * float(np.max(np.abs(target.coeffs)))
-    if not float(np.max(np.abs(residual.coeffs))) <= bound:
-        return None
-    kappa = float(ctrl.d_rho(0.0)) / float(b(0.0))
-    return RationalTF(b * kappa, ctrl.d_rho)
+    c1, c2 = _controller_pair(ctrl)
+    if isinstance(ctrl, TwoDofController):
+        target = ctrl.d_rho * ctrl.d_lambda_k
+        residual = P.den * ctrl.p + P.num * ctrl.q - target
+        bound = _DIOPHANTINE_TOL * float(np.max(np.abs(target.coeffs)))
+        if float(np.max(np.abs(residual.coeffs))) <= bound:
+            kappa = float(ctrl.d_rho(0.0)) / float(P.num(0.0))
+            return RationalTF(num * kappa, ctrl.d_rho)
+    return RationalTF(num * c1.num, _torque_char(P, c2))
 
 
 def torque_loop_maps(
@@ -463,15 +468,9 @@ def torque_loop_maps(
 
     C1 = n1/p and C2 = n2/p must share one denominator, as in
     ``TorqueLoopScenario`` (a PI pair shares s).  Each map is then an
-    exact polynomial quotient over a p + b n2, with P = b/a, and nothing
-    is cancelled by matching roots: G2 is ``build_compensator``'s
-    num(G) s p / (a p + b n2), and G1 = b n1 / (a p + b n2).  For a
-    ``TwoDofController`` on the plant it was designed for, G1 = kappa b
-    / d_rho instead, from the design's own factors: C1 = kappa
-    d_lambda_k / p with kappa = d_rho(0)/b(0), and a p + b q = d_rho
-    d_lambda_k, so d_lambda_k divides out.  The guard is that identity
-    on this plant, within ``solve_diophantine``'s bound (1e-8 of the
-    largest coefficient of d_rho d_lambda_k).
+    exact polynomial quotient, and nothing is cancelled by matching
+    roots: G2 is ``build_compensator``'s num(G) s p / (a p + b n2), with
+    P = b/a, and G1 is ``_feedforward_quotient`` of b.
 
     Raises
     ------
@@ -480,10 +479,8 @@ def torque_loop_maps(
     NumericsError
         If either map is unstable.
     """
-    c1, c2 = _shared_denominator_pair(ctrl)
-    g1 = _design_reference_map(model.P, ctrl)
-    if g1 is None:
-        g1 = RationalTF(model.P.num * c1.num, _torque_char(model.P, c2))
+    _, c2 = _shared_denominator_pair(ctrl)
+    g1 = _feedforward_quotient(model.P, ctrl, model.P.num)
     g2 = _motion_map(model, c2)
     # off the design path G1 and G2 share a p + b n2: factor it once
     if not all(is_hurwitz(den) for den in dict.fromkeys((g1.den, g2.den))):

@@ -355,17 +355,38 @@ def test_a_scenario_beyond_the_step_cap_fails_when_built(model, ctrl):
 
 
 def test_assembled_state_counts(model, ctrl):
-    """Plant pair (3), controller pair (order of p), [C_L], [load (2)]."""
+    """Plant pair (3), controller (order of p, times den(C1 C_L) with the
+    compensator on), [load (2)]."""
     k_s = default_params().k_s
     cases = [
         (dict(controller=ctrl), 6),
         (dict(controller=PiController(204.0, 111.0)), 4),
-        (dict(controller=ctrl, compensator_on=True), 12),
-        (dict(controller=ctrl, compensator_on=True, i_d=k_s, load=LoadModel()), 14),
+        (dict(controller=ctrl, compensator_on=True), 9),
+        (dict(controller=PiController(204.0, 111.0), compensator_on=True), 8),
+        (dict(controller=ctrl, compensator_on=True, i_d=k_s, load=LoadModel()), 11),
     ]
     for kwargs, nx in cases:
         sc = TorqueLoopScenario(model=model, **kwargs)
         assert simulation._assemble(sc).A.shape == (nx, nx)
+
+
+def test_an_unstable_torque_loop_runs_no_compensator(model, ctrl, monkeypatch):
+    # The compensated loop checks a p + b n2, the torque loop C_L closes,
+    # and not the denominator of C1 C_L: with the feedback sign flipped, or
+    # with lam = 1e30 (d_rho stays Hurwitz), it is unstable and the run
+    # fails before it integrates
+    def no_integrate(*args):
+        raise AssertionError("an unstable compensated loop was integrated")
+
+    monkeypatch.setattr(simulation, "_integrate", no_integrate)
+    extreme = h2_synthesize(model.P, SynthesisWeights(rho=5e-4, lam=1e30, k=1.0))
+    for controller in ((ctrl.c1, -ctrl.c2), extreme):
+        sc = TorqueLoopScenario(model=model, controller=controller, compensator_on=True,
+                                i_d=default_params().k_s, duration_s=0.01,
+                                phi_ref=SignalSpec.sine(0.1, 1.0))
+        with pytest.raises(NumericsError,
+                           match=r"^closed torque loop is unstable; no compensator$"):
+            simulate_torque_loop(sc)
 
 
 def _dense_inputs(inputs, nsteps):
@@ -621,8 +642,8 @@ def test_block_solve_matches_the_plain_recurrence(model, ctrl, monkeypatch, case
     """Unsaturated runs: the blocked closed-form solve gives the states of
     the closed map stepped one step at a time, builds no block maps but
     the closed map's, and solves each group in one attempt.  forced_12
-    drives all 12 states over 1003 steps, a multiple of neither the block
-    nor the sub-block length."""
+    drives all 9 states of the compensated loop over 1003 steps, a
+    multiple of neither the block nor the sub-block length."""
     block_maps, attempt = simulation._block_maps, simulation._attempt
     built, attempts = [], []
 
@@ -652,14 +673,14 @@ def test_block_solve_matches_the_plain_recurrence(model, ctrl, monkeypatch, case
             reference=SignalSpec.sine(0.02, 3.0),
             handle_motion=SignalSpec.sine(0.5, 2.0), duration_s=0.1003,
         ))
-    else:  # C_L and the load: 14 states, C_L's block nearly defective
+    else:  # the compensator and the load: 11 states
         simulate_torque_loop(TorqueLoopScenario(
             model=model, controller=ctrl, compensator_on=True, duration_s=1.0,
             i_d=default_params().k_s, load=LoadModel(phi0=1.0),
         ))
     (args, (xs, counts)), = runs
     loop, a, x0, inputs, nsteps, h, _ = args
-    assert len(x0) == {"fig9_two_dof": 6, "forced_12": 12}.get(case, 14)
+    assert len(x0) == {"fig9_two_dof": 6, "forced_12": 9}.get(case, 11)
     if case == "forced_12":
         assert nsteps == 1003
     ref = _closed_recurrence(loop, a, x0, inputs, nsteps, h)
@@ -794,7 +815,7 @@ def test_overflowing_block_power_does_not_end_the_run_early():
 
 
 def _input_cases(model, ctrl):
-    """fig10's chirp, fig9's noisy PI loop and fig11's 14-state load loop,
+    """fig10's chirp, fig9's noisy PI loop and fig11's 11-state load loop,
     each shortened to 5 s."""
     k_s = default_params().k_s
     return {
@@ -805,7 +826,7 @@ def _input_cases(model, ctrl):
             model=model, controller=PiController(204.0, 111.0), duration_s=5.0,
             reference=SignalSpec.sine(0.033, 2.0),
             noise=SignalSpec.white_noise(0.01, seed=1101)),
-        "load_14": TorqueLoopScenario(
+        "load_11": TorqueLoopScenario(
             model=model, controller=ctrl, compensator_on=True, duration_s=5.0,
             i_d=k_s, load=LoadModel(phi0=1.0)),
     }
@@ -866,7 +887,7 @@ def test_only_nonzero_inputs_are_sampled(model, ctrl, monkeypatch):
 
     monkeypatch.setattr(simulation, "_generate_n", counting)
     expected = {"chirp_6": ["chirp"], "noisy_pi": ["sine", "white_noise"],
-                "load_14": []}
+                "load_11": []}
     for name, sc in _input_cases(model, ctrl).items():
         calls.clear()
         trace = simulate_torque_loop(sc)
@@ -888,10 +909,10 @@ def test_simulation_peak_memory_per_step(model, ctrl):
     working set of about 1 MB, 42 B a step over chirp_6's 25k steps:
     32 + 16 + 42 = 90 B.  noisy_pi peaks
     at the trace, 81 B, plus the 0.7 MB that numpy.random imports on its
-    first draw in a process: 94 B when this test runs alone.  load_14 peaks
+    first draw in a process: 94 B when this test runs alone.  load_11 peaks
     at the trace, 81 B.  Each bound leaves a third on top, and stays below
     the 80 B a step of one more copy of the trace."""
-    bounds = {"chirp_6": 120, "noisy_pi": 125, "load_14": 110}
+    bounds = {"chirp_6": 120, "noisy_pi": 125, "load_11": 110}
     for name, sc in _input_cases(model, ctrl).items():
         nsteps = round(sc.duration_s / sc.dt_s)
         tracemalloc.start()

@@ -28,11 +28,7 @@ from seakit import (
     spectral_factor,
     torque_loop_maps,
 )
-from seakit.synthesis import (
-    CoprimeFactorization,
-    _check_bezout,
-    _design_reference_map,
-)
+from seakit.synthesis import CoprimeFactorization, _check_bezout, _feedforward_quotient
 
 
 @pytest.fixture(scope="module")
@@ -355,7 +351,6 @@ def test_reference_map_of_a_design_on_another_plant(model, ctrl):
         params = dataclasses.replace(default_params(), **{
             n: getattr(default_params(), n) * scale for n in ("j_a", "k_s", "k_pv")})
         other = build_plant(params)
-        assert _design_reference_map(other.P, ctrl) is None
         g1, _ = torque_loop_maps(other, ctrl, with_compensator=False)
         exact = _exact_reference_map(other, ctrl.c1, ctrl.c2)
         assert g1.num == exact.num and g1.den == exact.den
@@ -363,6 +358,24 @@ def test_reference_map_of_a_design_on_another_plant(model, ctrl):
         grid = np.array([0.1, 2.0, 20.0, 200.0])
         rel = np.abs(g1(2j * np.pi * grid) / _pointwise_g1(other, ctrl, grid) - 1.0)
         assert np.all(rel <= 1e-9), rel
+
+
+def test_feedforward_quotient_is_c1_times_the_compensator(model, ctrl):
+    # C1 C_L of a design on its plant is kappa num(G) s / d_rho: 3 poles
+    # where C1 times C_L has 6, with the same response
+    num = model.G.num * Polynomial([1.0, 0.0])
+    ff = _feedforward_quotient(model.P, ctrl, num)
+    kappa = ctrl.d_rho(0.0) / model.P.num(0.0)
+    ident = RationalTF(num * kappa, ctrl.d_rho)
+    assert ff.num == ident.num and ff.den == ident.den and ff.den.degree == 3
+    s = 2j * np.pi * np.logspace(-2, 3, 51)
+    rel = np.abs(ff(s) / (ctrl.c1(s) * build_compensator(model, ctrl)(s)) - 1.0)
+    assert np.all(rel <= 1e-12), rel
+    # a PI pair has no design factors: the general quotient num n1 / (a p + b n2)
+    c1, c2 = PiController(204.0, 111.0).as_pair()
+    ff = _feedforward_quotient(model.P, (c1, c2), num)
+    exact = RationalTF(num * c1.num, model.P.den * c2.den + model.P.num * c2.num)
+    assert ff.num == exact.num and ff.den == exact.den
 
 
 def test_check_bezout_rejects_a_corrupted_factorization(model, ctrl):
