@@ -3,7 +3,8 @@
 Each preset pins one published experiment's scenario constants in a
 single place and knows how to run itself, write its artifacts (CSV
 traces, FRF tables, SVG plots), and score itself against the acceptance
-tolerances.  The reproduce driver runs all of them and emits a summary
+tolerances, on the (model, ctrl) that run_preset designs from the
+config.  The reproduce driver runs all of them and emits a summary
 table; any failed check makes the overall run fail.  Every simulation
 is one TorqueLoopScenario run by simulate_torque_loop: fig6 sets the
 virtual stiffness i_d, and fig11 sets i_d and a released load.
@@ -72,12 +73,6 @@ class CheckResult:
         object.__setattr__(self, "passed", bool(self.passed))
 
 
-def _design(cfg: ProjectConfig):
-    model = build_plant(cfg.plant)
-    ctrl = h2_synthesize(model.P, cfg.weights)
-    return model, ctrl
-
-
 def _reseed(obj, seed: int | None):
     """obj with every white-noise seed replaced; everything else is kept.
 
@@ -94,19 +89,18 @@ def _reseed(obj, seed: int | None):
     })
 
 
-def run_fig6(cfg: ProjectConfig, out_dir: str, seed: int | None = None):
+def run_fig6(model, ctrl, out_dir: str, seed: int | None = None):
     """Impedance sweep: virtual stiffness from 0.2 to 1.4 of the spring.
 
     Four simulations with a 2 Hz handle motion; each trace must track
     tau_d with relative RMS error below the frequency-domain bound."""
-    model, ctrl = _design(cfg)
     g1, h_phi = torque_loop_maps(model, ctrl, with_compensator=True)
     s2 = 2j * np.pi * _SINE_HZ
     results = []
     rows = []
     curves = []
     for frac in _IMPEDANCE_FRACTIONS:
-        i_d = frac * cfg.plant.k_s
+        i_d = frac * model.params.k_s
         sc = TorqueLoopScenario(
             model=model,
             controller=ctrl,
@@ -159,13 +153,12 @@ def _rms(x: np.ndarray, t: np.ndarray, from_t: float) -> float:
     return float(np.sqrt(np.mean(xw * xw)))
 
 
-def run_fig9(cfg: ProjectConfig, out_dir: str, seed: int | None = None):
+def run_fig9(model, ctrl, out_dir: str, seed: int | None = None):
     """Noisy tracking: the 2-DOF pair against the tuned PI baseline.
 
     Identical seeds; the 2-DOF steady-state RMS error must not exceed
     the PI controller's.  The detail also counts, per controller, the
     samples where the velocity clamp acts, from each trace's stats."""
-    model, ctrl = _design(cfg)
     noise = _reseed(SignalSpec.white_noise(_NOISE_VAR, _NOISE_SEED), seed)
     reference = SignalSpec.sine(_SINE_AMP_NM, _SINE_HZ)
     rms, clamped = {}, {}
@@ -217,9 +210,8 @@ def run_fig9(cfg: ProjectConfig, out_dir: str, seed: int | None = None):
     ]
 
 
-def _run_chirp_frf(cfg, out_dir, f0, f1, sweep_s, duration_s, grid, preset):
-    """Shared chirp-excitation FRF runner for the two Bode presets."""
-    model, ctrl = _design(cfg)
+def _run_chirp_frf(model, ctrl, out_dir, f0, f1, sweep_s, duration_s, grid, preset):
+    """Chirp FRF run of the Bode presets: (checks, -3 dB frequency, lag there)."""
     g1, _ = torque_loop_maps(model, ctrl, with_compensator=False)
     sc = TorqueLoopScenario(
         model=model,
@@ -253,7 +245,6 @@ def _run_chirp_frf(cfg, out_dir, f0, f1, sweep_s, duration_s, grid, preset):
 
     bw_hz = bandwidth_3db(g1)
     lag_deg = -phase_at(g1, bw_hz)
-    vline = [(bw_hz, f"-3 dB at {bw_hz:.2f} Hz")]
     plot_bode(
         os.path.join(out_dir, "bode.svg"),
         [
@@ -265,54 +256,54 @@ def _run_chirp_frf(cfg, out_dir, f0, f1, sweep_s, duration_s, grid, preset):
             Curve(est.freqs_hz, est.phase_deg, "estimated", dash=True),
         ],
         title="Closed torque loop: estimated vs theoretical response",
-        vlines=vline,
+        vlines=[(bw_hz, f"-3 dB at {bw_hz:.2f} Hz")],
     )
-    if preset == "fig10":
-        lo, hi = _BANDWIDTH_BAND_HZ
-        results.append(
-            CheckResult(
-                preset,
-                "bandwidth_plausible",
-                lo <= bw_hz <= hi,
-                f"-3 dB at {bw_hz:.3f} Hz vs [{lo:.0f}, {hi:.0f}] Hz band",
-            )
-        )
-        plo, phi_b = _PHASE_PLAUSIBILITY_DEG
-        # Known-red plausibility check: the theoretical lag at the loop's
-        # own cutoff is ~86 deg, well short of the hardware-suggested
-        # band.  Reported honestly; see the module docstring.
-        results.append(
-            CheckResult(
-                preset,
-                "phase_lag_plausible",
-                plo <= lag_deg <= phi_b,
-                f"lag {lag_deg:.2f} deg at {bw_hz:.3f} Hz vs "
-                f"[{plo:.0f}, {phi_b:.0f}] deg band",
-            )
-        )
-    return results
+    return results, bw_hz, lag_deg
 
 
-def run_fig10(cfg: ProjectConfig, out_dir: str, seed: int | None = None):
+def run_fig10(model, ctrl, out_dir: str, seed: int | None = None):
     """Wide chirp through the torque loop; Bode comparison and the
     bandwidth/phase plausibility checks."""
     grid = np.logspace(np.log10(0.5), np.log10(25.0), 40)
-    return _run_chirp_frf(cfg, out_dir, 0.1, 30.0, 40.0, 42.0, grid, "fig10")
+    results, bw_hz, lag_deg = _run_chirp_frf(
+        model, ctrl, out_dir, 0.1, 30.0, 40.0, 42.0, grid, "fig10"
+    )
+    lo, hi = _BANDWIDTH_BAND_HZ
+    plo, phi_b = _PHASE_PLAUSIBILITY_DEG
+    # Known-red plausibility check: the theoretical lag at the loop's
+    # own cutoff is ~86 deg, well short of the hardware-suggested band.
+    # Reported honestly; see the module docstring.
+    return results + [
+        CheckResult(
+            "fig10",
+            "bandwidth_plausible",
+            lo <= bw_hz <= hi,
+            f"-3 dB at {bw_hz:.3f} Hz vs [{lo:.0f}, {hi:.0f}] Hz band",
+        ),
+        CheckResult(
+            "fig10",
+            "phase_lag_plausible",
+            plo <= lag_deg <= phi_b,
+            f"lag {lag_deg:.2f} deg at {bw_hz:.3f} Hz vs "
+            f"[{plo:.0f}, {phi_b:.0f}] deg band",
+        ),
+    ]
 
 
-def run_fig10_narrow(cfg: ProjectConfig, out_dir: str, seed: int | None = None):
+def run_fig10_narrow(model, ctrl, out_dir: str, seed: int | None = None):
     """The published low-frequency chirp (0 to 5 Hz); FRF fidelity only,
     since the band ends far below the cutoff."""
     grid = np.logspace(np.log10(0.4), np.log10(4.5), 25)
-    return _run_chirp_frf(cfg, out_dir, 0.0, 5.0, 25.0, 26.0, grid, "fig10_narrow")
+    return _run_chirp_frf(
+        model, ctrl, out_dir, 0.0, 5.0, 25.0, 26.0, grid, "fig10_narrow"
+    )[0]
 
 
-def run_fig11(cfg: ProjectConfig, out_dir: str, seed: int | None = None):
+def run_fig11(model, ctrl, out_dir: str, seed: int | None = None):
     """Free response of an inertia-damper load under the virtual spring.
 
     The load is displaced 1 rad and released; the oscillation peaks must
     decay monotonically."""
-    model, ctrl = _design(cfg)
     sc = TorqueLoopScenario(
         model=model,
         controller=ctrl,
@@ -321,7 +312,7 @@ def run_fig11(cfg: ProjectConfig, out_dir: str, seed: int | None = None):
         # the rendered spring against the default load swings at
         # ~0.35 Hz; 12 s covers four decaying peaks
         duration_s=12.0,
-        i_d=cfg.plant.k_s,
+        i_d=model.params.k_s,
         load=LoadModel(phi0=1.0),
     )
     trace = simulate_torque_loop(sc)
@@ -362,11 +353,12 @@ _RUNNERS = {
 def run_preset(
     name: str, cfg: ProjectConfig, out_dir: str, seed: int | None = None
 ) -> list[CheckResult]:
-    """Run one named preset, writing artifacts into out_dir."""
+    """Run one named preset on cfg's H2 design, writing artifacts into out_dir."""
     if name not in _RUNNERS:
         raise KeyError(f"unknown preset {name!r}; have {', '.join(PRESET_NAMES)}")
     os.makedirs(out_dir, exist_ok=True)
-    return _RUNNERS[name](cfg, out_dir, seed)
+    model = build_plant(cfg.plant)
+    return _RUNNERS[name](model, h2_synthesize(model.P, cfg.weights), out_dir, seed)
 
 
 def run_reproduce(

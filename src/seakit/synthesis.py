@@ -295,17 +295,19 @@ def coprime_factorize(P: RationalTF, C0: RationalTF) -> CoprimeFactorization:
     both the test of ``is_hurwitz`` and the split c = f h with deg f =
     n = deg a.  f takes the first k = min(pairs, n // 2) conjugate pairs
     and the first n - 2k real roots in the (real, imag) order of
-    ``roots``, fastest first; h takes the rest.  The most pairs leave f
-    the fewest real roots to find, so this splits whenever any real
-    split exists.  f carries lead(f) = lead(c) while h is monic.  Then
-    M = a/f, N = b/f, X = p0/h, Y = q0/h are all stable and satisfy
+    ``roots``, fastest first; h takes the rest.  Only an odd n with no
+    real root in c falls short, by one; as ``roots`` can return a double
+    real root as a pair, the pair with the least |Im r|/|r| then gives
+    two real roots at Re r, kept if f h matches c within 1e-8 of max|c|.
+    f carries lead(f) = lead(c) while h is monic.  Then M = a/f,
+    N = b/f, X = p0/h, Y = q0/h are all stable and satisfy
     M X + N Y = 1, verified on a 20-point log frequency grid.
 
     Raises
     ------
     NumericsError
-        If c is not Hurwitz (C0 does not stabilize P), the degree split
-        cannot keep real coefficients, or the Bezout residual exceeds
+        If c is not Hurwitz (C0 does not stabilize P), no real degree
+        split within that tolerance exists, or the Bezout residual exceeds
         1e-8 anywhere on the verification grid.
     """
     a, b = P.den, P.num
@@ -325,15 +327,20 @@ def coprime_factorize(P: RationalTF, C0: RationalTF) -> CoprimeFactorization:
     # roots pairs conjugates exactly, so each upper root stands for its pair
     upper, real = c_roots[c_roots.imag > 0.0], c_roots[c_roots.imag == 0.0]
     k = min(len(upper), n // 2)
-    if n - 2 * k > len(real):
-        raise NumericsError(
-            "cannot split the characteristic polynomial into real factors "
-            f"of degrees {n} and {c.degree - n}"
-        )
+    short = n - 2 * k > len(real)
+    if short:  # only with odd n and no real root, so real is empty
+        j = np.argmin(upper.imag / np.abs(upper))
+        real, upper = np.full(2, upper[j].real), np.delete(upper, j)
     f_roots = np.concatenate([upper[:k], upper[:k].conj(), real[: n - 2 * k]])
     h_roots = np.concatenate([upper[k:], upper[k:].conj(), real[n - 2 * k :]])
     f = Polynomial.from_roots(f_roots, leading=float(c.coeffs[0]))
     h = Polynomial.from_roots(h_roots)
+    if short and not (np.max(np.abs((f * h - c).coeffs))
+                      <= 1e-8 * np.max(np.abs(c.coeffs))):
+        raise NumericsError(
+            "cannot split the characteristic polynomial into real factors "
+            f"of degrees {n} and {c.degree - n}"
+        )
 
     fact = CoprimeFactorization(
         M=RationalTF(a, f),

@@ -339,6 +339,27 @@ def test_criterion_09_phase_plausibility_band(maps, criterion_report):
     assert ok
 
 
+def test_a_command_delay_adds_360_f_tau_to_the_cutoff_lag(model, ctrl):
+    # The number behind the red band above: with a pure command delay
+    # D = exp(-s tau), G1 = P D C1 / (1 + P D C2) lags 85.48 + 360 f_bw tau
+    # degrees at its own -3 dB point f_bw.  So the [100, 160] deg band
+    # needs tau between 3.32 and 17.0 ms; here the lag reads 100.02, 129.26
+    # and 159.87 deg.
+    f = np.linspace(1e-3, 30.0, 300001)
+    s = 2j * np.pi * f
+    for tau in (3.32e-3, 10e-3, 17e-3):
+        pd = model.P(s) * np.exp(-s * tau)
+        g1 = pd * ctrl.c1(s) / (1.0 + pd * ctrl.c2(s))
+        gain = np.abs(g1) / np.abs(g1[0])
+        lag = -np.degrees(np.unwrap(np.angle(g1)))
+        i = int(np.argmax(gain < np.sqrt(0.5)))  # first grid point past -3 dB
+        t = (np.sqrt(0.5) - gain[i - 1]) / (gain[i] - gain[i - 1])
+        f_bw = f[i - 1] + t * (f[i] - f[i - 1])
+        lag_bw = lag[i - 1] + t * (lag[i] - lag[i - 1])
+        assert abs(lag_bw - (85.48 + 360.0 * f_bw * tau)) <= 0.1, (tau, f_bw, lag_bw)
+        assert 100.0 <= lag_bw <= 160.0, (tau, lag_bw)
+
+
 def test_criterion_10_frf_fidelity(model, ctrl, maps, criterion_report):
     g1 = maps[0]
     # 120 s at 2 kHz: Welch segments reach 16.4 s (61 mHz bins), so the

@@ -364,6 +364,9 @@ def test_assembled_state_counts(model, ctrl):
         (dict(controller=ctrl, compensator_on=True), 9),
         (dict(controller=PiController(204.0, 111.0), compensator_on=True), 8),
         (dict(controller=ctrl, compensator_on=True, i_d=k_s, load=LoadModel()), 11),
+        # a bare pair takes the general quotient: d_lambda_k's 3 hidden modes
+        (dict(controller=(ctrl.c1, ctrl.c2), compensator_on=True, i_d=k_s,
+              load=LoadModel()), 14),
     ]
     for kwargs, nx in cases:
         sc = TorqueLoopScenario(model=model, **kwargs)

@@ -227,22 +227,24 @@ def _coeff_bytes(fn, *args):
 
 def _check_split(P, c2):
     """coprime_factorize's split of c = a p0 + b q0: deg f = deg a, f and h
-    Hurwitz, h monic and f h = c within 1e-12 relative.  It raises "cannot
-    split" exactly when the roots of c hold fewer real roots than the
-    n - 2 min(pairs, n // 2) that f needs.  True when it split."""
+    Hurwitz, h monic and f h = c within 1e-12 relative when the roots of c
+    hold the n - 2 min(pairs, n // 2) real roots that f needs.  When they
+    fall short, one pair is split as a double real root: it either matches
+    within 1e-8 of max|c| or raises "cannot split".  True when it split."""
     n = P.den.degree
     c = P.den * c2.den + P.num * c2.num
     rts = roots(c)
     pairs, real = int(np.sum(rts.imag > 0.0)), int(np.sum(rts.imag == 0.0))
-    if n - 2 * min(pairs, n // 2) > real:
-        with pytest.raises(NumericsError, match=r"^cannot split the characteristic "):
-            coprime_factorize(P, c2)
+    short = n - 2 * min(pairs, n // 2) > real
+    try:
+        fact = coprime_factorize(P, c2)
+    except NumericsError as exc:
+        assert short and str(exc).startswith("cannot split the characteristic "), exc
         return False
-    fact = coprime_factorize(P, c2)
     assert fact.f.degree == n and is_hurwitz(fact.f) and is_hurwitz(fact.h)
     assert fact.h.coeffs[0] == 1.0
     err = np.max(np.abs((fact.f * fact.h - c).coeffs)) / np.max(np.abs(c.coeffs))
-    assert err <= 1e-12, err
+    assert err <= (1e-8 if short else 1e-12), err
     return True
 
 
@@ -301,6 +303,23 @@ def test_coprime_factorize_rejects_an_unstable_or_unsplittable_loop():
     with pytest.raises(NumericsError, match=r"^cannot split the characteristic "
                        r"polynomial into real factors of degrees 1 and 1$"):
         coprime_factorize(P, RationalTF([1.0], [1.0, 1.0]))
+
+
+def test_coprime_factorize_splits_a_double_root_returned_as_a_pair():
+    # the zero of P = 10 (s - 5) / ((s + 5)(s + 2)(s + 3)) mirrors a pole,
+    # so d_rho and d_lambda_k share the root -5 and c = d_rho d_lambda_k
+    # holds it twice; roots returns it as a pair 1.6e-6 off the real axis,
+    # which leaves c with no real root for f of odd degree 3
+    P = RationalTF([10.0, -50.0], Polynomial.from_roots([-5.0, -2.0, -3.0]))
+    c2 = h2_synthesize(P, SynthesisWeights(rho=0.1, lam=1.0, k=1.0)).c2
+    c = P.den * c2.den + P.num * c2.num
+    assert not np.any(roots(c).imag == 0.0)
+    fact = coprime_factorize(P, c2)
+    assert fact.f.degree == 3 and is_hurwitz(fact.f) and is_hurwitz(fact.h)
+    for half in (fact.f, fact.h):  # each takes one copy of the double root
+        assert np.count_nonzero(np.abs(roots(half) + 5.0) < 1e-6) == 1
+    err = np.max(np.abs((fact.f * fact.h - c).coeffs)) / np.max(np.abs(c.coeffs))
+    assert err <= 1e-8, err
 
 
 def test_closed_loop_map_identities(model, ctrl):
