@@ -443,12 +443,11 @@ def _csv_text(block: list, separators: np.ndarray, buf: bytearray) -> bytearray:
     their words are laid out in buf, which _csv_blocks hands from block
     to block.  A block that holds a 16-character text of % is laid out
     again at 32 bytes a value, so that each separator has its byte."""
-    source, distinct, zero = [], [], []
-    for j, c in enumerate(block):
+    source, distinct = [], []
+    for c in block:
         c = np.asarray(c, dtype=np.float64).view(np.int64)
         if not c.any():
-            zero.append(j)
-            source.append(0)
+            source.append(-1)  # the zero column, stacked after the distinct ones
             continue
         for i, d in enumerate(distinct):
             if d[-1] == c[-1] and np.array_equal(d, c):
@@ -461,12 +460,14 @@ def _csv_text(block: list, separators: np.ndarray, buf: bytearray) -> bytearray:
     if len(buf) != n * k * 16:
         buf = bytearray(n * k * 16)
     out = np.frombuffer(buf, "<u8").reshape(n, k, 2)
-    if distinct:
-        for r in range(0, n, _CSV_SUB_ROWS):
-            v = np.column_stack([d[r:r + _CSV_SUB_ROWS] for d in distinct])
-            w = _csv_words(v.view(np.float64).ravel()).reshape(len(v), len(distinct), 2)
-            np.take(w, source, axis=1, out=out[r:r + len(v)], mode="clip")
-    out[:, zero] = _CSV_ZERO
+    for r in range(0, n, _CSV_SUB_ROWS):
+        rows = min(n - r, _CSV_SUB_ROWS)
+        w = np.empty((rows, len(distinct) + 1, 2), np.uint64)
+        if distinct:
+            v = np.column_stack([d[r:r + rows] for d in distinct])
+            w[:, :-1] = _csv_words(v.view(np.float64).ravel()).reshape(rows, -1, 2)
+        w[:, -1] = _CSV_ZERO
+        np.take(w, source, axis=1, out=out[r:r + rows], mode="wrap")
     if np.frombuffer(buf, np.uint8)[15::16].any():  # a 16-character text
         buf = bytearray(np.concatenate([out, np.zeros_like(out)], axis=2))
         out = np.frombuffer(buf, "<u8").reshape(n, k, 4)

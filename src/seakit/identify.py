@@ -174,15 +174,15 @@ _CLUSTER_REL = 1e-6
 def _on_axis(p: Polynomial) -> tuple[Polynomial, Polynomial]:
     """(R, I) with p(jw) = R(x) + jw I(x) for x = w^2."""
     c = p.coeffs[::-1]  # lowest power first
-    even, odd = c[0::2], c[1::2]
-    r = even * (-1.0) ** np.arange(len(even))
-    i = odd * (-1.0) ** np.arange(len(odd))
+    r, i = c[0::2].copy(), c[1::2].copy()
+    r[1::2] *= -1.0  # j^2 = -1: every other power of x flips sign
+    i[1::2] *= -1.0
     return Polynomial(r[::-1]), Polynomial(i[::-1] if len(i) else 0.0)
 
 
-def _squared_gain(p: Polynomial) -> Polynomial:
-    """|p(jw)|^2 as a polynomial in x = w^2."""
-    r, i = _on_axis(p)
+def _squared_gain(r: Polynomial, i: Polynomial) -> Polynomial:
+    """|p(jw)|^2 = R^2 + x I^2 as a polynomial in x = w^2, from the
+    ``_on_axis`` pair (R, I) of p."""
     return r * r + Polynomial([1.0, 0.0]) * i * i
 
 
@@ -224,7 +224,8 @@ def bandwidth_3db(tf: RationalTF) -> float:
         If the magnitude never crosses the threshold in range.
     """
     ref = abs(tf(1j * _W_LO)) ** 2
-    f = _squared_gain(tf.num) - (0.5 * ref) * _squared_gain(tf.den)
+    f = (_squared_gain(*_on_axis(tf.num))
+         - (0.5 * ref) * _squared_gain(*_on_axis(tf.den)))
     changes = _sign_changes(f, _W_LO**2, _W_HI**2)
     if not changes:
         raise ValueError(_NO_CROSSING)
@@ -257,12 +258,12 @@ def loop_margins(loop_tf: RationalTF) -> tuple[float, float]:
     Either is inf when its crossing never happens.
     """
     x_lo, x_hi = _W_LO**2, _W_HI**2
-    gain = _squared_gain(loop_tf.num) - _squared_gain(loop_tf.den)
+    nr, ni = _on_axis(loop_tf.num)
+    dr, di = _on_axis(loop_tf.den)
+    gain = _squared_gain(nr, ni) - _squared_gain(dr, di)
     first = [x for x, after in _sign_changes(gain, x_lo, x_hi) if after < 0.0][:1]
     # Im(n conj d) / w has the sign of sin(phase): it turns from negative
     # to positive where the phase falls through an odd multiple of 180
-    nr, ni = _on_axis(loop_tf.num)
-    dr, di = _on_axis(loop_tf.den)
     flips = [x for x, after in _sign_changes(ni * dr - nr * di, x_lo, x_hi)
              if after > 0.0]
     # one phase evaluation: the first gain crossover, then every flip

@@ -1,6 +1,6 @@
 """Real-coefficient polynomials in the Laplace variable s.
 
-Coefficients are stored highest degree first, matching ``np.polyval``.
+Coefficients are stored highest degree first, the order of ``np.polyval``.
 This module carries the numerical substrate for controller synthesis:
 root extraction from the companion matrix with a residual check,
 Hurwitz tests, spectral factorization of even polynomials, and a
@@ -10,6 +10,11 @@ all their root pairs at once.
 All tolerances are relative; absolute thresholds would silently change
 meaning between the physical parameter scale (coefficients spanning
 1e-7 .. 4e6) and unit-test toy polynomials.
+
+A design works on 2 to 7 coefficients, where numpy's per-call wrappers
+cost more than the arithmetic.  So evaluation and ``roots`` loop over
+Python floats and call ``np.linalg.eigvals`` themselves, bit-identical
+to ``np.polyval`` and ``np.roots``.
 """
 
 from __future__ import annotations
@@ -41,13 +46,16 @@ _ROOT_REL_TOL = 1e-8  # bound on the scaled residual of a root
 _GCD_TOL = 1e-6  # relative distance within which shares_root pairs roots
 _SPECTRAL_REL_TOL = 1e-8  # bound on a spectral factor's reconstruction error
 _AXIS_REL = 1e-7  # |Re r| / max(1, |r|) at or below which r is an axis root
+_FLOAT = np.dtype(float)
+_ZERO = np.float64(0.0)
 
 
 class Polynomial:
     """Immutable dense real polynomial, coefficients highest degree first.
 
     Construction normalizes: coefficients are converted to float64 and
-    leading exact zeros are stripped.  The zero polynomial is
+    leading exact zeros are stripped; complex or non-finite coefficients
+    raise ``ValueError``.  The zero polynomial is
     represented as ``[0.0]``.  Sums additionally strip leading terms
     that are negligible against the operands, so a cancellation that is
     exact in real arithmetic does not leave a noise-degree behind.
@@ -61,30 +69,35 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[float] | np.ndarray | float) -> None:
-        arr = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
+        arr = np.array(coeffs, ndmin=1)
+        if arr.dtype != _FLOAT:
+            if arr.dtype.kind == "c":
+                raise ValueError("coefficients must be real")
+            arr = arr.astype(float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must form a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
+        values = arr.tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError("coefficients must be finite")
-        nz = np.nonzero(arr)[0]
-        if nz.size == 0:
-            arr = np.zeros(1)
-        else:
-            arr = arr[nz[0]:]
-        arr.flags.writeable = False
+        if values[0] == 0.0:
+            nz = arr.nonzero()[0]
+            arr = arr[nz[0]:] if nz.size else np.zeros(1)
+        arr.setflags(write=False)
         self.coeffs = arr
 
     @classmethod
     def from_roots(cls, rts: Sequence[complex], leading: float = 1.0) -> "Polynomial":
         """Monic-from-roots times ``leading``.
 
-        Roots must be closed under conjugation; the (numerically tiny)
-        imaginary parts of the expanded coefficients are discarded.
+        The coefficients are ``np.poly``'s: one convolution per root, in
+        complex arithmetic.  Roots must be closed under conjugation; the
+        (numerically tiny) imaginary parts of the expanded coefficients
+        are discarded.
         """
-        rts = np.asarray(rts, dtype=complex)
-        c = np.poly(rts) if rts.size else np.ones(1)
-        imag_scale = float(np.max(np.abs(c))) if c.size else 1.0
-        if np.max(np.abs(c.imag)) > 1e-8 * max(imag_scale, 1e-300):
+        c = np.ones(1, dtype=complex)
+        for z in np.asarray(rts, dtype=complex).tolist():
+            c = np.convolve(c, np.array([1.0, -z]))
+        if np.abs(c.imag).max() > 1e-8 * max(np.abs(c).max(), 1e-300):
             raise ValueError("root set is not closed under conjugation")
         return cls(leading * c.real)
 
@@ -100,8 +113,8 @@ class Polynomial:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0.0
 
     def __call__(self, s):
-        """Evaluate at a scalar or array argument (Horner)."""
-        return np.polyval(self.coeffs, s)
+        """Evaluate at a scalar or array argument, as ``np.polyval``."""
+        return _polyval(self.coeffs, s)
 
     # -- algebra -------------------------------------------------------
 
@@ -116,12 +129,11 @@ class Polynomial:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
+        # in floats, which add as numpy's do: the operands are short
         n = max(len(self.coeffs), len(p.coeffs))
-        x = np.zeros(n)
-        y = np.zeros(n)
-        x[n - len(self.coeffs):] = self.coeffs
-        y[n - len(p.coeffs):] = p.coeffs
-        a = x + y
+        x = [0.0] * (n - len(self.coeffs)) + self.coeffs.tolist()
+        y = [0.0] * (n - len(p.coeffs)) + p.coeffs.tolist()
+        a = [xk + yk for xk, yk in zip(x, y)]
         # Strip top terms the cancellation reduced to noise, judged per
         # degree against the operands' own coefficients there: a small
         # lead contributed by one operand alone is structure, not noise.
@@ -161,19 +173,19 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and bool(
-            np.all(self.coeffs == other.coeffs)
-        )
+        return self.coeffs.tolist() == other.coeffs.tolist()
 
     def __hash__(self):
-        return hash(self.coeffs.tobytes())
+        # + 0.0 turns -0.0 into 0.0: equal polynomials hash alike
+        return hash((self.coeffs + 0.0).tobytes())
 
     # -- transforms ----------------------------------------------------
 
     def negate_argument(self) -> "Polynomial":
         """Return p(-s): flips the sign of odd-power coefficients."""
-        signs = (-1.0) ** np.arange(len(self.coeffs) - 1, -1, -1)
-        return Polynomial(self.coeffs * signs)
+        c = self.coeffs.copy()
+        c[-2::-2] *= -1.0
+        return Polynomial(c)
 
     def __repr__(self) -> str:
         return f"Polynomial({np.array2string(self.coeffs, separator=', ')})"
@@ -208,6 +220,27 @@ def format_poly(p: Polynomial) -> str:
     return out
 
 
+def _polyval(coeffs: np.ndarray, s):
+    """``np.polyval(coeffs, s)`` bit for bit: its multiply-adds in its
+    order, from a float64 zero, so a narrower point is computed in float64.
+
+    A real scalar stays a scalar, which is faster.  Any other point is
+    made an array, so a complex product runs through numpy's array loop,
+    as in ``np.polyval``: Python's complex product can round differently.
+    A scalar point gives a numpy scalar.
+    """
+    x = s if isinstance(s, float) else np.asanyarray(s)
+    y = _ZERO
+    for c in coeffs.tolist():
+        y = y * x + c
+    return y
+
+
+def _peak(p: Polynomial) -> float:
+    """max |coefficient| of ``p``, taken over Python floats."""
+    return max(map(abs, p.coeffs.tolist()))
+
+
 def _magnitude(z: np.ndarray) -> np.ndarray:
     """|z| rounded as Python's abs(complex), which is hypot."""
     return np.hypot(z.real, z.imag)
@@ -218,13 +251,15 @@ def _eval_scale(coeffs: np.ndarray, rts: np.ndarray) -> np.ndarray:
     # it gives a scale-free residual even for huge/tiny coefficient spans.
     deg = len(coeffs) - 1
     powers = _magnitude(rts)[:, None] ** np.arange(deg, -1, -1, dtype=float)
-    s = np.sum(np.abs(coeffs) * powers, axis=1)
-    return np.maximum(s, 1e-300)
+    return np.maximum(np.add.reduce(np.abs(coeffs) * powers, axis=1), 1e-300)
 
 
 def roots(p: Polynomial) -> np.ndarray:
-    """All roots of ``p``: the eigenvalues of its balanced companion matrix.
+    """All roots of ``p``: the eigenvalues of its companion matrix.
 
+    The matrix is the one ``np.roots`` builds, with first row -c[1:]/c[0]
+    over the coefficients left once trailing zeros are dropped; each
+    trailing zero adds an exact root at 0.  LAPACK balances the matrix.
     Companion eigenvalues are backward stable (Edelman & Murakami, Math.
     Comp. 64, 1995), and LAPACK returns a real matrix's complex
     eigenvalues in exact conjugate pairs.  A root is snapped to the real
@@ -232,7 +267,7 @@ def roots(p: Polynomial) -> np.ndarray:
     resonance at 1 rad/s stays complex beside a root at 1e9 rad/s.  The
     result is a complex array of the deg p roots, multiplicities
     repeated, sorted by (real, imag).  A nonzero constant has no roots:
-    the result is then an empty complex array, as from ``np.roots``.
+    the result is then an empty complex array.
 
     Raises
     ------
@@ -246,14 +281,25 @@ def roots(p: Polynomial) -> np.ndarray:
     if p.is_zero:
         raise ValueError("the zero polynomial has no root set")
     coeffs = p.coeffs
-    try:
-        r = np.roots(coeffs).astype(complex)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"roots failed at degree {p.degree}: {exc}") from exc
-    r = np.where(np.abs(r.imag) <= 1e-8 * np.maximum(1.0, np.abs(r)), r.real, r)
-    r = r[np.lexsort((r.imag, r.real))]
-    scaled = _magnitude(np.polyval(coeffs, r)) / _eval_scale(coeffs, r)
-    residual = float(np.max(scaled, initial=0.0))
+    c = coeffs.tolist()
+    m = len(c) - 1  # the order of the companion matrix
+    while c[m] == 0.0:
+        m -= 1
+    found = []
+    if m:
+        companion = np.eye(m, k=-1)
+        companion[0] = [-ck / c[0] for ck in c[1:m + 1]]
+        try:
+            found = np.linalg.eigvals(companion).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(f"roots failed at degree {p.degree}: {exc}") from exc
+    # snapped and sorted over Python numbers, as few as they are
+    r = np.array(sorted(
+        (z.real, 0.0) if abs(z.imag) <= 1e-8 * max(1.0, abs(z)) else (z.real, z.imag)
+        for z in found + [0.0] * (len(c) - 1 - m)
+    ), dtype=float).view(complex).reshape(-1)
+    scaled = _magnitude(_polyval(coeffs, r)) / _eval_scale(coeffs, r)
+    residual = float(scaled.max(initial=0.0))
     if not residual <= _ROOT_REL_TOL:  # a NaN residual fails too
         raise NumericsError(f"root residual {residual:.3e} exceeds {_ROOT_REL_TOL:.1e}")
     return r
@@ -345,8 +391,8 @@ def spectral_factor(
         raise NumericsError("spectral factor lost positivity at s = 0")
     d = monic * (math.sqrt(e0) / m0)
     recon = d.negate_argument() * d
-    err = float(np.max(np.abs((recon - E).coeffs)))
-    bound = _SPECTRAL_REL_TOL * float(np.max(np.abs(E.coeffs)))
+    err = _peak(recon - E)
+    bound = _SPECTRAL_REL_TOL * _peak(E)
     if err > bound:
         raise NumericsError(
             f"spectral factor reconstruction error {err:.3e} exceeds {bound:.3e}"

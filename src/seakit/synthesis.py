@@ -28,6 +28,7 @@ from .plant import SeaModel
 from .polynomials import (
     Polynomial,
     _all_stable,
+    _peak,
     is_hurwitz,
     roots,
     shares_root,
@@ -224,8 +225,8 @@ def solve_diophantine(
         msg = "singular Sylvester system: a and b are not coprime"
         raise NumericsError(msg) from exc
 
-    residual = float(np.max(np.abs(S @ x - rhs)))
-    bound = _DIOPHANTINE_TOL * float(np.max(np.abs(rhs)))
+    residual = float(np.abs(S @ x - rhs).max())
+    bound = _DIOPHANTINE_TOL * _peak(c_target)
     if not residual <= bound:
         raise NumericsError(
             f"pole-placement residual {residual:.3e} exceeds {bound:.3e}"
@@ -236,7 +237,7 @@ def solve_diophantine(
     q = Polynomial(q_coeffs if np.any(q_coeffs != 0.0) else [0.0])
     if p.degree != n:
         raise NumericsError("leading coefficient of p vanished; system degenerate")
-    if abs(float(p(0.0))) < 1e-9 * float(np.max(np.abs(p.coeffs))):
+    if abs(float(p(0.0))) < 1e-9 * _peak(p):
         raise NumericsError(
             "p(0) = 0 within tolerance: the placed controller is not type 0"
         )
@@ -273,7 +274,7 @@ def h2_synthesize(P: RationalTF, w: SynthesisWeights) -> TwoDofController:
     if shares_root(a, b):
         raise NumericsError("plant numerator and denominator share a root")
     b0 = float(b(0.0))
-    if abs(b0) < 1e-12 * float(np.max(np.abs(b.coeffs))):
+    if abs(b0) < 1e-12 * _peak(b):
         raise NumericsError("b(0) = 0: reference DC normalization undefined")
 
     d_rho = spectral_factor(a, b, w.rho, 1.0)
@@ -335,8 +336,7 @@ def coprime_factorize(P: RationalTF, C0: RationalTF) -> CoprimeFactorization:
     h_roots = np.concatenate([upper[k:], upper[k:].conj(), real[n - 2 * k :]])
     f = Polynomial.from_roots(f_roots, leading=float(c.coeffs[0]))
     h = Polynomial.from_roots(h_roots)
-    if short and not (np.max(np.abs((f * h - c).coeffs))
-                      <= 1e-8 * np.max(np.abs(c.coeffs))):
+    if short and not _peak(f * h - c) <= 1e-8 * _peak(c):
         raise NumericsError(
             "cannot split the characteristic polynomial into real factors "
             f"of degrees {n} and {c.degree - n}"
@@ -354,8 +354,11 @@ def coprime_factorize(P: RationalTF, C0: RationalTF) -> CoprimeFactorization:
     return fact
 
 
-# Largest |M X + N Y - 1| accepted on the check grid.
+# Largest |M X + N Y - 1| accepted on the check grid, and that grid: 20
+# points log-spaced from 0.01 to 100 Hz.
 _BEZOUT_TOL = 1e-8
+_BEZOUT_HZ = np.logspace(np.log10(0.01), np.log10(100.0), 20)
+_BEZOUT_HZ.setflags(write=False)
 
 
 def _check_bezout(fact: CoprimeFactorization) -> None:
@@ -363,14 +366,13 @@ def _check_bezout(fact: CoprimeFactorization) -> None:
     from 0.01 to 100 Hz.  The four fractions are evaluated once each, as
     arrays over the whole grid; the message names the first grid
     frequency that fails."""
-    freqs = np.logspace(np.log10(0.01), np.log10(100.0), 20)
-    s = 2j * np.pi * freqs
+    s = 2j * np.pi * _BEZOUT_HZ
     err = np.abs(fact.M(s) * fact.X(s) + fact.N(s) * fact.Y(s) - 1.0)
     bad = ~(err <= _BEZOUT_TOL)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise NumericsError(
-            f"Bezout identity residual {err[i]:.3e} at {freqs[i]:.4g} Hz"
+            f"Bezout identity residual {err[i]:.3e} at {_BEZOUT_HZ[i]:.4g} Hz"
         )
 
 
@@ -456,8 +458,8 @@ def _feedforward_quotient(P: RationalTF, ctrl, num: Polynomial) -> RationalTF:
     if isinstance(ctrl, TwoDofController):
         target = ctrl.d_rho * ctrl.d_lambda_k
         residual = P.den * ctrl.p + P.num * ctrl.q - target
-        bound = _DIOPHANTINE_TOL * float(np.max(np.abs(target.coeffs)))
-        if float(np.max(np.abs(residual.coeffs))) <= bound:
+        bound = _DIOPHANTINE_TOL * _peak(target)
+        if _peak(residual) <= bound:
             kappa = float(ctrl.d_rho(0.0)) / float(P.num(0.0))
             return RationalTF(num * kappa, ctrl.d_rho)
     return RationalTF(num * c1.num, _torque_char(P, c2))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .polynomials import Polynomial, roots
+from .polynomials import Polynomial, _polyval, roots
 
 __all__ = [
     "RationalTF",
@@ -77,12 +77,11 @@ class RationalTF:
         Raises NumericsError at a (near-)pole: |den(s)| below 1e-12 of
         sum |a_k| max(1, |s|)^k over the denominator coefficients a_k.
         """
-        s = np.asarray(s)
         dv = self.den(s)
-        scale = np.polyval(np.abs(self.den.coeffs), np.maximum(1.0, np.abs(s)))
+        scale = _polyval(np.abs(self.den.coeffs), np.maximum(1.0, np.abs(s)))
         hit = np.abs(dv) < 1e-12 * scale
-        if np.any(hit):
-            s_bad = complex(s.flat[np.argmax(hit)])
+        if hit.any():
+            s_bad = complex(np.ravel(s)[np.argmax(hit)])
             raise NumericsError(f"evaluation at a pole: |den({s_bad:.6g})| ~ 0")
         return self.num(s) / dv
 

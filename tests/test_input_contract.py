@@ -91,9 +91,9 @@ def _mutated(rng):
     return raw
 
 
-def _nan_root(roots):
-    def patched(c):
-        r = roots(c).astype(complex)
+def _nan_root(eigvals):
+    def patched(a):
+        r = eigvals(a).astype(complex)
         if len(r):
             r[-1] = complex(np.nan, 0.0)
         return r
@@ -104,7 +104,7 @@ def test_mutated_configs_end_in_a_documented_exit_code(tmp_path, capsys, monkeyp
     # plant constants, weights, scenario timing, signals (sine, noise,
     # chirp, and a piecewise-linear phi_ref) and PI gains (up to 1e300)
     # take odd values, durations reach 1e308, and every tenth config runs
-    # with a NaN eigenvalue among the roots np.roots returns
+    # with a NaN among the companion eigenvalues that roots takes
     rng = np.random.default_rng(14)
     t0 = time.perf_counter()
     exits = []
@@ -114,7 +114,7 @@ def test_mutated_configs_end_in_a_documented_exit_code(tmp_path, capsys, monkeyp
         nan_root = i % 10 == 0
         with monkeypatch.context() as m:
             if nan_root:
-                m.setattr(np, "roots", _nan_root(np.roots))
+                m.setattr(np.linalg, "eigvals", _nan_root(np.linalg.eigvals))
             for argv in (["synth"], ["sim", "two_dof"], ["sim", "pi"], ["sim", "imp"]):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")

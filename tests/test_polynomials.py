@@ -53,6 +53,52 @@ def test_rejects_empty_and_nonfinite():
         Polynomial([np.inf])
 
 
+def test_rejects_complex_coefficients():
+    # numpy would keep only the real part, with a ComplexWarning
+    for coeffs in (np.array([1.0 + 2.0j, 3.0]), np.array([1.0 + 0.0j, 3.0]),
+                   [1.0 + 2.0j, 3.0], [np.complex128(1.0 + 2.0j), 3.0],
+                   np.complex128(2.0 + 1.0j), 2.0 + 1.0j):
+        with pytest.raises(ValueError, match="^coefficients must be real$"):
+            Polynomial(coeffs)
+
+
+def test_equal_polynomials_hash_alike_across_signed_zeros():
+    p, q = Polynomial([1.0, 0.0]), Polynomial([1.0, -0.0])
+    assert p == q and hash(p) == hash(q)
+    assert len(dict.fromkeys((p, q))) == 1
+    assert Polynomial([-0.0]) == Polynomial([0.0])
+    assert hash(Polynomial([2.0, -0.0, 1.0])) == hash(Polynomial([2.0, 0.0, 1.0]))
+
+
+def _random_polys(rng, count):
+    """Degree 0 to 12, coefficients of either sign spanning 1e-6 to 1e6."""
+    return [Polynomial(rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 6, n))
+            for n in rng.integers(1, 14, count)]
+
+
+def _same_value(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).dtype == np.asarray(want).dtype
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+def test_evaluation_is_np_polyval_bit_for_bit():
+    # Python's complex product rounds differently from numpy's array loop,
+    # which np.polyval uses for a scalar point too
+    rng = np.random.default_rng(3)
+    for p in _random_polys(rng, 300):
+        x = rng.standard_normal(4) * 10.0 ** rng.uniform(-3, 3, 4)
+        z = complex(x[0], x[1])
+        points = (float(x[0]), z, int(x[2] * 100), np.float64(x[1]),
+                  np.complex128(z), np.float32(x[2]), np.int64(7),
+                  np.array(x[3]), np.array(z), x, x + 1j * x[::-1],
+                  np.array([z]), x.astype(np.float32))
+        for s in points:
+            want = np.polyval(p.coeffs, s)
+            got = p(s)
+            assert _same_value(got, want), (p, s, got, want)
+
+
 def test_evaluation_matches_horner():
     p = Polynomial([2.0, -3.0, 5.0])
     for s in (0.0, 1.5, -2.0, 1j, 2.0 - 3.0j):
@@ -105,6 +151,22 @@ def test_from_roots_rejects_unpaired_complex():
         Polynomial.from_roots([1.0j, -2.0])
 
 
+def test_from_roots_and_negate_argument_keep_the_numpy_coefficients():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        real = rng.standard_normal(rng.integers(0, 4)) * 10.0 ** rng.uniform(-3, 3)
+        pair = (rng.standard_normal(rng.integers(0, 3))
+                + 1j * rng.standard_normal(1)) * 10.0 ** rng.uniform(-3, 3)
+        rts = rng.permutation(np.concatenate([real, pair, pair.conj()]))
+        lead = float(rng.uniform(0.5, 2.0))
+        # the parent formula: np.poly of the roots as complex numbers
+        want = lead * np.poly(rts.astype(complex)).real if len(rts) else np.array([lead])
+        p = Polynomial.from_roots(rts, leading=lead)
+        assert p.coeffs.tobytes() == want.tobytes()
+        flips = (-1.0) ** np.arange(p.degree, -1, -1)
+        assert p.negate_argument().coeffs.tobytes() == (p.coeffs * flips).tobytes()
+
+
 def test_negate_argument():
     p = Polynomial([1.0, 2.0, 3.0, 4.0])
     q = p.negate_argument()
@@ -149,6 +211,11 @@ def test_roots_are_the_companion_eigenvalues_snapped_and_sorted(monkeypatch):
         base = np.round(rng.standard_normal(rng.integers(1, 5)), 1)
         repeated = np.repeat(base, rng.integers(1, 4, len(base)))
         polys.append(Polynomial(np.poly(repeated)))
+    for n in range(1, 7):
+        # trailing zero coefficients, each an exact root at 0
+        polys.append(Polynomial(np.r_[rng.standard_normal(rng.integers(1, 6)),
+                                      np.zeros(n)]))
+        polys.append(Polynomial(np.r_[1.0, np.zeros(n)]))
     for p in polys:
         want, residual = _scalar_roots(p)
         got = roots(p)
@@ -169,7 +236,8 @@ def test_roots_are_the_companion_eigenvalues_snapped_and_sorted(monkeypatch):
 def test_a_nan_eigenvalue_raises_instead_of_shrinking_the_root_set(monkeypatch):
     p = Polynomial.from_roots([-1.0, -2.0, -3.0])
     for bad in (complex(np.nan, 0.0), complex(np.nan, 1.0), complex(-2.0, np.nan)):
-        monkeypatch.setattr(np, "roots", lambda c, bad=bad: np.array([-1.0, -3.0, bad]))
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a, bad=bad: np.array([-1.0, -3.0, bad]))
         with pytest.raises(NumericsError, match="residual nan exceeds"):
             roots(p)
 

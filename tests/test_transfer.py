@@ -49,6 +49,26 @@ def test_evaluation_and_pole_guard():
         g(np.array([1j, -1.0, 2j]))
 
 
+def test_a_point_evaluates_as_a_one_point_array():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        g = tf(rng.standard_normal(rng.integers(1, 5)),
+               rng.standard_normal(rng.integers(1, 8)) * 10.0 ** rng.uniform(-3, 3))
+        z = complex(*(rng.standard_normal(2) * 10.0 ** rng.uniform(-2, 2)))
+        want = g(np.array([z]))[0]
+        for s in (z, np.complex128(z), np.array(z)):
+            got = g(s)
+            assert type(got) is np.complex128 and got.tobytes() == want.tobytes()
+    # at a pole the point and the array raise the same error
+    g = tf([1.0], [1.0, 0.0, 4.0])
+    messages = []
+    for s in (2j, np.complex128(2j), np.array([2j]), np.array([1.0, 2j])):
+        with pytest.raises(NumericsError) as err:
+            g(s)
+        messages.append(str(err.value))
+    assert messages == [messages[0]] * 4 and "den(0+2j)" in messages[0], messages
+
+
 def test_algebra_matches_pointwise():
     g = tf([1.0, 2.0], [1.0, 3.0, 2.0])
     h = tf([2.0], [1.0, 5.0])
