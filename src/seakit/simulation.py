@@ -30,22 +30,24 @@ each level carrying the start states of the one below.  A group that
 starts inside the limit, after a group with no single step, is solved
 whole; any other solve runs to the end of its block.  A solve keeps its
 steps up to the first that leaves its mode.  From there the loop steps
-one at a time, clamping the four stage commands of a step in none of
-the modes in sequence, and solves again after 8 steps in a row at +sat
-or -sat, or after `wait` steps inside.  wait starts at 1, doubles up to
-8 after an inside solve that keeps fewer than 8 steps, and drops back to
-1 after a solve that keeps at least 8.
+one at a time, each step one product of the closed map with the step's
+inputs and start state, the four stage commands of a step in none of
+the modes then clamped in sequence, and solves again after 8 steps in a
+row at +sat or -sat, or after `wait` steps inside.  wait starts at 1,
+doubles up to 8 after an inside solve that keeps fewer than 8 steps,
+and drops back to 1 after a solve that keeps at least 8.
 Every nonzero input, phi_ref and handle motion included, is sampled
 once, by _step_inputs: deterministic signals on the half-step grid the
 integrator needs, seeded noise held constant across each step
 (zero-order hold).  A zero input adds exactly 0 to every product, so
 it is never sampled or multiplied; each group's input block is filled
 straight from the samples of the others.  The integrator holds only the
-current group's states, and records the four rows of each group as it
-ends.  So a run peaks at its trace, 80 B a step, or, while it
-integrates, at the 32 B a step of recorded rows plus its sampled inputs,
-16 B a step for each smooth one and 8 for noise: about 100 B a step with
-four smooth inputs.
+current group, one row a step: the step's inputs, its start state and
+the stage commands of the step before, and records the four rows of
+each group as it ends.  So a run peaks at its trace, 80 B a step, or,
+while it integrates, at the 32 B a step of recorded rows plus its
+sampled inputs, 16 B a step for each smooth one and 8 for noise: about
+100 B a step with four smooth inputs.
 
 Everything is deterministic: same scenario, same trace, bit for bit.
 """
@@ -596,7 +598,7 @@ def _clamped_step(zk: np.ndarray, u: list, n: np.ndarray, low: tuple, sat: float
     d2 = w2 - u2
     v = u3 + (l30 * d0 + l31 * d1 + l32 * d2)
     w3 = sat if v > sat else -sat if v < -sat else v
-    zk[:len(n)] += n @ (d0, d1, d2, w3 - u3)
+    zk[:len(n)] += n.dot((d0, d1, d2, w3 - u3))
     if w0 == w1 == w2 == w3 == sat:
         return _UPPER
     return _LOWER if w0 == w1 == w2 == w3 == -sat else _MIXED
@@ -678,25 +680,12 @@ def _attempt(forced: np.ndarray, m: np.ndarray, x: np.ndarray, lo: np.ndarray,
     nz, nx = len(lo), len(x)
     starts = [x]
     for f in forced[:-1]:
-        starts.append(m[-nz:nx - nz] @ starts[-1] + f[-nz:nx - nz])
+        starts.append(m[-nz:nx - nz].dot(starts[-1]) + f[-nz:nx - nz])
     s = np.array(starts) if len(starts) > 1 else x  # a lone block: one gemv
-    rows = (forced + s @ m[:forced.shape[1]].T).reshape(-1, nz)[:steps]
-    ok = (rows >= lo) & (rows <= hi)
+    rows = (forced + s.dot(m[:forced.shape[1]].T)).reshape(-1, nz)[:steps]
+    ok = rows >= lo
+    ok &= rows <= hi
     return rows if ok.all() else rows[:ok.all(1).argmin()]
-
-
-def _single_step(zk: np.ndarray, x: np.ndarray, q: np.ndarray, n: np.ndarray,
-                 low: tuple, sat: float):
-    """One closed-map step from x onto zk, its input terms, clamped by
-    _clamped_step where it leaves the limit.  Returns the step's mode, or
-    False where it leaves the limit from a non-finite x."""
-    zk += q @ x
-    u = zk[len(x):].tolist()
-    if max(u) <= sat and min(u) >= -sat:
-        return _INSIDE
-    if not np.isfinite(x).all():
-        return False
-    return _clamped_step(zk, u, n, low, sat)
 
 
 def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, inputs: dict,
@@ -709,14 +698,16 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, inputs: dict,
     each nonzero input to its values at the start, midpoint and end of each
     of the nsteps steps, then at every sample; an input it omits is zero,
     and its columns of the step maps are never multiplied.  Only the
-    current group of states is held: as a group ends, its samples are
-    recorded from its states and its step-start inputs, and the last
-    sample from the last state and each input's last sample.  A recorded
-    row that no state and no nonzero input reaches stays zero.  An attempt
-    from row j of a block resumes by superposition, its forced response F
-    plus M (x - F_(j-1)).  The saturated modes, the open map of (A, B, b_w)
-    with w = +-sat, are built when first met.  Integration stops at a
-    non-finite state, every recorded row NaN after.
+    current group is held, a row a step, and a single step is one product
+    of the closed map [gam | q] with row j's inputs and state, written
+    over the state and commands of row j + 1.  As a group ends, its
+    samples are recorded from its states and its step-start inputs, and
+    the last sample from the last state and each input's last sample.  A
+    recorded row that no state and no nonzero input reaches stays zero.
+    An attempt from row j of a block resumes by superposition, its forced
+    response F plus M (x - F_(j-1)).  The saturated modes, the open map of
+    (A, B, b_w) with w = +-sat, are built when first met.  Integration
+    stops at a non-finite state, every recorded row NaN after.
     """
     nx, ni = loop.B.shape
     m = nx + 3 * ni
@@ -728,6 +719,8 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, inputs: dict,
     # the input columns of the nonzero inputs, start, midpoint, then end
     cols = [nx + j * ni + i for j in range(3) for i in inputs]
     q, gam, gam_open = closed[:, :nx], closed[:, cols], opened[:, cols]
+    nv, nw = len(cols), len(cols) + nx  # a row: nv inputs, nx states, 4 commands
+    qa = np.hstack([gam, q])  # the closed single step, [v, x] -> [x+, u]
     maps = {_INSIDE: _block_maps(q)}  # per mode: M and the Toeplitz map
     # a row is accepted while its state is finite and its commands lie in
     # [lo, hi] of the mode
@@ -735,8 +728,7 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, inputs: dict,
     lo, hi = np.full((3, nz), -big), np.full((3, nz), big)
     lo[:, nx:] = [[-sat], [sat], [-np.inf]]
     hi[:, nx:] = [[sat], [np.inf], [-sat]]
-    block_path = ("closed_block", "upper_block", "lower_block")
-    counts = dict.fromkeys(block_path + ("closed_single", "clamped_single"), 0)
+    blocks, singles, clamped = [0, 0, 0], 0, 0  # block steps by mode, single steps
     live = np.flatnonzero(loop.out_x.any(1) | loop.out_v[:, list(inputs)].any(1))
     out_x, out_v = loop.out_x[live], loop.out_v[live][:, list(inputs)]
     out = np.zeros((len(loop.out_x), nsteps + 1))
@@ -744,31 +736,33 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, inputs: dict,
     def record(k, rows):  # samples k, k + 1, ... from the group's first rows
         rec = out_x @ xs[:rows].T
         if inputs:
-            rec += out_v @ block[:rows, :len(inputs)].T
+            rec += out_v @ z[:rows, :len(inputs)].T
         out[live, k:k + rows] = rec
 
-    # Row j + 1 of the group holds x_(g+j+1) followed by the stage commands
-    # of step g + j; it starts out as the closed map's input terms of that
-    # step.  Row 0 holds the group's start state.
+    def tally():  # the rows, and the steps by path keyed as SimStats
+        return out, dict(zip(("closed_block", "upper_block", "lower_block"), blocks),
+                         closed_single=singles - clamped, clamped_single=clamped)
+
+    # Row j of the group holds the inputs of step g + j, x_(g+j), then the
+    # stage commands of step g + j - 1; row 0 starts at the group's start
+    # state.  The row after the last step holds, as its first inputs, each
+    # input at the sample that ends the group.
     span = _BLOCK * _GROUP
-    z = np.empty((span + 1, nz))
-    z[0, :nx] = x0
-    xs = z[:, :nx]
-    # the inputs of each step of the group, then, in the row after its last
-    # step, each input at the sample that ends the group
-    block = np.empty((span + 1, len(cols)))
+    z = np.empty((span + 1, nw + 4))
+    z[0, nv:nw] = x0
+    xs = z[:, nv:nw]
+    heads = tails = ()
     # run: steps in mode since a block stopped; wait: the run that resumes
     # the inside mode; clean: no single step since the group began
     mode, run, wait, clean = _INSIDE, _RESUME, 1, True
     for g in range(0, nsteps, span):
         e = min(g + span, nsteps)
-        v = block[:e - g]
+        v = z[:e - g, :nv]
         for c, sampled in enumerate(inputs.values()):
             for j in range(3):
                 v[:, j * len(inputs) + c] = sampled[j][g:e]
-            block[e - g, c] = sampled[3][e]
-        z[1:e - g + 1] = v @ gam.T
-        forced = {_INSIDE: _forced(z[1:e - g + 1], *maps[_INSIDE])}
+            z[e - g, c] = sampled[3][e]
+        forced = {_INSIDE: _forced(v @ gam.T, *maps[_INSIDE])}
         whole, clean, k = clean, True, g
         while k < e:
             if run >= (wait if mode == _INSIDE else _RESUME):
@@ -788,8 +782,8 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, inputs: dict,
                 x = xs[k - g] - fb[i, r - nz:r - nz + nx] if j else xs[k - g]
                 rows = _attempt(fb[i:i + nb, r:], maps[mode][0], x, lo[mode],
                                 hi[mode], end - k)
-                z[k - g + 1:k - g + len(rows) + 1] = rows
-                counts[block_path[mode]] += len(rows)
+                z[k - g + 1:k - g + len(rows) + 1, nv:] = rows
+                blocks[mode] += len(rows)
                 k += len(rows)
                 if len(rows) >= _SUB:
                     wait = 1
@@ -798,23 +792,39 @@ def _integrate(loop: _LoopSystem, a: np.ndarray, x0: np.ndarray, inputs: dict,
                 if k == end:
                     continue
                 run = 0
-            step = _single_step(z[k - g + 1], xs[k - g], q, n, low, sat)
-            if step is False:
-                record(g, k - g + 1)
-                out[:, k + 1:] = np.nan
-                return out, counts
-            counts["closed_single" if step == _INSIDE else "clamped_single"] += 1
-            if step is _MIXED:
-                run = 0
-            elif step == mode:
-                run += 1
-            else:
-                mode, run = step, 1
+            # single steps, until run resumes a solve or the group ends
             clean = False
-            k += 1
+            if not heads:  # each row's [v, x] and [x, u], as views made once
+                heads, tails = list(z[:, :nw]), list(z[:, nv:])
+            for j in range(k - g, e - g):
+                zk = tails[j + 1]
+                qa.dot(heads[j], out=zk)
+                u0, u1, u2, u3 = u = zk[nx:].tolist()
+                if (-sat <= u0 <= sat and -sat <= u1 <= sat
+                        and -sat <= u2 <= sat and -sat <= u3 <= sat):
+                    step = _INSIDE
+                # a non-finite state makes every command non-finite
+                elif math.isfinite(u0 + u1 + u2 + u3) or np.isfinite(xs[j]).all():
+                    clamped += 1
+                    step = _clamped_step(zk, u, n, low, sat)
+                else:
+                    singles += j - (k - g)
+                    record(g, j + 1)
+                    out[:, g + j + 1:] = np.nan
+                    return tally()
+                if step is _MIXED:
+                    run = 0
+                elif step == mode:
+                    run += 1
+                else:
+                    mode, run = step, 1
+                if run >= (wait if mode == _INSIDE else _RESUME):
+                    break
+            singles += j + 1 - (k - g)
+            k = g + j + 1
         record(g, e - g + (e == nsteps))  # the last group also records sample e
-        z[0, :nx] = z[e - g, :nx]
-    return out, counts
+        z[0, nv:nw] = z[e - g, nv:nw]
+    return tally()
 
 
 def _step_inputs(spec: SignalSpec, dt_s: float, nsteps: int):

@@ -625,6 +625,113 @@ def test_fused_step_matches_stagewise_rk4(model, ctrl, monkeypatch, case):
     assert bool(saturated or fallback_steps) == saturates
 
 
+def _random_signal(rng, scale, duration_s):
+    """One input drawn from zero, sine, step, chirp, noise or
+    piecewise-linear, its amplitude within a decade of scale."""
+    kind = rng.choice(["zero", "sine", "step", "chirp", "white_noise",
+                       "piecewise_linear"])
+    amp = scale * 10.0 ** rng.uniform(-1.0, 1.0)
+    if kind == "sine":
+        return SignalSpec.sine(amp, rng.uniform(0.5, 20.0))
+    if kind == "step":
+        return SignalSpec.step(amp, rng.uniform(0.0, duration_s))
+    if kind == "chirp":
+        return SignalSpec.chirp(amp, rng.uniform(0.0, 5.0), rng.uniform(5.0, 50.0),
+                                duration_s)
+    if kind == "white_noise":
+        return SignalSpec.white_noise(amp**2, int(rng.integers(2**31)))
+    if kind == "piecewise_linear":
+        times = np.sort(rng.uniform(0.0, duration_s, 4)).tolist()
+        return SignalSpec.piecewise_linear(
+            list(zip(times, rng.uniform(-amp, amp, 4).tolist())))
+    return SignalSpec.zero()
+
+
+def _random_loops(seed, count):
+    """count seeded random scenarios: each of the five plant constants
+    build_plant reads within 0.6-1.4x its default; the 2-DOF design with
+    each weight within a decade of its default, or PI gains within half a
+    decade of (204, 111); the compensator, impedance mode and the load at
+    random; sat in 1-100 rad/s and 100-6000 steps of 0.1 ms."""
+    rng = np.random.default_rng(seed)
+    base = default_params()
+    for _ in range(count):
+        params = dataclasses.replace(base, **{
+            n: getattr(base, n) * rng.uniform(0.6, 1.4)
+            for n in ("j_a", "b_f", "k_s", "k_pv", "k_iv")})
+        model = build_plant(params)
+        if rng.uniform() < 0.5:
+            ctrl = PiController(*(10.0 ** rng.uniform(-0.5, 0.5, 2) * (204.0, 111.0)))
+        else:
+            rho, lam, k = 10.0 ** rng.uniform(-1.0, 1.0, 3) * (5e-4, 1.0, 1.0)
+            ctrl = h2_synthesize(model.P, SynthesisWeights(rho=rho, lam=lam, k=k))
+        duration = int(10.0 ** rng.uniform(2.0, np.log10(6000.0))) * 1e-4
+        impedance, load = rng.uniform() < 0.3, rng.uniform() < 0.5
+        sc = dict(model=model, controller=ctrl, compensator_on=bool(rng.uniform() < 0.5),
+                  saturation_rad_s=10.0 ** rng.uniform(0.0, 2.0), duration_s=duration,
+                  disturbance=_random_signal(rng, 5.0, duration),
+                  noise=_random_signal(rng, 0.01, duration))
+        if not impedance:
+            sc.update(reference=_random_signal(rng, 0.1, duration))
+        else:
+            sc.update(i_d=params.k_s * 10.0 ** rng.uniform(-1.0, 0.0),
+                      phi_ref=_random_signal(rng, 0.05, duration))
+        if impedance and load:
+            sc.update(load=LoadModel(phi0=rng.uniform(-0.5, 0.5)))
+        else:
+            sc.update(handle_motion=_random_signal(rng, 0.05, duration))
+        yield TorqueLoopScenario(**sc)
+
+
+def test_integrate_matches_stagewise_rk4_on_random_loops(monkeypatch):
+    """A seeded differential test of _integrate against plain stage-clamped
+    RK4 on 20 random loops, with the bound and the count identity of
+    test_fused_step_matches_stagewise_rk4.  The draws cross a group of
+    steps, solve blocks at +sat and -sat, and include PI loops that
+    chatter across the clamp."""
+    integrate, clamped_step = simulation._integrate, simulation._clamped_step
+    runs, fallback_steps = [], []
+
+    def counting_step(*args):
+        fallback_steps.append(1)
+        return clamped_step(*args)
+
+    def both(loop, a, x0, inputs, nsteps, *args):
+        rows, counts = integrate(_states(loop), a, x0, inputs, nsteps, *args)
+        ref_clamped = []
+        ref, _ = _stagewise_integrate(loop, a, x0, inputs, nsteps, *args, ref_clamped)
+        runs.append((_recorded(loop, rows.T, inputs), _recorded(loop, ref, inputs),
+                     counts, ref_clamped, len(fallback_steps)))
+        return runs[-1][0], counts
+
+    monkeypatch.setattr(simulation, "_clamped_step", counting_step)
+    monkeypatch.setattr(simulation, "_integrate", both)
+    chattering = crossing = 0
+    saturated_sides = set()
+    for sc in _random_loops(19, 20):
+        fallback_steps.clear()
+        simulate_torque_loop(sc)
+        (fused, ref, counts, ref_clamped, fallbacks), = runs
+        runs.clear()
+        for row in range(3):  # tau_L, u_presat, phi_L
+            bound = 1e-9 * np.max(np.abs(ref[row]))
+            assert np.max(np.abs(fused[row] - ref[row])) <= bound, (sc, row)
+        nsteps = ref.shape[1] - 1
+        saturated = counts["upper_block"] + counts["lower_block"]
+        assert sum(counts.values()) == nsteps, sc
+        assert saturated + counts["clamped_single"] == len(ref_clamped), sc
+        assert counts["clamped_single"] == fallbacks, sc
+        saturated_sides |= {side for side in ("upper_block", "lower_block")
+                            if counts[side]}
+        crossing += nsteps > simulation._BLOCK * simulation._GROUP
+        episodes = _episodes(ref_clamped)
+        gaps = [b[0] - a[1] - 1 for a, b in zip(episodes, episodes[1:])]
+        chattering += (isinstance(sc.controller, PiController)
+                       and sum(g in (1, 2) for g in gaps) > 20)
+    assert crossing >= 3 and chattering >= 2
+    assert saturated_sides == {"upper_block", "lower_block"}
+
+
 def _closed_recurrence(loop, a, x0, inputs, nsteps, h):
     """x_(k+1) = Phi x_k + f_k, one step at a time, with Phi and the input
     terms f_k from the closed-loop RK4 step map."""
@@ -793,6 +900,22 @@ def test_fig9_path_counts_at_the_default_seed(tmp_path, monkeypatch):
     assert pi["closed_single"] < 2 * pi["clamped_single"]
 
 
+def test_chatter_path_counts_at_noise_seed_5(model):
+    """The steps of the sim_saturating PI run at noise seed 5 (0.3 Nm at
+    2 Hz, 2 s), by the path _integrate took: its command chatters across
+    the clamp, and two thirds of its steps are single steps."""
+    trace = simulate_torque_loop(TorqueLoopScenario(
+        model=model, controller=PiController(204.0, 111.0),
+        reference=SignalSpec.sine(0.3, 2.0),
+        noise=SignalSpec.white_noise(0.01, seed=5), duration_s=2.0,
+    ))
+    stats = dataclasses.asdict(trace.stats)
+    assert stats.pop("peak_u_presat") > 2.0 * stats["saturation_rad_s"]
+    assert stats == dict(closed_block=6725, upper_block=15, lower_block=23,
+                         closed_single=7989, clamped_single=5248,
+                         clamped_samples=5280, saturation_rad_s=50.0)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_overflowing_block_power_does_not_end_the_run_early():
@@ -815,6 +938,84 @@ def test_overflowing_block_power_does_not_end_the_run_early():
     assert 64 < last < 199
     assert np.isfinite(xs[:last + 1, 0]).all() and not np.isfinite(xs[last + 1:]).any()
     np.testing.assert_allclose(xs[:last + 1, 0], ref[:last + 1, 0], rtol=1e-12)
+
+
+def _single_steps(loop, a, x0, inputs, nsteps, h, sat):
+    """_integrate's single step taken at every step: the closed-loop step
+    map, clamped by _clamped_step where a stage command leaves the limit,
+    and stopped at a step that leaves it from a non-finite state.  Returns
+    the states, NaN after the last one reached, and the path counts."""
+    nx = len(x0)
+    b = loop.B + np.outer(loop.b_w, loop.d_u)
+    closed = np.vstack(simulation._step_maps(a, b, np.zeros(nx), loop.c_u, loop.d_u, h))
+    opened = np.vstack(simulation._step_maps(loop.A, loop.B, loop.b_w, loop.c_u,
+                                             loop.d_u, h))
+    m = opened.shape[1] - 4
+    n, low = opened[:nx, m:], tuple(opened[nx:, m:][np.tril_indices(4, -1)].tolist())
+    xs = np.full((nsteps + 1, nx), np.nan)
+    xs[0] = x0
+    counts = dict(closed_block=0, upper_block=0, lower_block=0, closed_single=0,
+                  clamped_single=0)
+    for k, v in enumerate(np.hstack(_dense_inputs(inputs, nsteps))):
+        zk = closed[:, :m] @ np.r_[xs[k], v]
+        u = zk[nx:].tolist()
+        if all(abs(c) <= sat for c in u):
+            counts["closed_single"] += 1
+        elif not np.isfinite(xs[k]).all():
+            break
+        else:
+            simulation._clamped_step(zk, u, n, low, sat)
+            counts["clamped_single"] += 1
+        xs[k + 1] = zk[:nx]
+    return xs, counts
+
+
+@pytest.mark.parametrize("case", ["unread_mode", "overflowing_command"])
+def test_divergence_on_single_steps_stops_where_the_steps_do(model, monkeypatch, case):
+    """Runs that diverge while every step is a single step past the limit.
+    unread_mode: a mode that grows by ~1e7 a step and no command reads,
+    under a disturbance that clamps each step at one stage and not at the
+    next.  overflowing_command: a growing oscillation, turned by about 150
+    degrees a step, clamped at alternate sides until its command overflows
+    while its state is still finite.  _integrate must stop where the
+    step-by-step recurrence stops, with the same counts and states, and
+    simulate_torque_loop must name its first non-finite sample."""
+    h, sat, nsteps = 1e-4, 50.0, 200
+    disturbance = SignalSpec.zero()
+    if case == "unread_mode":
+        a, c_u, d_u = np.array([[124.0 / h]]), np.zeros(1), np.eye(1, 4, simulation._D)[0]
+        # +-2 sat at each sample, 0 at each midpoint
+        disturbance = SignalSpec.piecewise_linear(
+            [(k * h, (-1.0) ** k * 2.0 * sat) for k in range(nsteps + 1)])
+    else:
+        a = np.array([[5.0, 5.0], [-5.0, 5.0]]) / h  # RK4 scales it by -140 + 72i
+        c_u, d_u = np.array([1e250, 0.0]), np.zeros(4)
+    nx = len(a)
+    loop = simulation._LoopSystem(
+        A=a, B=np.outer(np.eye(nx)[0], np.eye(1, 4, simulation._R)), b_w=np.zeros(nx),
+        c_u=c_u, d_u=d_u, out_x=np.vstack([np.eye(1, nx), c_u, np.zeros((2, nx))]),
+        out_v=np.vstack([np.zeros(4), d_u, np.zeros((2, 4))]))
+    sc = TorqueLoopScenario(model=model, controller=PiController(204.0, 111.0),
+                            reference=SignalSpec.constant(1.0), disturbance=disturbance,
+                            saturation_rad_s=sat, dt_s=h, duration_s=nsteps * h)
+    inputs = {i: simulation._step_inputs(spec, h, nsteps)
+              for i, spec in ((simulation._R, sc.reference), (simulation._D, disturbance))
+              if spec.kind != "zero"}
+    x0 = np.zeros(nx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, counts = simulation._integrate(_states(loop), a, x0, inputs, nsteps, h, sat)
+        ref, ref_counts = _single_steps(loop, a, x0, inputs, nsteps, h, sat)
+        first = int(np.argmax(~np.isfinite(_recorded(loop, ref, inputs)[:3]).all(0)))
+    xs = rows.T
+    stop = int(np.argmin(np.isfinite(ref).all(1)))  # the first non-finite state
+    assert 20 < stop < nsteps and counts == ref_counts
+    assert counts["clamped_single"] >= stop - 1
+    assert np.isfinite(xs[:stop]).all() and not np.isfinite(xs[stop]).all()
+    assert np.isnan(xs[stop + 1:]).all() and np.isnan(ref[stop + 1:]).all()
+    np.testing.assert_allclose(xs[:stop], ref[:stop], rtol=1e-12)
+    monkeypatch.setattr(simulation, "_assemble", lambda _: loop)
+    with pytest.raises(NumericsError, match=rf"at sample {first} "):
+        simulate_torque_loop(sc)
 
 
 def _input_cases(model, ctrl):
